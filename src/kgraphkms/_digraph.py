@@ -77,14 +77,6 @@ def transitive_closure(adj: np.ndarray) -> np.ndarray:
         reach = grown
 
 
-def reflexive_transitive_closure(adj: np.ndarray) -> np.ndarray:
-    """Closure under paths of length >= 0."""
-    out = transitive_closure(adj)
-    out = out.copy()
-    np.fill_diagonal(out, True)
-    return out
-
-
 def weak_components(adj: np.ndarray) -> list[list[int]]:
     """Connected components ignoring edge direction, sorted by least node."""
     n = adj.shape[0]
@@ -109,7 +101,8 @@ def weak_components(adj: np.ndarray) -> list[list[int]]:
     return pieces
 
 
-def is_strongly_connected(adj: np.ndarray) -> bool:
-    if adj.shape[0] <= 1:
-        return True
+def irreducible(adj: np.ndarray) -> bool:
+    """Strongly connected, with a loop when there is a single node."""
+    if adj.shape[0] == 1:
+        return bool(adj[0, 0])
     return len(tarjan_sccs(succ_lists(adj))) == 1

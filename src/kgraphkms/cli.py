@@ -13,8 +13,10 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .components import check_assumptions, decompose
+from .components import analysis_of, analysis_scope, check_assumptions
 from .dumbbell import (
     Dumbbell2Params,
     DumbbellBounds,
@@ -38,7 +40,7 @@ from .engine import (
 )
 from .formats import InputDocument, ParseError, emit_report, input_to_json, parse_input
 from .skeleton import Skeleton, validate_skeleton
-from .spectral import common_pf_eigenvector, spectral_radius
+from .spectral import common_pf_eigenvector
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -97,7 +99,7 @@ def _state_payload(skel: Skeleton, dyn: Dynamics, state: ExtremeState, tol: floa
 
 
 def _components_section(skel: Skeleton) -> dict:
-    decomp = decompose(skel)
+    decomp = analysis_of(skel)
     return {
         "order": [[skel.vertex_labels[v] for v in comp] for comp in decomp.components],
         "trivial": list(decomp.trivial),
@@ -106,8 +108,17 @@ def _components_section(skel: Skeleton) -> dict:
     }
 
 
-def _assumptions_section(skel: Skeleton) -> dict:
-    return asdict(check_assumptions(skel))
+def _spectra_section(skel: Skeleton) -> dict:
+    decomp = analysis_of(skel)
+    arrays = skel.as_arrays()
+    components = []
+    for comp, radii, irreducible in zip(decomp.components, decomp.radii, decomp.coordinatewise_irreducible):
+        entry = {"vertices": [skel.vertex_labels[v] for v in comp], "radii": list(radii)}
+        if irreducible:
+            block = np.ix_(comp, comp)
+            entry["pf_vector"] = list(common_pf_eigenvector([a[block] for a in arrays])[0].vector)
+        components.append(entry)
+    return {"global_radii": [decomp.global_radius(i) for i in range(skel.k)], "components": components}
 
 
 def _dynamics_section(dyn: Dynamics) -> dict:
@@ -168,84 +179,61 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_components(args) -> int:
-    report, doc, skel, code = _prepare(args)
-    if skel is None:
-        print(emit_report(report, args.format))
-        return code or EXIT_VIOLATION
-    report["components"] = _components_section(skel)
-    report["assumptions"] = _assumptions_section(skel)
-    if not check_assumptions(skel).all_pass and not args.allow_violations:
-        code = EXIT_VIOLATION
+    report, _, skel, code = _prepare(args)
+    if skel is not None:
+        report["components"] = _components_section(skel)
+        assumptions = check_assumptions(skel)
+        report["assumptions"] = asdict(assumptions)
+        if not assumptions.all_pass and not args.allow_violations:
+            code = EXIT_VIOLATION
     print(emit_report(report, args.format))
     return code
 
 
 def _cmd_spectra(args) -> int:
-    report, doc, skel, code = _prepare(args)
-    if skel is None:
-        print(emit_report(report, args.format))
-        return code or EXIT_VIOLATION
-    decomp = decompose(skel)
-    section: dict = {
-        "global_radii": [spectral_radius(m) for m in skel.matrices],
-        "components": [],
-    }
-    for c, comp in enumerate(decomp.components):
-        entry = {
-            "vertices": [skel.vertex_labels[v] for v in comp],
-            "radii": list(decomp.radii[c]),
-        }
-        if decomp.coordinatewise_irreducible[c]:
-            idx = list(comp)
-            blocks = [
-                [[skel.matrices[i][a][b] for b in idx] for a in idx]
-                for i in range(skel.k)
-            ]
-            pf = common_pf_eigenvector(blocks)
-            entry["pf_vector"] = list(pf[0].vector)
-        section["components"].append(entry)
-    report["spectra"] = section
+    report, _, skel, code = _prepare(args)
+    if skel is not None:
+        report["spectra"] = _spectra_section(skel)
     print(emit_report(report, args.format))
     return code
 
 
-def _cmd_kms(args) -> int:
+def _prepare_solve(args) -> tuple[dict, Skeleton | None, Dynamics | None, int]:
+    """Shared start of ``kms`` and ``phase``: build, normalise, check assumptions.
+
+    Returns ``skel`` None when the report is already final.
+    """
     report, doc, skel, code = _prepare(args)
     if skel is None or (code and not args.allow_violations):
-        print(emit_report(report, args.format))
-        return code or EXIT_VIOLATION
+        return report, None, None, code
     dyn = _build_dynamics(skel, doc)
     report["dynamics"] = _dynamics_section(dyn)
     assumptions = check_assumptions(skel)
     report["assumptions"] = asdict(assumptions)
     if not assumptions.all_pass and not args.allow_violations:
-        print(emit_report(report, args.format))
-        return EXIT_VIOLATION
-    diagram = phase_diagram(skel, dyn, allow_violations=args.allow_violations)
-    states = extreme_states_at(skel, dyn, args.beta, diagram=diagram)
-    report["kms"] = {
-        "beta": args.beta,
-        "extreme_count": len(states),
-        "extreme_states": [_state_payload(skel, dyn, s, args.tol) for s in states],
-    }
+        return report, None, None, EXIT_VIOLATION
+    return report, skel, dyn, code
+
+
+def _cmd_kms(args) -> int:
+    report, skel, dyn, code = _prepare_solve(args)
+    if skel is not None:
+        diagram = phase_diagram(skel, dyn, allow_violations=args.allow_violations)
+        states = extreme_states_at(skel, dyn, args.beta, diagram=diagram)
+        report["kms"] = {
+            "beta": args.beta,
+            "extreme_count": len(states),
+            "extreme_states": [_state_payload(skel, dyn, s, args.tol) for s in states],
+        }
     print(emit_report(report, args.format))
     return code
 
 
 def _cmd_phase(args) -> int:
-    report, doc, skel, code = _prepare(args)
-    if skel is None or (code and not args.allow_violations):
-        print(emit_report(report, args.format))
-        return code or EXIT_VIOLATION
-    dyn = _build_dynamics(skel, doc)
-    report["dynamics"] = _dynamics_section(dyn)
-    assumptions = check_assumptions(skel)
-    report["assumptions"] = asdict(assumptions)
-    if not assumptions.all_pass and not args.allow_violations:
-        print(emit_report(report, args.format))
-        return EXIT_VIOLATION
-    diagram = phase_diagram(skel, dyn, allow_violations=args.allow_violations)
-    report["phase"] = _phase_section(skel, dyn, diagram, args.tol)
+    report, skel, dyn, code = _prepare_solve(args)
+    if skel is not None:
+        diagram = phase_diagram(skel, dyn, allow_violations=args.allow_violations)
+        report["phase"] = _phase_section(skel, dyn, diagram, args.tol)
     print(emit_report(report, args.format))
     return code
 
@@ -368,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with analysis_scope():
+            return args.func(args)
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -4,18 +4,25 @@ The condensation of the union digraph drives everything downstream: the
 component order stored here makes every colour matrix block upper
 triangular, hereditary vertex sets are the ones closed under taking path
 sources, and the assumption report gates the temperature-sweep engine.
+
+The decomposition is the one graph analysis the engine needs. Inside an
+``analysis_scope`` it is computed at most once per skeleton, and the
+sub-skeletons built by ``restrict`` and ``split_isolated`` inherit a slice
+of their parent's instead of being analysed again.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Iterable
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._digraph import (
-    reflexive_transitive_closure,
+    irreducible,
     succ_lists,
     tarjan_sccs,
     transitive_closure,
@@ -32,28 +39,79 @@ class ComponentDecomposition:
     ``components[c]`` is a sorted tuple of vertex indices. ``leq[c][d]`` is
     the partial order "component c receives a path from component d"; with
     the stored order this relation only ever points from earlier to later
-    components.
+    components. ``irreducible[c][i]`` says whether the colour-``i`` block of
+    component ``c`` is irreducible, and ``reach[v, w]`` (read-only) whether
+    a path, possibly trivial, has range ``v`` and source ``w``.
     """
 
     components: tuple[tuple[int, ...], ...]
     trivial: tuple[bool, ...]
-    coordinatewise_irreducible: tuple[bool, ...]
+    irreducible: tuple[tuple[bool, ...], ...]
     radii: tuple[tuple[float, ...], ...]
     leq: tuple[tuple[bool, ...], ...]
+    reach: np.ndarray = field(compare=False, repr=False)
 
     @property
     def count(self) -> int:
         return len(self.components)
 
-    def component_of(self, vertex: int) -> int:
-        for c, comp in enumerate(self.components):
-            if vertex in comp:
-                return c
-        raise ValueError(f"vertex {vertex} not in any component")
+    @property
+    def coordinatewise_irreducible(self) -> tuple[bool, ...]:
+        return tuple(all(flags) for flags in self.irreducible)
 
     def vertex_order(self) -> list[int]:
         """Vertex permutation realising the block-triangular form."""
         return [v for comp in self.components for v in comp]
+
+    def global_radius(self, colour: int) -> float:
+        """Perron root of the whole colour matrix: the largest block root."""
+        return max((r[colour] for r in self.radii), default=0.0)
+
+    def relation(self, x: np.ndarray) -> np.ndarray:
+        """[c, d] is True when ``x`` links some vertex of c to some vertex of d."""
+        return _component_relation(self.components, x)
+
+    def weak_pieces(self) -> list[list[int]]:
+        """Weakly connected vertex sets, each sorted, ordered by least vertex."""
+        groups = weak_components(np.array(self.leq, dtype=bool).reshape(self.count, self.count))
+        return sorted(sorted(int(v) for c in g for v in self.components[c]) for g in groups)
+
+    def sliced(self, keep: Sequence[int]) -> "ComponentDecomposition":
+        """The decomposition of the sub-skeleton induced on ``keep``.
+
+        ``keep`` (sorted) must be the complement of a hereditary set or a
+        weakly connected piece. Then no path between two kept vertices runs
+        through a dropped one: a path from kept ``w`` through dropped ``h``
+        would make ``w`` a path source into a hereditary set, hence dropped,
+        and a piece has no edges to the rest at all. So reachability among
+        kept vertices, and with it every kept component, ``leq`` and the
+        per-colour single-colour reachability, is unchanged, and each kept
+        colour block is the same matrix, so flags and radii are
+        bit-identical. The Kahn order survives too: a kept component's
+        predecessors in the order constraints are all kept, so dropped
+        components never change which kept ones are ready, and the
+        smallest-vertex tie-break is preserved by the monotone relabelling.
+        """
+        pos = {int(v): i for i, v in enumerate(keep)}
+        kept = [c for c, comp in enumerate(self.components) if int(comp[0]) in pos]
+        reach = self.reach[np.ix_(keep, keep)]
+        reach.flags.writeable = False
+        return ComponentDecomposition(
+            components=tuple(tuple(pos[int(v)] for v in self.components[c]) for c in kept),
+            trivial=tuple(self.trivial[c] for c in kept),
+            irreducible=tuple(self.irreducible[c] for c in kept),
+            radii=tuple(self.radii[c] for c in kept),
+            leq=tuple(tuple(self.leq[a][b] for b in kept) for a in kept),
+            reach=reach,
+        )
+
+
+def _component_relation(components, x: np.ndarray) -> np.ndarray:
+    """The boolean product ``C^T x C`` with ``C`` the vertex-to-component membership."""
+    member = np.zeros((x.shape[0], len(components)), dtype=np.int64)
+    for c, comp in enumerate(components):
+        member[list(comp), c] = 1
+    return (member.T @ x.astype(np.int64) @ member) > 0
 
 
 @dataclass(frozen=True)
@@ -81,19 +139,38 @@ class AssumptionReport:
     all_pass: bool
 
 
-def union_adjacency(skel: Skeleton) -> np.ndarray:
-    """adj[v, w] = True when some colour has an edge with range v, source w."""
-    return skel.union_support()
+# Analyses of one top-level call, keyed by skeleton identity; each entry
+# holds its skeleton so the identity cannot be reused while the scope lives.
+_ANALYSES: ContextVar[dict | None] = ContextVar("kgraphkms_analyses", default=None)
 
 
-def reachability_matrix(skel: Skeleton) -> np.ndarray:
-    """R[v, w] = True when a path (possibly trivial) has range v and source w."""
-    return reflexive_transitive_closure(union_adjacency(skel))
+@contextmanager
+def analysis_scope():
+    """Share decompositions for the duration of one call; nested scopes join the outer."""
+    if _ANALYSES.get() is not None:
+        yield
+        return
+    token = _ANALYSES.set({})
+    try:
+        yield
+    finally:
+        _ANALYSES.reset(token)
+
+
+def analysis_of(skel: Skeleton) -> ComponentDecomposition:
+    """The skeleton's decomposition, computed at most once per open scope."""
+    memo = _ANALYSES.get()
+    if memo is None:
+        return decompose(skel)
+    entry = memo.get(id(skel))
+    if entry is None:
+        entry = memo[id(skel)] = (skel, decompose(skel))
+    return entry[1]
 
 
 def reaches(skel: Skeleton, v: int, w: int) -> bool:
     """Whether some path has range ``v`` and source ``w`` (v == w counts)."""
-    return bool(reachability_matrix(skel)[v, w])
+    return bool(analysis_of(skel).reach[v, w])
 
 
 def colour_reachability(skel: Skeleton, colour: int) -> np.ndarray:
@@ -106,10 +183,7 @@ def hereditary_closure(skel: Skeleton, vertices: Iterable[int]) -> frozenset[int
     seeds = sorted(set(int(v) for v in vertices))
     if not seeds:
         return frozenset()
-    reach = reachability_matrix(skel)
-    mask = np.zeros(skel.n, dtype=bool)
-    for v in seeds:
-        mask |= reach[v]
+    mask = analysis_of(skel).reach[seeds].any(axis=0)
     return frozenset(int(w) for w in np.flatnonzero(mask))
 
 
@@ -118,146 +192,87 @@ def is_hereditary(skel: Skeleton, vertices: Iterable[int]) -> bool:
     return hereditary_closure(skel, vs) == vs
 
 
-def colour_block_irreducible(skel: Skeleton, comp: tuple[int, ...], colour: int) -> bool:
-    idx = list(comp)
-    block = skel.colour_support(colour)[np.ix_(idx, idx)]
-    if len(idx) == 1:
-        return bool(block[0, 0])
-    return len(tarjan_sccs(succ_lists(block))) == 1
-
-
 def decompose(skel: Skeleton) -> ComponentDecomposition:
     """SCC decomposition with a deterministic condensation order.
 
     Components come out topologically sorted so that every colour matrix is
     block upper triangular under the induced vertex order; ties are broken
-    by the smallest original vertex index. Per-component flags and per-colour
-    Perron roots are attached.
+    by the smallest original vertex index. Per-component flags, per-colour
+    Perron roots and the vertex reachability matrix are attached.
     """
-    adj = union_adjacency(skel)
+    adj = skel.union_support()
     comps = [tuple(c) for c in tarjan_sccs(succ_lists(adj))]
-    comp_of = {}
-    for c, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = c
 
-    # Order constraint: if v in C_a receives an edge from w in C_b, then a
-    # must come before b. Kahn's algorithm over those constraints, smallest
-    # original vertex first among the ready components.
-    ncomp = len(comps)
-    succ: list[set[int]] = [set() for _ in range(ncomp)]
-    indeg = [0] * ncomp
-    for v in range(skel.n):
-        for w in np.flatnonzero(adj[v]):
-            a, b = comp_of[v], comp_of[int(w)]
-            if a != b and b not in succ[a]:
-                succ[a].add(b)
-                indeg[b] += 1
-    ready = [(comps[c][0], c) for c in range(ncomp) if indeg[c] == 0]
+    # Order constraint: if a vertex of C_a receives an edge from one of C_b,
+    # then a must come before b. Kahn's algorithm over those constraints,
+    # smallest original vertex first among the ready components.
+    before = _component_relation(comps, adj)
+    np.fill_diagonal(before, False)
+    indeg = before.sum(axis=0).tolist()
+    ready = [(comps[c][0], c) for c in range(len(comps)) if indeg[c] == 0]
     heapq.heapify(ready)
     order: list[int] = []
     while ready:
         _, c = heapq.heappop(ready)
         order.append(c)
-        for d in succ[c]:
+        for d in np.flatnonzero(before[c]):
             indeg[d] -= 1
             if indeg[d] == 0:
                 heapq.heappush(ready, (comps[d][0], d))
     components = tuple(comps[c] for c in order)
 
-    trivial = []
-    irreducible = []
-    radii = []
-    for comp in components:
-        single = len(comp) == 1
-        v = comp[0]
-        trivial.append(single and all(mat[v][v] == 0 for mat in skel.matrices))
-        irreducible.append(
-            all(colour_block_irreducible(skel, comp, i) for i in range(skel.k))
-        )
-        idx = list(comp)
-        radii.append(
-            tuple(
-                spectral_radius([[skel.matrices[i][a][b] for b in idx] for a in idx])
-                for i in range(skel.k)
-            )
-        )
-
-    reach = reachability_matrix(skel)
-    leq = tuple(
-        tuple(
-            bool(reach[np.ix_(list(components[c]), list(components[d]))].any())
-            for d in range(ncomp)
-        )
-        for c in range(ncomp)
-    )
+    reach = transitive_closure(adj)
+    np.fill_diagonal(reach, True)
+    reach.flags.writeable = False
+    supports = [skel.colour_support(i) for i in range(skel.k)]
+    arrays = skel.as_arrays()
+    blocks = [np.ix_(comp, comp) for comp in components]
     return ComponentDecomposition(
         components=components,
-        trivial=tuple(trivial),
-        coordinatewise_irreducible=tuple(irreducible),
-        radii=tuple(radii),
-        leq=leq,
+        trivial=tuple(len(c) == 1 and not adj[c[0], c[0]] for c in components),
+        irreducible=tuple(tuple(irreducible(s[b]) for s in supports) for b in blocks),
+        radii=tuple(tuple(spectral_radius(a[b]) for a in arrays) for b in blocks),
+        leq=tuple(map(tuple, _component_relation(components, reach).tolist())),
+        reach=reach,
     )
 
 
-def check_assumptions(skel: Skeleton, decomposition: ComponentDecomposition | None = None) -> AssumptionReport:
+def check_assumptions(skel: Skeleton) -> AssumptionReport:
     """Evaluate the engine's standing connectivity assumptions."""
     if skel.n == 0:
         return AssumptionReport(
             True, (), True, (), True, (), True, (), True, (), True
         )
-    decomp = decomposition if decomposition is not None else decompose(skel)
+    decomp = analysis_of(skel)
 
     trivial_idx = tuple(c for c, t in enumerate(decomp.trivial) if t)
-    pieces = weak_components(union_adjacency(skel))
+    pieces = decomp.weak_pieces()
     isolated = tuple(tuple(p) for p in pieces) if len(pieces) > 1 else ()
 
-    a2_offenders = []
-    for c in range(decomp.count):
-        for i in range(skel.k):
-            blocked = colour_block_irreducible(skel, decomp.components[c], i)
-            if not blocked or decomp.radii[c][i] <= 1.0 + 1e-9:
-                a2_offenders.append((c, i))
+    a2_offenders = [
+        (c, i)
+        for c in range(decomp.count)
+        for i in range(skel.k)
+        if not decomp.irreducible[c][i] or decomp.radii[c][i] <= 1.0 + 1e-9
+    ]
 
+    # Per colour: which components have a direct bridge, and which have a
+    # single-colour path, into which. Reachability between components is
+    # then colour-independent whenever a3 holds.
+    bridges = [decomp.relation(skel.colour_support(i)) for i in range(skel.k)]
+    supports = [decomp.relation(colour_reachability(skel, i)) for i in range(skel.k)]
     a3_offenders = []
-    for c in range(decomp.count):
-        for d in range(decomp.count):
-            if c == d:
-                continue
-            present = [
-                i
-                for i in range(skel.k)
-                if any(
-                    skel.matrices[i][v][w]
-                    for v in decomp.components[c]
-                    for w in decomp.components[d]
-                )
-            ]
-            if present and len(present) < skel.k:
-                missing = [i for i in range(skel.k) if i not in present]
-                for miss in missing:
-                    a3_offenders.append((c, d, present[0], miss))
-
-    # Derived colour-uniform reachability between components.
-    supports = []
-    for i in range(skel.k):
-        closure = colour_reachability(skel, i)
-        supports.append(
-            [
-                [
-                    bool(closure[np.ix_(list(decomp.components[c]), list(decomp.components[d]))].any())
-                    for d in range(decomp.count)
-                ]
-                for c in range(decomp.count)
-            ]
-        )
     reach_offenders = []
     for c in range(decomp.count):
         for d in range(decomp.count):
             if c == d:
                 continue
-            vals = {supports[i][c][d] for i in range(skel.k)}
-            if len(vals) > 1:
+            present = [i for i in range(skel.k) if bridges[i][c, d]]
+            if present and len(present) < skel.k:
+                for miss in range(skel.k):
+                    if miss not in present:
+                        a3_offenders.append((c, d, present[0], miss))
+            if len({bool(s[c, d]) for s in supports}) > 1:
                 reach_offenders.append((c, d))
 
     a1_no_trivial = not trivial_idx
@@ -280,6 +295,17 @@ def check_assumptions(skel: Skeleton, decomposition: ComponentDecomposition | No
     )
 
 
+def _sub_skeleton(skel: Skeleton, keep: list[int]) -> Skeleton:
+    """Skeleton induced on ``keep``; inside a scope it inherits the parent's sliced analysis."""
+    labels = tuple(skel.vertex_labels[v] for v in keep)
+    mats = tuple(tuple(tuple(m[v][w] for w in keep) for v in keep) for m in skel.matrices)
+    sub = Skeleton(labels, mats)
+    memo = _ANALYSES.get()
+    if memo is not None:
+        memo[id(sub)] = (sub, analysis_of(skel).sliced(keep))
+    return sub
+
+
 def restrict(skel: Skeleton, hereditary_set: Iterable[int]) -> Skeleton:
     """Remove a hereditary vertex set, keeping the induced skeleton.
 
@@ -287,34 +313,24 @@ def restrict(skel: Skeleton, hereditary_set: Iterable[int]) -> Skeleton:
     guarantees the surviving matrices still commute. When the input graph
     satisfies the standing assumptions the result has no zero rows or
     columns; otherwise sources may appear and are left to the caller's
-    flags rather than treated as fatal.
+    flags rather than treated as fatal. Removing nothing returns ``skel``.
     """
     removed = frozenset(int(v) for v in hereditary_set)
     bad = removed - set(range(skel.n))
     if bad:
         raise ValueError(f"unknown vertex indices {sorted(bad)}")
+    if not removed:
+        return skel
     if not is_hereditary(skel, removed):
         raise ValueError("removal set is not hereditary")
-    keep = [v for v in range(skel.n) if v not in removed]
-    labels = tuple(skel.vertex_labels[v] for v in keep)
-    mats = tuple(
-        tuple(tuple(m[v][w] for w in keep) for v in keep) for m in skel.matrices
-    )
-    return Skeleton(labels, mats)
+    return _sub_skeleton(skel, [v for v in range(skel.n) if v not in removed])
 
 
 def split_isolated(skel: Skeleton) -> list[Skeleton]:
     """Split into weakly connected pieces; a connected skeleton maps to itself."""
     if skel.n == 0:
         return []
-    pieces = weak_components(union_adjacency(skel))
+    pieces = analysis_of(skel).weak_pieces()
     if len(pieces) == 1:
         return [skel]
-    out = []
-    for piece in pieces:
-        labels = tuple(skel.vertex_labels[v] for v in piece)
-        mats = tuple(
-            tuple(tuple(m[v][w] for w in piece) for v in piece) for m in skel.matrices
-        )
-        out.append(Skeleton(labels, mats))
-    return out
+    return [_sub_skeleton(skel, piece) for piece in pieces]

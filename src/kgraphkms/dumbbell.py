@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
+from .components import analysis_scope
 from .skeleton import Skeleton
 from .spectral import STATUS_CONTRADICTION, STATUS_HOLDS, check_spectral_ordering
 
@@ -341,7 +342,8 @@ def fuzz_ordering(seed: int, count: int, bounds: DumbbellBounds | None = None) -
     contradictions = []
     for params in samples:
         skel = make_dumbbell3(params)
-        verdicts = [check_spectral_ordering(skel, (2,), colour) for colour in range(2)]
+        with analysis_scope():
+            verdicts = [check_spectral_ordering(skel, (2,), colour) for colour in range(2)]
         statuses = [v.status for v in verdicts]
         if any(s == STATUS_CONTRADICTION for s in statuses):
             contradictions.append((params, ";".join(statuses)))

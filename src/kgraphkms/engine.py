@@ -19,19 +19,15 @@ import numpy as np
 
 from .components import (
     AssumptionReport,
+    analysis_of,
+    analysis_scope,
     check_assumptions,
-    colour_block_irreducible,
-    decompose,
     hereditary_closure,
     restrict,
     split_isolated,
 )
 from .skeleton import Skeleton
-from .spectral import (
-    EigenConsistencyError,
-    extend_eigenvector,
-    spectral_radius,
-)
+from .spectral import SOLVE_RESIDUAL_TOL, EigenConsistencyError, extend_eigenvector
 
 CRITICAL_RTOL = 1e-9
 STATE_TOL = 1e-9
@@ -179,9 +175,10 @@ def normalize_dynamics(
     """
     if skel.n == 0:
         raise ValueError("cannot normalise a dynamics on the empty skeleton")
-    radii = [spectral_radius(m) for m in skel.matrices]
+    decomp = analysis_of(skel)
     log_radii = []
-    for i, rho in enumerate(radii):
+    for i in range(skel.k):
+        rho = decomp.global_radius(i)
         if rho <= 0.0:
             raise ValueError(f"colour {i} has Perron root 0; no positive dynamics exists")
         log_radii.append(math.log(rho))
@@ -232,7 +229,7 @@ def normalize_dynamics(
     )
 
 
-def critical_components(skel: Skeleton, dyn: Dynamics, decomposition=None) -> CriticalityReport:
+def critical_components(skel: Skeleton, dyn: Dynamics) -> CriticalityReport:
     """Label every component with the colours in which it is critical.
 
     A component is critical in colour j when j attains the normalised
@@ -241,12 +238,12 @@ def critical_components(skel: Skeleton, dyn: Dynamics, decomposition=None) -> Cr
     few orders of the detection tolerance are surfaced as warnings rather
     than silently classified.
     """
-    decomp = decomposition if decomposition is not None else decompose(skel)
     if skel.n == 0:
         return CriticalityReport((), frozenset(), ())
+    decomp = analysis_of(skel)
     global_log = []
     for i in range(skel.k):
-        rho = max(decomp.radii[c][i] for c in range(decomp.count))
+        rho = decomp.global_radius(i)
         if rho <= 0:
             raise ValueError(f"colour {i} has Perron root 0")
         global_log.append(math.log(rho))
@@ -268,7 +265,7 @@ def critical_components(skel: Skeleton, dyn: Dynamics, decomposition=None) -> Cr
             gap = abs(math.log(rho) - dyn.r[j])
             tol = CRITICAL_RTOL * max(1.0, dyn.r[j])
             if gap <= tol:
-                if colour_block_irreducible(skel, decomp.components[c], j):
+                if decomp.irreducible[c][j]:
                     cols.add(j)
             elif gap <= 1e3 * tol:
                 warnings.append(
@@ -296,11 +293,22 @@ def removal_set(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False) -
     minus that union, is itself hereditary; removing it keeps exactly the
     minimal critical components critical and makes each of them hereditary.
     """
+    with analysis_scope():
+        _require_assumptions(skel, allow_violations)
+        return _removal_set(skel, dyn)
+
+
+def _require_assumptions(skel: Skeleton, allow_violations: bool) -> None:
+    if allow_violations:
+        return
     report = check_assumptions(skel)
-    if not report.all_pass and not allow_violations:
+    if not report.all_pass:
         raise AssumptionError(report)
-    decomp = decompose(skel)
-    crit = critical_components(skel, dyn, decomp)
+
+
+def _removal_set(skel: Skeleton, dyn: Dynamics) -> frozenset[int]:
+    decomp = analysis_of(skel)
+    crit = critical_components(skel, dyn)
     minimal = _minimal_critical(decomp, crit)
     if not minimal:
         raise ValueError("no critical components found; is the dynamics normalised?")
@@ -371,22 +379,27 @@ def supercritical_extremes(
     """
     if skel.n == 0:
         return ()
+    decomp = analysis_of(skel)
     arrays = skel.as_arrays()
     for i in range(skel.k):
-        margin = beta * dyn.r[i] - math.log(max(spectral_radius(arrays[i]), 1e-300))
+        margin = beta * dyn.r[i] - math.log(max(decomp.global_radius(i), 1e-300))
         if margin <= 0:
             raise ValueError(
                 f"beta={beta:.12g} is at or below criticality in colour {i} for this skeleton"
             )
     factors = [np.eye(skel.n) - math.exp(-beta * dyn.r[i]) * arrays[i] for i in range(skel.k)]
+    norms = [float(np.abs(factor).sum(axis=1).max()) for factor in factors]
     states = []
     for v in range(skel.n):
         vec = np.zeros(skel.n)
         vec[v] = 1.0
         for i, factor in enumerate(factors):
             sol = np.linalg.solve(factor, vec)
+            # Normwise backward error: near a critical value the solution
+            # grows like 1/margin, and so does the rounding in F x.
             resid = float(np.max(np.abs(factor @ sol - vec)))
-            if resid > 1e-10 * max(1.0, float(np.max(np.abs(vec)))):
+            scale = max(norms[i] * float(np.max(np.abs(sol))), float(np.max(np.abs(vec))))
+            if resid > SOLVE_RESIDUAL_TOL * scale:
                 raise EigenConsistencyError(
                     f"supercritical solve residual {resid:.3e} in colour {i}"
                 )
@@ -407,21 +420,17 @@ def supercritical_extremes(
     return tuple(states)
 
 
-def _kms1_parts(skel: Skeleton, dyn: Dynamics, allow_violations: bool, depth: int):
+def _kms1_parts(skel: Skeleton, dyn: Dynamics, depth: int):
     """Critical-temperature machinery shared by the API call and the sweep.
 
     Returns the extreme states at beta = 1 (in the frame of ``skel``), the
-    removed hereditary set, the union of the surviving critical components
-    and the quotient skeleton left after dropping both.
+    quotient skeleton left after dropping the removal set and the surviving
+    critical components, and the criticality report they came from. The
+    caller has checked the assumptions.
     """
-    report = check_assumptions(skel)
-    if not report.all_pass and not allow_violations:
-        raise AssumptionError(report)
-    removed = removal_set(skel, dyn, allow_violations=allow_violations)
-    inner = restrict(skel, removed)
-
-    inner_decomp = decompose(inner)
-    inner_crit = critical_components(inner, dyn, inner_decomp)
+    inner = restrict(skel, _removal_set(skel, dyn))
+    inner_decomp = analysis_of(inner)
+    inner_crit = critical_components(inner, dyn)
     crit_idx = inner_crit.critical_indices()
     if not crit_idx:
         raise ValueError("no critical components after removal; inconsistent dynamics")
@@ -437,10 +446,7 @@ def _kms1_parts(skel: Skeleton, dyn: Dynamics, allow_violations: bool, depth: in
     if quotient.n:
         for state in supercritical_extremes(quotient, dyn, 1.0, depth=depth):
             states.append(_embed_state(state, quotient.vertex_labels, skel.vertex_labels))
-
-    removed_labels = frozenset(skel.vertex_labels[v] for v in removed)
-    core_labels = frozenset(inner.vertex_labels[v] for v in core)
-    return tuple(states), removed_labels, core_labels, quotient, inner_crit
+    return tuple(states), quotient, inner_crit
 
 
 def kms1_extremes(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False) -> tuple[ExtremeState, ...]:
@@ -451,13 +457,16 @@ def kms1_extremes(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False)
     contributes its extension state, and the quotient with all critical
     components dropped contributes one lifted point-mass state per vertex.
     """
-    states, _, _, _, _ = _kms1_parts(skel, dyn, allow_violations, depth=0)
+    with analysis_scope():
+        _require_assumptions(skel, allow_violations)
+        states, _, _ = _kms1_parts(skel, dyn, depth=0)
     return states
 
 
 def _symbolic_beta(skel: Skeleton, r: Sequence[float]) -> str | None:
     """Render a critical value as ln(a)/ln(b) when both sides snap to integers."""
-    radii = [spectral_radius(m) for m in skel.matrices]
+    decomp = analysis_of(skel)
+    radii = [decomp.global_radius(i) for i in range(skel.k)]
     best_i, best = 0, -math.inf
     for i, rho in enumerate(radii):
         if rho <= 0:
@@ -491,17 +500,22 @@ def phase_diagram(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False)
     below it the recursion continues on the quotient minus its critical
     components, split into pieces that do not interact. The recursion
     terminates because every round removes at least one component.
+    Assumptions are checked once, here: every piece of a passing graph
+    passes too, since restriction keeps its components' analysis intact.
     """
-    top_report = check_assumptions(skel)
-    if not top_report.all_pass and not allow_violations:
-        raise AssumptionError(top_report)
+    with analysis_scope():
+        _require_assumptions(skel, allow_violations)
+        return _assemble(skel, dyn, _removal_pieces(skel, dyn))
 
+
+def _removal_pieces(skel: Skeleton, dyn: Dynamics) -> list[PhasePiece]:
+    """Every node of the removal recursion, parents before children."""
     pieces: list[PhasePiece] = []
 
     def process(sub: Skeleton, beta_start: float, depth: int) -> None:
         sub_dyn = normalize_dynamics(sub, r=dyn.r, rationally_independent=dyn.rationally_independent)
         beta_c = sub_dyn.normalization_factor
-        states, _, _, quotient, crit = _kms1_parts(sub, sub_dyn, allow_violations, depth)
+        states, quotient, crit = _kms1_parts(sub, sub_dyn, depth)
         embedded = tuple(
             _embed_state(s, sub.vertex_labels, skel.vertex_labels, beta=beta_c) for s in states
         )
@@ -523,19 +537,39 @@ def phase_diagram(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False)
 
     for top in split_isolated(skel):
         process(top, math.inf, 0)
+    return pieces
 
-    betas = sorted({p.beta_crit for p in pieces}, reverse=True)
+
+def _merged_betas(pieces: Sequence[PhasePiece]) -> dict[float, float]:
+    """Map every critical value, and infinity, to the head of its near-tie cluster.
+
+    Values within ``CRITICAL_RTOL * max(1, beta)`` of a larger one are the
+    same critical value computed along different routes; the largest value
+    of such a cluster represents it.
+    """
+    snap = {math.inf: math.inf}
+    head = None
+    for b in sorted({p.beta_crit for p in pieces}, reverse=True):
+        if head is None or head - b > CRITICAL_RTOL * max(1.0, head):
+            head = b
+        snap[b] = head
+    return snap
+
+
+def _assemble(skel: Skeleton, dyn: Dynamics, pieces: list[PhasePiece]) -> PhaseDiagram:
+    snap = _merged_betas(pieces)
+    betas = sorted({snap[p.beta_crit] for p in pieces}, reverse=True)
     critical_points = []
     symbolic: list[str | None] = []
     for b in betas:
         bucket: list[ExtremeState] = []
         sym = None
         for p in pieces:
-            if p.beta_crit == b:
-                bucket.extend(p.critical_states)
+            if snap[p.beta_crit] == b:
+                bucket.extend(replace(s, beta=b) for s in p.critical_states)
                 if sym is None:
                     sym = p.symbolic_beta
-            elif p.beta_crit < b < p.beta_start:
+            elif snap[p.beta_crit] < b < snap[p.beta_start]:
                 for s in supercritical_extremes(p.skeleton, dyn, b, depth=p.depth):
                     bucket.append(_embed_state(s, p.skeleton.vertex_labels, skel.vertex_labels))
         critical_points.append(tuple(bucket))
@@ -544,7 +578,7 @@ def phase_diagram(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False)
     intervals = []
     prev = math.inf
     for b in betas:
-        alive = [p for p in pieces if p.beta_crit <= b and p.beta_start >= prev]
+        alive = [p for p in pieces if snap[p.beta_crit] <= b and snap[p.beta_start] >= prev]
         intervals.append(
             Interval(
                 lo=b,
@@ -585,18 +619,19 @@ def extreme_states_at(
     """
     if beta <= 0:
         raise ValueError("inverse temperature must be positive")
-    diag = diagram if diagram is not None else phase_diagram(skel, dyn, allow_violations)
-    for b, states in zip(diag.critical_betas, diag.critical_points):
-        if abs(beta - b) <= match_rtol * max(1.0, b):
-            return states
-    if beta < diag.terminal_beta:
-        return ()
-    out: list[ExtremeState] = []
-    for p in diag.pieces:
-        if p.beta_crit < beta < p.beta_start:
-            for s in supercritical_extremes(p.skeleton, dyn, beta, depth=p.depth):
-                out.append(_embed_state(s, p.skeleton.vertex_labels, skel.vertex_labels))
-    return tuple(out)
+    with analysis_scope():
+        diag = diagram if diagram is not None else phase_diagram(skel, dyn, allow_violations)
+        for b, states in zip(diag.critical_betas, diag.critical_points):
+            if abs(beta - b) <= match_rtol * max(1.0, b):
+                return states
+        if beta < diag.terminal_beta:
+            return ()
+        out: list[ExtremeState] = []
+        for p in diag.pieces:
+            if p.beta_crit < beta < p.beta_start:
+                for s in supercritical_extremes(p.skeleton, dyn, beta, depth=p.depth):
+                    out.append(_embed_state(s, p.skeleton.vertex_labels, skel.vertex_labels))
+        return tuple(out)
 
 
 def verify_state(skel: Skeleton, dyn: Dynamics, beta: float, m, tol: float = STATE_TOL) -> StateCheck:

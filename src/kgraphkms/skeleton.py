@@ -130,31 +130,10 @@ class Skeleton:
             (self.n, self.n)
         )
 
-    def zero_rows(self) -> list[tuple[int, int]]:
-        """(colour, vertex) pairs whose row is all zero (colour-i sources)."""
-        out = []
-        for i, m in enumerate(self.matrices):
-            for v, row in enumerate(m):
-                if not any(row):
-                    out.append((i, v))
-        return out
-
-    def zero_columns(self) -> list[tuple[int, int]]:
-        """(colour, vertex) pairs whose column is all zero (colour-i sinks)."""
-        out = []
-        for i, m in enumerate(self.matrices):
-            for w in range(self.n):
-                if not any(m[v][w] for v in range(self.n)):
-                    out.append((i, w))
-        return out
-
     @property
     def has_sources(self) -> bool:
-        return bool(self.zero_rows())
-
-    @property
-    def has_sinks(self) -> bool:
-        return bool(self.zero_columns())
+        """Whether some colour has an all-zero row (a colour-i source)."""
+        return any(not any(row) for m in self.matrices for row in m)
 
 
 def validate_skeleton(vertex_labels: Sequence[str], matrices) -> ValidationReport:

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._digraph import is_strongly_connected, succ_lists, tarjan_sccs, transitive_closure
+from ._digraph import irreducible, succ_lists, tarjan_sccs
 
 POWER_TOL = 1e-14
 POWER_MAXITER = 100_000
@@ -142,21 +142,6 @@ def spectral_radius(matrix) -> float:
     return best
 
 
-def pf_vector(matrix) -> PFResult:
-    """Perron root and unit-sum eigenvector of one irreducible matrix."""
-    arr = _as_float_matrix(matrix)
-    if not _irreducible(arr):
-        raise ValueError("matrix is not irreducible")
-    rho, x, residual = _power_block(arr)
-    return PFResult(radius=rho, vector=tuple(float(t) for t in x), residual=residual)
-
-
-def _irreducible(arr: np.ndarray) -> bool:
-    if arr.shape[0] == 1:
-        return bool(arr[0, 0] > 0)
-    return is_strongly_connected(arr > 0)
-
-
 def common_pf_eigenvector(family: Sequence, tol: float = 1e-9) -> list[PFResult]:
     """Shared unimodular Perron vector of commuting irreducible matrices.
 
@@ -172,7 +157,7 @@ def common_pf_eigenvector(family: Sequence, tol: float = 1e-9) -> list[PFResult]
     if any(m.shape != shape for m in mats):
         raise ValueError("family members differ in dimension")
     for i, m in enumerate(mats):
-        if not _irreducible(m):
+        if not irreducible(m > 0):
             raise ValueError(f"family member {i} is not irreducible")
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
@@ -196,26 +181,26 @@ def common_pf_eigenvector(family: Sequence, tol: float = 1e-9) -> list[PFResult]
     return results
 
 
-def _partition_for(skel, component: Iterable[int]) -> tuple[list[int], list[int], list[int]]:
-    """Split vertices into (feeders F, component D, untouched H) for one component."""
-    from .components import decompose, is_hereditary, reachability_matrix
+def _partition_for(skel, component: Iterable[int]):
+    """Split vertices into (feeders F, component D, untouched H) for one component.
+
+    Also returns each colour's Perron root over the feeder block: F is a
+    union of components, so that root is the largest of their roots.
+    """
+    from .components import analysis_of, is_hereditary
 
     d = sorted(set(int(v) for v in component))
-    decomp = decompose(skel)
+    decomp = analysis_of(skel)
     if tuple(d) not in decomp.components:
         raise ValueError(f"{d} is not a strongly connected component")
     if not is_hereditary(skel, d):
         raise ValueError(f"component {d} is not hereditary")
-    reach = reachability_matrix(skel)
-    f, h = [], []
-    for v in range(skel.n):
-        if v in d:
-            continue
-        if any(reach[v, w] for w in d):
-            f.append(v)
-        else:
-            h.append(v)
-    return f, d, h
+    feeds = decomp.reach[:, d].any(axis=1)
+    f = [v for v in range(skel.n) if feeds[v] and v not in d]
+    h = [v for v in range(skel.n) if not feeds[v]]
+    feeders = [c for c, comp in enumerate(decomp.components) if feeds[comp[0]] and comp != tuple(d)]
+    feeder_radii = [max([0.0] + [decomp.radii[c][i] for c in feeders]) for i in range(skel.k)]
+    return f, d, h, feeder_radii
 
 
 def _blocks(skel, f: list[int], d: list[int]):
@@ -225,19 +210,6 @@ def _blocks(skel, f: list[int], d: list[int]):
     b_blocks = [a[np.ix_(f, d)] if f else np.zeros((0, len(d))) for a in arrays]
     d_blocks = [a[np.ix_(d, d)] for a in arrays]
     return e_blocks, b_blocks, d_blocks
-
-
-def dominated_colours(skel, component: Iterable[int]) -> frozenset[int]:
-    """Colours in which the component's Perron root beats every feeder block."""
-    f, d, _ = _partition_for(skel, component)
-    e_blocks, _, d_blocks = _blocks(skel, f, d)
-    out = set()
-    for i in range(skel.k):
-        rho_d = spectral_radius(d_blocks[i])
-        rho_e = spectral_radius(e_blocks[i]) if f else 0.0
-        if rho_d - rho_e > RADIUS_BAND_RTOL * max(1.0, rho_d):
-            out.add(i)
-    return frozenset(out)
 
 
 def extend_eigenvector(skel, component: Iterable[int], colours: Iterable[int] | None = None) -> ExtensionResult:
@@ -251,24 +223,26 @@ def extend_eigenvector(skel, component: Iterable[int], colours: Iterable[int] | 
     the exchange identity ``(rho_i I - E_i) B_j x = (rho_j I - E_j) B_i x``
     is checked for all colour pairs as a further consistency probe.
     """
-    f, d, h = _partition_for(skel, component)
+    f, d, h, rho_e = _partition_for(skel, component)
     e_blocks, b_blocks, d_blocks = _blocks(skel, f, d)
     pf = common_pf_eigenvector(d_blocks)
     x = np.array(pf[0].vector)
     radii = tuple(r.radius for r in pf)
 
+    def dominates(i: int) -> bool:
+        return radii[i] - rho_e[i] > RADIUS_BAND_RTOL * max(1.0, radii[i])
+
     if colours is None:
-        admissible = sorted(dominated_colours(skel, component))
+        admissible = [i for i in range(skel.k) if dominates(i)]
     else:
         admissible = sorted(set(int(i) for i in colours))
         for i in admissible:
             if i < 0 or i >= skel.k:
                 raise ValueError(f"colour {i} out of range")
-            rho_e = spectral_radius(e_blocks[i]) if f else 0.0
-            if radii[i] - rho_e <= RADIUS_BAND_RTOL * max(1.0, radii[i]):
+            if not dominates(i):
                 raise ValueError(
                     f"colour {i}: component root {radii[i]:.6g} does not dominate "
-                    f"the feeder block root {rho_e:.6g}; system is singular"
+                    f"the feeder block root {rho_e[i]:.6g}; system is singular"
                 )
     if not admissible:
         raise ValueError("no colour dominates the feeder blocks; extension undefined")
@@ -338,7 +312,7 @@ def quick_exit_weight(skel, component: Iterable[int], colour: int, truncation: i
     series converges geometrically to the solved weight vector ``y`` and
     serves as an independent oracle for it.
     """
-    f, d, _ = _partition_for(skel, component)
+    f, d, _, _ = _partition_for(skel, component)
     e_blocks, b_blocks, d_blocks = _blocks(skel, f, d)
     if not f:
         return np.zeros(0)
@@ -365,32 +339,29 @@ def check_spectral_ordering(skel, component: Iterable[int], colour: int) -> Orde
     dominance holds in every colour. Whenever the hypothesis is met the
     conclusion must hold; the verdict records which side failed otherwise.
     """
-    from .components import decompose, is_hereditary
+    from .components import analysis_of, analysis_scope, colour_reachability, is_hereditary
 
-    d = tuple(sorted(set(int(v) for v in component)))
-    decomp = decompose(skel)
-    if d not in decomp.components:
-        raise ValueError(f"{sorted(d)} is not a strongly connected component")
-    d_idx = decomp.components.index(d)
+    with analysis_scope():
+        decomp = analysis_of(skel)
+        d = tuple(sorted(set(int(v) for v in component)))
+        if d not in decomp.components:
+            raise ValueError(f"{sorted(d)} is not a strongly connected component")
+        d_idx = decomp.components.index(d)
+        hereditary = is_hereditary(skel, d)
     degenerate: list[str] = []
 
     hypothesis_ok = True
     if not all(decomp.coordinatewise_irreducible):
         hypothesis_ok = False
         degenerate.append("a component is not coordinatewise irreducible")
-    if not is_hereditary(skel, d):
+    if not hereditary:
         hypothesis_ok = False
         degenerate.append("component under test is not hereditary")
 
-    closures = [transitive_closure(skel.colour_support(i)) for i in range(skel.k)]
-    missing = []
-    for c in range(decomp.count):
-        if c == d_idx:
-            continue
-        for i in range(skel.k):
-            block = closures[i][np.ix_(list(decomp.components[c]), list(d))]
-            if not block.any():
-                missing.append((c, i))
+    reach = [decomp.relation(colour_reachability(skel, i)) for i in range(skel.k)]
+    missing = [
+        (c, i) for c in range(decomp.count) if c != d_idx for i in range(skel.k) if not reach[i][c, d_idx]
+    ]
     if missing:
         hypothesis_ok = False
 
@@ -410,14 +381,13 @@ def check_spectral_ordering(skel, component: Iterable[int], colour: int) -> Orde
     if not dominant_ok:
         hypothesis_ok = False
 
-    reversals = []
-    for c in range(decomp.count):
-        if c == d_idx:
-            continue
-        for i in range(skel.k):
-            gap = rho_d[i] - decomp.radii[c][i]
-            if gap <= RADIUS_BAND_RTOL * max(1.0, rho_d[i]):
-                reversals.append((c, i, decomp.radii[c][i], rho_d[i]))
+    reversals = [
+        (c, i, decomp.radii[c][i], rho_d[i])
+        for c in range(decomp.count)
+        if c != d_idx
+        for i in range(skel.k)
+        if rho_d[i] - decomp.radii[c][i] <= RADIUS_BAND_RTOL * max(1.0, rho_d[i])
+    ]
 
     if not reversals:
         status = STATUS_HOLDS

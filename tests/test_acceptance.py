@@ -242,7 +242,7 @@ def test_criterion_8_dimension_count():
     for skel in fixtures:
         dyn = normalize_dynamics(skel)
         decomp = decompose(skel)
-        crit = critical_components(skel, dyn, decomp)
+        crit = critical_components(skel, dyn)
         crit_comps = [decomp.components[c] for c in crit.critical_indices()]
         if not all(is_hereditary(skel, comp) for comp in crit_comps):
             continue

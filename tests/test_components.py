@@ -1,19 +1,27 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgraphkms import (
+    Skeleton,
+    _digraph,
     check_assumptions,
+    components,
     decompose,
     hereditary_closure,
+    normalize_dynamics,
+    phase_diagram,
     reaches,
     restrict,
     split_isolated,
 )
-from kgraphkms.components import colour_reachability, is_hereditary
+from kgraphkms.components import analysis_of, analysis_scope, colour_reachability, is_hereditary
+from kgraphkms.dumbbell import make_dumbbell3, sample_commuting3
 
-from conftest import EXAMPLE_1, EXAMPLE_2, skeleton
+from conftest import EXAMPLE_1, EXAMPLE_2, NO_BRIDGE_COUNTEREXAMPLE, skeleton
 
 TWO_LOOPS = skeleton("ab", [[2, 0], [0, 3]], [[2, 0], [0, 3]])
 
@@ -175,7 +183,7 @@ class TestAssumptions:
 
 class TestRestrictAndSplit:
     def test_restrict_nothing(self):
-        assert restrict(EXAMPLE_1, set()) == EXAMPLE_1
+        assert restrict(EXAMPLE_1, set()) is EXAMPLE_1
 
     def test_restrict_example1_bottom(self):
         sub = restrict(EXAMPLE_1, {2})
@@ -249,3 +257,101 @@ class TestColourReachability:
                 continue
             closures = [colour_reachability(skel, i) for i in range(skel.k)]
             assert np.array_equal(closures[0], closures[1])
+
+
+def chain(n, offset):
+    """Chain-n: colours M + M^2 and 2M + M^2 for upper bidiagonal M."""
+    m = np.diag(np.arange(n) + offset + 2) + np.diag(np.ones(n - 1, dtype=int), 1)
+    return Skeleton(tuple(f"c{i}" for i in range(n)), ((m + m @ m).tolist(), (2 * m + m @ m).tolist()))
+
+
+def assert_inherited(sub):
+    """The scope's analysis of ``sub`` equals a fresh one of an equal skeleton."""
+    got = analysis_of(sub)
+    want = decompose(Skeleton(sub.vertex_labels, sub.matrices))
+    assert got.components == want.components
+    assert got.radii == want.radii  # exact float equality
+    assert got.leq == want.leq
+    assert got.trivial == want.trivial
+    assert got.irreducible == want.irreducible
+    assert np.array_equal(got.reach, want.reach)
+
+
+def assert_restrictions_inherit(skel):
+    """Check every restriction, every split piece and every phase piece of ``skel``.
+
+    Phase pieces are only checked where assumption a2 holds, since without
+    it the dynamics of some piece may be undefined.
+    """
+    with analysis_scope():
+        decomp = analysis_of(skel)
+        subs = [restrict(skel, hereditary_closure(skel, comp)) for comp in decomp.components]
+        subs += [piece for sub in subs for piece in split_isolated(sub)]
+        if check_assumptions(skel).a2_irreducible_and_rho_gt_1:
+            diag = phase_diagram(skel, normalize_dynamics(skel), allow_violations=True)
+            subs += [p.skeleton for p in diag.pieces]
+        for sub in subs:
+            if sub.n:
+                assert_inherited(sub)
+
+
+ANALYSIS_FIXTURES = [EXAMPLE_1, EXAMPLE_2, FIG2, TWO_LOOPS, NO_BRIDGE_COUNTEREXAMPLE]
+
+
+class TestAnalysisInheritance:
+    @pytest.mark.parametrize("skel", ANALYSIS_FIXTURES)
+    def test_fixtures(self, skel):
+        assert_restrictions_inherit(skel)
+
+    def test_dumbbells(self):
+        for params in sample_commuting3(5, 40):
+            assert_restrictions_inherit(make_dumbbell3(params))
+
+    @given(st.integers(1, 12), st.integers(0, 7))
+    @settings(max_examples=25, deadline=None)
+    def test_chains(self, n, offset):
+        assert_restrictions_inherit(chain(n, offset))
+
+    def test_pieces_of_passing_graphs_pass(self):
+        graphs = [EXAMPLE_1, EXAMPLE_2, FIG2, chain(12, 0)]
+        graphs += [make_dumbbell3(p) for p in sample_commuting3(6, 40)]
+        for skel in graphs:
+            if not check_assumptions(skel).all_pass:
+                continue
+            diag = phase_diagram(skel, normalize_dynamics(skel))
+            for piece in diag.pieces:
+                assert check_assumptions(piece.skeleton).all_pass
+
+    def test_reachability_is_read_only(self):
+        for decomp in (decompose(EXAMPLE_1), decompose(EXAMPLE_1).sliced([0, 1])):
+            assert not decomp.reach.flags.writeable
+            with pytest.raises(ValueError):
+                decomp.reach[0, 0] = False
+
+    def test_closure_count_on_chain12(self, monkeypatch):
+        # One closure for the analysis normalize_dynamics makes outside a
+        # scope, one for phase_diagram's own, and one per colour for its
+        # assumption check; every piece inherits the rest.
+        skel = chain(12, 0)
+        calls = []
+        original = _digraph.transitive_closure
+
+        def counting(adj):
+            calls.append(adj.shape)
+            return original(adj)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("kgraphkms") and getattr(module, "transitive_closure", None) is original:
+                monkeypatch.setattr(module, "transitive_closure", counting)
+        phase_diagram(skel, normalize_dynamics(skel))
+        assert len(calls) <= 2 + skel.k
+
+    def test_no_analysis_outlives_a_call(self, monkeypatch):
+        skel = chain(6, 1)
+        dyn = normalize_dynamics(skel)
+        calls = []
+        original = components.decompose
+        monkeypatch.setattr(components, "decompose", lambda s: calls.append(s) or original(s))
+        for _ in range(2):
+            phase_diagram(skel, dyn)
+        assert calls == [skel, skel]

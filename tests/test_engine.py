@@ -5,6 +5,7 @@ import pytest
 
 from kgraphkms import (
     AssumptionError,
+    Skeleton,
     critical_components,
     extreme_states_at,
     factors_through,
@@ -156,6 +157,18 @@ class TestSupercritical:
     def test_rejects_critical_beta(self, ex1, ex1_dyn):
         with pytest.raises(ValueError, match="criticality"):
             supercritical_extremes(ex1, ex1_dyn, 1.0)
+
+    @pytest.mark.parametrize("beta", (1.001, 1.0001))
+    def test_solves_just_above_a_critical_value(self, beta):
+        # Graph 286 of sample_commuting3(953683294, 400). Just above beta = 1
+        # the solutions reach 6e10, so an absolute residual bound of 1e-10
+        # rejected correct solves; the backward error is still tiny.
+        skel = skeleton("uvw", [[2, 9, 1], [0, 2, 9], [0, 0, 2]], [[9, 6, 6], [0, 9, 6], [0, 0, 9]])
+        dyn = normalize_dynamics(skel)
+        states = supercritical_extremes(skel, dyn, beta)
+        assert len(states) == 3
+        for s in states:
+            assert verify_state(skel, dyn, beta, s.m).passed
 
 
 class TestKms1:
@@ -317,6 +330,22 @@ class TestPhase:
         # At the middle critical value: the v-piece is critical (1 state),
         # the u-piece is still supercritical (1 state).
         assert [len(s) for s in diag.critical_points] == [3, 2, 1]
+
+    def test_critical_values_equal_up_to_rounding_merge(self):
+        # x and the block {y1, y2} both have Perron root 4 in both colours,
+        # but the block's root comes from power iteration and differs in
+        # the last bits, so its critical value ln4/ln5 did too.
+        a1 = [[5, 0, 0, 0], [0, 4, 0, 0], [0, 0, 2, 1], [0, 0, 4, 2]]
+        a2 = [[7, 0, 0, 0], [0, 4, 0, 0], [0, 0, 2, 1], [0, 0, 4, 2]]
+        skel = Skeleton(("z", "x", "y1", "y2"), (a1, a2))
+        dyn = normalize_dynamics(skel)
+        diag = phase_diagram(skel, dyn, allow_violations=True)
+        assert diag.critical_betas == pytest.approx((1.0, math.log(4) / math.log(5)), abs=1e-12)
+        assert diag.symbolic_betas == ("1", "ln(4)/ln(5)")
+        assert [len(s) for s in diag.critical_points] == [4, 2]
+        assert [iv.extreme_count for iv in diag.intervals] == [4, 3]
+        for beta, states in zip(diag.critical_betas, diag.critical_points):
+            assert all(s.beta == beta for s in states)
 
 
 class TestVerifyState:

@@ -11,6 +11,8 @@ layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -48,12 +50,26 @@ def _freeze_matrix(rows) -> IntMatrix:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
-def _int_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+def _int_matmul(a: IntMatrix, b: IntMatrix) -> np.ndarray:
+    """Exact product of two square integer matrices as an array.
+
+    ``int64`` when no entry of the product can reach ``2**62`` (each is a
+    sum of ``n`` terms bounded by ``max|a| max|b|``), Python integers in an
+    object array otherwise.
+    """
     n = len(a)
-    return tuple(
-        tuple(sum(a[i][l] * b[l][j] for l in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    peak_a, peak_b = (max(1, max(map(abs, chain.from_iterable(m)), default=0)) for m in (a, b))
+    dtype = np.int64 if n * peak_a * peak_b < 2**62 else object
+    return np.array(a, dtype=dtype).reshape(n, n) @ np.array(b, dtype=dtype).reshape(n, n)
+
+
+def _int_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    return tuple(map(tuple, _int_matmul(a, b).tolist()))
+
+
+def _commutator_support(a: IntMatrix, b: IntMatrix) -> np.ndarray:
+    """Entries ``(v, w)``, in row-major order, where ``AB`` and ``BA`` differ."""
+    return np.argwhere(_int_matmul(a, b) != _int_matmul(b, a))
 
 
 def _identity(n: int) -> IntMatrix:
@@ -91,7 +107,7 @@ class Skeleton:
                 raise ValueError(f"matrix {i} has negative entries")
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
-                if _int_product(mats[i], mats[j]) != _int_product(mats[j], mats[i]):
+                if _commutator_support(mats[i], mats[j]).size:
                     raise ValueError(f"matrices {i} and {j} do not commute")
 
     @classmethod
@@ -109,11 +125,16 @@ class Skeleton:
     def index_of(self, label: str) -> int:
         return self.vertex_labels.index(label)
 
-    def as_arrays(self) -> list[np.ndarray]:
-        """Float copies for the numeric layer."""
-        if self.n == 0:
-            return [np.zeros((0, 0)) for _ in range(self.k)]
-        return [np.array(m, dtype=float) for m in self.matrices]
+    @cached_property
+    def _float_arrays(self) -> tuple[np.ndarray, ...]:
+        arrays = tuple(np.array(m, dtype=float).reshape(self.n, self.n) for m in self.matrices)
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
+
+    def as_arrays(self) -> tuple[np.ndarray, ...]:
+        """Read-only float copies for the numeric layer, built once per skeleton."""
+        return self._float_arrays
 
     def union_support(self) -> np.ndarray:
         """Boolean matrix with True where any colour has an edge."""
@@ -197,19 +218,12 @@ def validate_skeleton(vertex_labels: Sequence[str], matrices) -> ValidationRepor
         frozen = [_freeze_matrix(g) for g in clean]
         for i in range(len(frozen)):
             for j in range(i + 1, len(frozen)):
-                left = _int_product(frozen[i], frozen[j])
-                right = _int_product(frozen[j], frozen[i])
-                if left != right:
-                    bad = [
-                        (v, w)
-                        for v in range(n)
-                        for w in range(n)
-                        if left[v][w] != right[v][w]
-                    ]
+                bad = _commutator_support(frozen[i], frozen[j]).tolist()
+                if bad:
                     violations.append(
                         Violation(
                             RULE_COMMUTE,
-                            f"A_{i} A_{j} != A_{j} A_{i} at entries {bad}",
+                            f"A_{i} A_{j} != A_{j} A_{i} at entries {[tuple(e) for e in bad]}",
                             (i, j),
                         )
                     )

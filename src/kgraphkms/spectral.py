@@ -1,11 +1,12 @@
 """Perron roots and eigenvector machinery for commuting nonnegative matrices.
 
-Spectral radii are computed per strongly connected block by shifted power
-iteration, so reducible matrices are handled exactly as the maximum over
-their diagonal blocks. The extension step takes the common Perron vector of
-a hereditary component's colour blocks and solves a dense linear system per
-colour to continue it across the components that feed from it; a truncated
-path-weight series is kept alongside as an independent cross-check.
+Spectral radii are computed per strongly connected block by one dense
+eigensolve, certified by a Collatz–Wielandt bracket, so reducible matrices
+are handled exactly as the maximum over their diagonal blocks. The
+extension step takes the common Perron vector of a hereditary component's
+colour blocks and solves a dense linear system per colour to continue it
+across the components that feed from it; a truncated path-weight series is
+kept alongside as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import numpy as np
 
 from ._digraph import irreducible, succ_lists, tarjan_sccs
 
-POWER_TOL = 1e-14
-POWER_MAXITER = 100_000
 SOLVE_RESIDUAL_TOL = 1e-10
 RADIUS_BAND_RTOL = 1e-9
 
@@ -33,11 +32,17 @@ class EigenConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class PFResult:
-    """Perron root of one matrix plus the (shared) unimodular eigenvector."""
+    """Perron root of one matrix plus the (shared) unimodular eigenvector.
+
+    ``bracket`` is the Collatz–Wielandt bracket ``(min_i (Ax)_i/x_i,
+    max_i (Ax)_i/x_i)`` of the matrix at the shared vector; it contains
+    ``radius`` and is at most ``RADIUS_BAND_RTOL`` wide, relative.
+    """
 
     radius: float
     vector: tuple[float, ...]
     residual: float
+    bracket: tuple[float, float] = (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -97,30 +102,61 @@ def _as_float_matrix(matrix) -> np.ndarray:
     return arr
 
 
-def _power_block(block: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """Perron root and direction of an irreducible nonnegative block.
+def _collatz_wielandt(matrix: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """Bracket ``min_i (Ax)_i/x_i <= rho(A) <= max_i (Ax)_i/x_i`` for irreducible A.
 
-    Power iteration runs on block + I, which is primitive whenever the block
-    is irreducible, so convergence is geometric. Returns (radius, unit-sum
-    vector, eigen residual in max norm).
+    Holds for every strictly positive ``x``; any other ``x`` gives the
+    empty-handed bracket ``(-inf, inf)``.
+    """
+    if not np.all(x > 0):
+        return -np.inf, np.inf
+    ratios = (matrix @ x) / x
+    return float(ratios.min()), float(ratios.max())
+
+
+def _certified(bracket: tuple[float, float]) -> bool:
+    lo, hi = bracket
+    return bool(np.isfinite(lo) and hi - lo <= RADIUS_BAND_RTOL * abs(hi))
+
+
+def _perron_block(block: np.ndarray) -> tuple[float, np.ndarray, tuple[float, float]]:
+    """Certified Perron root and direction of an irreducible nonnegative block.
+
+    One dense eigensolve gives the eigenvalue with the largest real part
+    and its eigenvector, scaled to unit sum. The vector must be strictly
+    positive and its Collatz–Wielandt bracket at most ``RADIUS_BAND_RTOL``
+    wide, relative; if not, one step of inverse iteration at the computed
+    root refines the vector (small entries of a badly scaled Perron vector
+    carry large relative error) and both are checked again. The root is the
+    eigenvalue clamped into the bracket. Returns (radius, unit-sum vector,
+    bracket) or raises ``EigenConsistencyError``.
     """
     d = block.shape[0]
     if d == 1:
-        return float(block[0, 0]), np.ones(1), 0.0
-    shifted = block + np.eye(d)
-    x = np.full(d, 1.0 / d)
-    lam = 1.0
-    for _ in range(POWER_MAXITER):
-        y = shifted @ x
-        lam = float(y.sum())
-        y = y / lam
-        done = float(np.max(np.abs(y - x))) < POWER_TOL
-        x = y
-        if done:
-            break
-    rho = lam - 1.0
-    residual = float(np.max(np.abs(block @ x - rho * x)))
-    return rho, x, residual
+        rho = float(block[0, 0])
+        return rho, np.ones(1), (rho, rho)
+    values, vectors = np.linalg.eig(block)
+    top = int(np.argmax(values.real))
+    rho = float(values[top].real)
+    x = vectors[:, top].real
+    x = x / x.sum()
+    bracket = _collatz_wielandt(block, x)
+    if not _certified(bracket):
+        try:
+            y = np.linalg.solve(block - rho * np.eye(d), x)
+        except np.linalg.LinAlgError:
+            y = x  # exactly singular at rho: nothing to refine
+        with np.errstate(all="ignore"):
+            x = y / y.sum()
+        bracket = _collatz_wielandt(block, x)
+        if not _certified(bracket):
+            raise EigenConsistencyError(
+                f"Perron root {rho!r} of a {d}x{d} block not certified: Collatz-Wielandt "
+                f"bracket [{bracket[0]!r}, {bracket[1]!r}] (infinite when the "
+                f"eigenvector is not strictly positive)"
+            )
+    lo, hi = bracket
+    return min(max(rho, lo), hi), x, bracket
 
 
 def spectral_radius(matrix) -> float:
@@ -137,8 +173,7 @@ def spectral_radius(matrix) -> float:
     best = 0.0
     for comp in tarjan_sccs(succ_lists(arr > 0)):
         block = arr[np.ix_(comp, comp)]
-        rho, _, _ = _power_block(block)
-        best = max(best, rho)
+        best = max(best, _perron_block(block)[0])
     return best
 
 
@@ -146,9 +181,11 @@ def common_pf_eigenvector(family: Sequence, tol: float = 1e-9) -> list[PFResult]
     """Shared unimodular Perron vector of commuting irreducible matrices.
 
     The vector is computed once, from the sum of the family, then verified
-    against every member; a residual above tolerance means the family was
-    not simultaneously diagonalisable at the Perron root, i.e. the stated
-    preconditions (irreducibility, commutation) were violated.
+    against every member: its Collatz–Wielandt bracket for the member must
+    be within the radius band and meet the member's own certified root, and
+    the eigen residual must be within tolerance. Failing either means the
+    family was not simultaneously diagonalisable at the Perron root, i.e.
+    the stated preconditions (irreducibility, commutation) were violated.
     """
     mats = [_as_float_matrix(m) for m in family]
     if not mats:
@@ -167,17 +204,23 @@ def common_pf_eigenvector(family: Sequence, tol: float = 1e-9) -> list[PFResult]
     total = np.zeros(shape)
     for m in mats:
         total += m
-    _, x, _ = _power_block(total)
+    _, x, _ = _perron_block(total)
+    vector = tuple(float(t) for t in x)
     results = []
     for i, m in enumerate(mats):
-        rho = spectral_radius(m)
+        bracket = _collatz_wielandt(m, x)
+        lo, hi = bracket
+        own = spectral_radius(m)
+        rho = min(max(own, lo), hi)
         residual = float(np.max(np.abs(m @ x - rho * x)))
-        if residual > tol * max(1.0, rho):
+        consistent = _certified(bracket) and abs(rho - own) <= RADIUS_BAND_RTOL * max(1.0, own)
+        if not consistent or residual > tol * max(1.0, rho):
             raise EigenConsistencyError(
                 f"family not simultaneously diagonalisable at the Perron root: "
-                f"member {i} residual {residual:.3e}"
+                f"member {i} root {own!r}, Collatz-Wielandt bracket [{lo!r}, {hi!r}] "
+                f"at the shared vector, residual {residual:.3e}"
             )
-        results.append(PFResult(radius=rho, vector=tuple(float(t) for t in x), residual=residual))
+        results.append(PFResult(radius=rho, vector=vector, residual=residual, bracket=bracket))
     return results
 
 

@@ -119,3 +119,66 @@ class TestDegreePower:
             degree_power(EXAMPLE_1, (1,))
         with pytest.raises(ValueError):
             degree_power(EXAMPLE_1, (1, -1))
+
+
+def reference_product(a, b):
+    n = len(a)
+    return tuple(tuple(sum(a[i][l] * b[l][j] for l in range(n)) for j in range(n)) for i in range(n))
+
+
+class TestExactCommutation:
+    # A = c M and B = d M^2 + e M are polynomials in M, so they commute;
+    # entries near 2**40 put the products far beyond int64.
+    M = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
+    C, D, E = 2**40 + 3, 2**40 + 7, 2**39 + 1
+
+    def pair(self):
+        m2 = reference_product(self.M, self.M)
+        a = tuple(tuple(self.C * x for x in row) for row in self.M)
+        b = tuple(tuple(self.D * x + self.E * y for x, y in zip(r2, r1)) for r2, r1 in zip(m2, self.M))
+        return a, b
+
+    def test_overflowing_commuting_pair_constructs(self):
+        a, b = self.pair()
+        assert max(abs(x) for row in reference_product(a, b) for x in row) >= 2**63
+        skel = Skeleton(("u", "v", "w"), (a, b))
+        assert validate_skeleton(skel.vertex_labels, skel.matrices).passed
+
+    def test_off_by_one_is_rejected_at_the_right_entries(self):
+        a, b = self.pair()
+        b = tuple(tuple(x + ((v, w) == (0, 0)) for w, x in enumerate(row)) for v, row in enumerate(b))
+        with pytest.raises(ValueError, match="commute"):
+            Skeleton(("u", "v", "w"), (a, b))
+        rep = validate_skeleton(("u", "v", "w"), (a, b))
+        (violation,) = rep.violations
+        assert violation.rule == RULE_COMMUTE and violation.where == (0, 1)
+        ab, ba = reference_product(a, b), reference_product(b, a)
+        bad = [(v, w) for v in range(3) for w in range(3) if ab[v][w] != ba[v][w]]
+        assert bad == [(0, 1)] and violation.message.endswith(f"at entries {bad}")
+
+    def test_int_product_matches_reference(self):
+        rng = random.Random(11)
+        for trial in range(60):
+            n = rng.randint(0, 5)
+            top = 2**70 if trial % 3 == 0 else 9
+            a, b = (
+                tuple(tuple(rng.randint(-top, top) for _ in range(n)) for _ in range(n)) for _ in range(2)
+            )
+            out = _int_product(a, b)
+            assert out == reference_product(a, b)
+            assert all(type(x) is int for row in out for x in row)
+        assert _int_product((), ()) == ()
+
+
+class TestFloatArrays:
+    def test_built_once_and_read_only(self):
+        arrays = EXAMPLE_1.as_arrays()
+        assert arrays is EXAMPLE_1.as_arrays()
+        assert isinstance(arrays, tuple)
+        for arr, m in zip(arrays, EXAMPLE_1.matrices):
+            assert arr.tolist() == [list(row) for row in m]
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_empty_skeleton(self):
+        assert [a.shape for a in Skeleton.empty(2).as_arrays()] == [(0, 0), (0, 0)]

@@ -1,19 +1,28 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
 from kgraphkms import (
+    Skeleton,
     check_spectral_ordering,
     common_pf_eigenvector,
+    decompose,
     extend_eigenvector,
     quick_exit_weight,
     spectral_radius,
 )
 from kgraphkms.dumbbell import commutation_gaps_3, make_dumbbell2, make_dumbbell3, sample_commuting3
 from kgraphkms.dumbbell import Dumbbell2Params
-from kgraphkms.spectral import STATUS_CONTRADICTION, STATUS_HOLDS, STATUS_NOT_MET
+from kgraphkms.spectral import (
+    STATUS_CONTRADICTION,
+    STATUS_HOLDS,
+    STATUS_NOT_MET,
+    EigenConsistencyError,
+    _perron_block,
+)
 
 from conftest import EXAMPLE_1, EXAMPLE_2, NO_BRIDGE_COUNTEREXAMPLE, skeleton
 
@@ -56,6 +65,59 @@ class TestSpectralRadius:
         assert spectral_radius([[2, 7], [0, 5]]) == pytest.approx(5.0, abs=1e-12)
 
 
+def weighted_cycle(weights) -> np.ndarray:
+    n = len(weights)
+    a = np.zeros((n, n))
+    for i, w in enumerate(weights):
+        a[(i + 1) % n, i] = w
+    return a
+
+
+class TestCertifiedPerronRoot:
+    def test_long_weighted_cycle(self):
+        # Every eigenvalue of a weighted cycle has modulus equal to the
+        # geometric mean of its weights, so no power iteration converges
+        # on it quickly; one certified eigensolve gets the root exactly.
+        rng = random.Random(300)
+        weights = [rng.randint(1, 3) for _ in range(300)]
+        expected = math.exp(sum(math.log(w) for w in weights) / len(weights))
+        start = time.perf_counter()
+        rho = spectral_radius(weighted_cycle(weights))
+        assert time.perf_counter() - start < 1.0
+        assert rho == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_badly_scaled_perron_vector_is_refined(self):
+        # The Perron vector spans 3**20 here, so the eigensolver's small
+        # entries are too rough for a 1e-9 bracket until refined.
+        block = weighted_cycle([3] * 40 + [1] * 40)
+        rho, x, (lo, hi) = _perron_block(block)
+        assert rho == pytest.approx(math.sqrt(3), rel=1e-12, abs=0)
+        assert x.min() > 0 and x.sum() == pytest.approx(1.0)
+        assert lo <= rho <= hi and hi - lo <= 1e-9 * hi
+
+    def test_product_skeleton_radii(self):
+        # X = A (x) I and Y = I (x) B commute, so X + Y and XY + X + 2Y have
+        # roots a + b and ab + a + 2b with a = rho(A), b = rho(B).
+        cycle = weighted_cycle([1, 2, 3] * 6).astype(np.int64)
+        block = np.array([[1, 1, 0], [0, 1, 2], [1, 0, 1]], dtype=np.int64)
+        x = np.kron(cycle, np.eye(3, dtype=np.int64))
+        y = np.kron(np.eye(18, dtype=np.int64), block)
+        colours = (x + y, x @ y + x + 2 * y)
+        skel = Skeleton(tuple(f"p{i}" for i in range(54)), tuple(c.tolist() for c in colours))
+        a, b = 6 ** (1 / 3), 1 + 2 ** (1 / 3)
+        expected = (a + b, a * b + a + 2 * b)
+        (radii,) = decompose(skel).radii
+        assert radii == pytest.approx(expected, rel=1e-12, abs=0)
+        for colour, root in zip(colours, expected):
+            assert spectral_radius(colour) == pytest.approx(root, rel=1e-12, abs=0)
+        for res, root in zip(common_pf_eigenvector(colours), expected):
+            assert res.radius == pytest.approx(root, rel=1e-12, abs=0)
+
+    def test_reducible_block_raises(self):
+        with pytest.raises(EigenConsistencyError, match="bracket"):
+            _perron_block(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
 class TestCommonPF:
     def test_scalar_family(self):
         results = common_pf_eigenvector([[[5]], [[4]]])
@@ -85,6 +147,19 @@ class TestCommonPF:
     def test_residuals_below_tolerance(self):
         for res in common_pf_eigenvector([[[0, 2], [2, 0]], [[3, 2], [2, 3]]]):
             assert res.residual <= 1e-12
+
+    def test_brackets_contain_radii(self):
+        families = [
+            [[[0, 2], [2, 0]], [[3, 2], [2, 3]]],
+            [[[1, 2], [2, 1]]],
+            [[[5]], [[4]]],
+            [[[0, 1, 1], [1, 0, 1], [1, 1, 0]], [[2, 1, 1], [1, 2, 1], [1, 1, 2]]],
+        ]
+        for family in families:
+            for res in common_pf_eigenvector(family):
+                lo, hi = res.bracket
+                assert lo <= res.radius <= hi
+                assert hi - lo <= 1e-9 * hi
 
 
 class TestExtension:

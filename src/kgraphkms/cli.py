@@ -238,6 +238,17 @@ def _cmd_phase(args) -> int:
     return code
 
 
+def _inverse_temperature(text: str) -> float:
+    """``--beta``: a finite number above 0, or a usage error (exit 2)."""
+    try:
+        beta = float(text)
+    except ValueError:
+        beta = math.nan
+    if not (math.isfinite(beta) and beta > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+    return beta
+
+
 def _parse_pairs(raw: str, expect: int) -> list[tuple[int, int]]:
     values = [int(t) for t in raw.replace(" ", "").split(",") if t != ""]
     if len(values) != 2 * expect:
@@ -327,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     graph_command("components", "strongly connected components and assumptions").set_defaults(func=_cmd_components)
     graph_command("spectra", "per-component and global Perron roots").set_defaults(func=_cmd_spectra)
     kms = graph_command("kms", "extreme states at one inverse temperature")
-    kms.add_argument("--beta", type=float, required=True)
+    kms.add_argument("--beta", type=_inverse_temperature, required=True)
     kms.set_defaults(func=_cmd_kms)
     graph_command("phase", "critical values and the full simplex structure").set_defaults(func=_cmd_phase)
 

@@ -224,16 +224,32 @@ def decompose(skel: Skeleton) -> ComponentDecomposition:
     reach = transitive_closure(adj)
     np.fill_diagonal(reach, True)
     reach.flags.writeable = False
-    supports = [skel.colour_support(i) for i in range(skel.k)]
     arrays = skel.as_arrays()
-    blocks = [np.ix_(comp, comp) for comp in components]
+    spectra = [_block_spectra(arrays, comp) for comp in components]
     return ComponentDecomposition(
         components=components,
         trivial=tuple(len(c) == 1 and not adj[c[0], c[0]] for c in components),
-        irreducible=tuple(tuple(irreducible(s[b]) for s in supports) for b in blocks),
-        radii=tuple(tuple(spectral_radius(a[b]) for a in arrays) for b in blocks),
+        irreducible=tuple(flags for flags, _ in spectra),
+        radii=tuple(radii for _, radii in spectra),
         leq=tuple(map(tuple, _component_relation(components, reach).tolist())),
         reach=reach,
+    )
+
+
+def _block_spectra(arrays, comp: tuple[int, ...]) -> tuple[tuple[bool, ...], tuple[float, ...]]:
+    """Per-colour irreducibility flags and Perron roots of one component's blocks.
+
+    A single vertex is irreducible in a colour exactly when it has a loop
+    there, and its Perron root is the loop count: the same flag and float
+    that ``irreducible`` and ``spectral_radius`` return on the 1x1 block.
+    """
+    if len(comp) == 1:
+        v = comp[0]
+        return tuple(bool(a[v, v] > 0) for a in arrays), tuple(float(a[v, v]) for a in arrays)
+    block = np.ix_(comp, comp)
+    return (
+        tuple(irreducible(a[block] > 0) for a in arrays),
+        tuple(spectral_radius(a[block]) for a in arrays),
     )
 
 
@@ -296,10 +312,12 @@ def check_assumptions(skel: Skeleton) -> AssumptionReport:
 
 
 def _sub_skeleton(skel: Skeleton, keep: list[int]) -> Skeleton:
-    """Skeleton induced on ``keep``; inside a scope it inherits the parent's sliced analysis."""
-    labels = tuple(skel.vertex_labels[v] for v in keep)
-    mats = tuple(tuple(tuple(m[v][w] for w in keep) for v in keep) for m in skel.matrices)
-    sub = Skeleton(labels, mats)
+    """Skeleton induced on ``keep``; inside a scope it inherits the parent's sliced analysis.
+
+    ``keep`` is the complement of a hereditary set or a weakly connected
+    piece, so the induced matrices commute without a fresh proof.
+    """
+    sub = skel._induced(keep)
     memo = _ANALYSES.get()
     if memo is not None:
         memo[id(sub)] = (sub, analysis_of(skel).sliced(keep))

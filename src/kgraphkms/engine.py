@@ -387,23 +387,28 @@ def supercritical_extremes(
             raise ValueError(
                 f"beta={beta:.12g} is at or below criticality in colour {i} for this skeleton"
             )
-    factors = [np.eye(skel.n) - math.exp(-beta * dyn.r[i]) * arrays[i] for i in range(skel.k)]
-    norms = [float(np.abs(factor).sum(axis=1).max()) for factor in factors]
+    n = skel.n
+    # Row v of ``vecs`` is vertex v's vector, pushed through one factor per
+    # colour. Each colour is one stacked solve of n single-right-hand-side
+    # systems, the same LAPACK call per system as solving them one by one;
+    # one factorisation with n right-hand sides would round differently.
+    vecs = np.eye(n)
+    for i in range(skel.k):
+        factor = np.eye(n) - math.exp(-beta * dyn.r[i]) * arrays[i]
+        sols = np.linalg.solve(np.broadcast_to(factor, (n, n, n)), vecs[:, :, None])[:, :, 0]
+        # Normwise backward error: near a critical value the solution
+        # grows like 1/margin, and so does the rounding in F x.
+        resid = np.abs(sols @ factor.T - vecs).max(axis=1)
+        norm = float(np.abs(factor).sum(axis=1).max())
+        scale = np.maximum(norm * np.abs(sols).max(axis=1), np.abs(vecs).max(axis=1))
+        bad = np.flatnonzero(resid > SOLVE_RESIDUAL_TOL * scale)
+        if bad.size:
+            raise EigenConsistencyError(
+                f"supercritical solve residual {resid[bad[0]]:.3e} in colour {i}"
+            )
+        vecs = sols
     states = []
-    for v in range(skel.n):
-        vec = np.zeros(skel.n)
-        vec[v] = 1.0
-        for i, factor in enumerate(factors):
-            sol = np.linalg.solve(factor, vec)
-            # Normwise backward error: near a critical value the solution
-            # grows like 1/margin, and so does the rounding in F x.
-            resid = float(np.max(np.abs(factor @ sol - vec)))
-            scale = max(norms[i] * float(np.max(np.abs(sol))), float(np.max(np.abs(vec))))
-            if resid > SOLVE_RESIDUAL_TOL * scale:
-                raise EigenConsistencyError(
-                    f"supercritical solve residual {resid:.3e} in colour {i}"
-                )
-            vec = sol
+    for v, vec in enumerate(vecs):
         m = tuple(float(t) for t in vec / vec.sum())
         label = skel.vertex_labels[v]
         _certify(skel, dyn, beta, m, f"point-mass state at {label}")
@@ -634,6 +639,17 @@ def extreme_states_at(
         return tuple(out)
 
 
+def _growth(beta: float, r: float) -> float:
+    """The factor ``e^(beta r)``; ``ValueError`` where it overflows a float."""
+    try:
+        return math.exp(beta * r)
+    except OverflowError:
+        raise ValueError(
+            f"e^(beta r) overflows at beta={beta:.12g}, r={r:.12g}: states at this "
+            "inverse temperature cannot be checked in floating point"
+        ) from None
+
+
 def verify_state(skel: Skeleton, dyn: Dynamics, beta: float, m, tol: float = STATE_TOL) -> StateCheck:
     """Check the defining inequalities of an equilibrium vertex vector.
 
@@ -649,7 +665,7 @@ def verify_state(skel: Skeleton, dyn: Dynamics, beta: float, m, tol: float = STA
     min_entry = float(vec.min()) if vec.size else 0.0
     colour_violation = 0.0
     for i in range(skel.k):
-        excess = arrays[i] @ vec - math.exp(beta * dyn.r[i]) * vec
+        excess = arrays[i] @ vec - _growth(beta, dyn.r[i]) * vec
         colour_violation = max(colour_violation, float(excess.max()))
     gap = vec.copy()
     for i in range(skel.k):
@@ -687,6 +703,6 @@ def factors_through(skel: Skeleton, dyn: Dynamics, beta: float, m, tol: float = 
     for i in range(skel.k):
         worst = max(
             worst,
-            float(np.max(np.abs(arrays[i] @ vec - math.exp(beta * dyn.r[i]) * vec))),
+            float(np.max(np.abs(arrays[i] @ vec - _growth(beta, dyn.r[i]) * vec))),
         )
     return worst <= tol

@@ -11,6 +11,7 @@ rationals are printed exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -69,6 +70,13 @@ def parse_input(text: str) -> InputDocument:
         raise ParseError("field 'k': expected a positive integer")
     if len(matrices) != k:
         raise ParseError(f"field 'matrices': got {len(matrices)} grids, expected k={k}")
+    for i, m in enumerate(matrices):
+        for v, row in enumerate(m if isinstance(m, list) else ()):
+            for w, x in enumerate(row if isinstance(row, list) else ()):
+                if not _finite(x):
+                    raise ParseError(
+                        f"field 'matrices': entry A_{i}({v},{w}) is infinite, NaN or beyond the float range"
+                    )
 
     dynamics = raw.get("dynamics", {"type": "preferred"})
     if "dynamics" not in raw:
@@ -86,8 +94,10 @@ def parse_input(text: str) -> InputDocument:
             raise ParseError(f"field 'dynamics.r': expected a list of {k} positive reals")
         try:
             r = tuple(float(t) for t in raw_r)
-        except (TypeError, ValueError) as exc:
-            raise ParseError("field 'dynamics.r': entries must be numbers") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError("field 'dynamics.r': entries must be finite numbers") from exc
+        if not all(map(math.isfinite, r)):
+            raise ParseError("field 'dynamics.r': entries must be finite numbers")
         if any(t <= 0 for t in r):
             raise ParseError("field 'dynamics.r': entries must be strictly positive")
         normalize = bool(dynamics.get("normalize", True))
@@ -112,6 +122,20 @@ def parse_input(text: str) -> InputDocument:
         rationally_independent=independent,
         warnings=tuple(warnings),
     )
+
+
+def _finite(x) -> bool:
+    """False for infinities, NaN and integers beyond the float range; non-numbers pass.
+
+    The numeric layer works in floats, so such entries could never be
+    analysed; anything that is not a number is left to skeleton validation.
+    """
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+    except TypeError:
+        return True
 
 
 def input_to_json(doc: InputDocument) -> str:

@@ -114,6 +114,24 @@ class Skeleton:
     def empty(cls, k: int) -> "Skeleton":
         return cls((), ((),) * k)
 
+    def _induced(self, keep: Sequence[int]) -> "Skeleton":
+        """Sub-skeleton on the sorted vertices ``keep``, without re-running the checks.
+
+        Only for ``keep`` the complement of a hereditary set ``H`` or a weakly
+        connected piece. Labels, shape and signs are inherited, and so is
+        exact commutation: ``H`` is closed under path sources, so no edge
+        runs from a kept vertex into ``H`` and ``A[H, K] = 0`` for every
+        colour, whence ``(AB)[K, K] = A[K, K] B[K, K] + A[K, H] B[H, K] =
+        A[K, K] B[K, K]``, and likewise for ``BA``. A weakly connected piece
+        has no edges to or from the rest at all.
+        """
+        sub = object.__new__(Skeleton)
+        object.__setattr__(sub, "vertex_labels", tuple(self.vertex_labels[v] for v in keep))
+        object.__setattr__(
+            sub, "matrices", tuple(tuple(tuple(m[v][w] for w in keep) for v in keep) for m in self.matrices)
+        )
+        return sub
+
     @property
     def n(self) -> int:
         return len(self.vertex_labels)

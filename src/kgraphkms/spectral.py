@@ -196,6 +196,13 @@ def common_pf_eigenvector(family: Sequence, tol: float = 1e-9) -> list[PFResult]
     for i, m in enumerate(mats):
         if not irreducible(m > 0):
             raise ValueError(f"family member {i} is not irreducible")
+    if shape == (1, 1):
+        # Closed form of the general route below: the vector (1,) is exact,
+        # with each positive entry as its root, bracket and zero residual.
+        return [
+            PFResult(radius=float(m[0, 0]), vector=(1.0,), residual=0.0, bracket=(float(m[0, 0]),) * 2)
+            for m in mats
+        ]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             if not np.allclose(mats[i] @ mats[j], mats[j] @ mats[i], rtol=0, atol=1e-9):

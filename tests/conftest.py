@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from kgraphkms import Skeleton, normalize_dynamics
@@ -30,6 +31,27 @@ NO_BRIDGE_COUNTEREXAMPLE = skeleton(
     [[1, 2, 2], [0, 3, 0], [0, 0, 5]],
     [[1, 3, 1], [0, 4, 0], [0, 0, 3]],
 )
+
+
+def chain(n, offset):
+    """Chain-n: colours M + M^2 and 2M + M^2 for upper bidiagonal M."""
+    m = np.diag(np.arange(n) + offset + 2) + np.diag(np.ones(n - 1, dtype=int), 1)
+    return Skeleton(tuple(f"c{i}" for i in range(n)), ((m + m @ m).tolist(), (2 * m + m @ m).tolist()))
+
+
+def product_skeleton():
+    """54 vertices, colours X + Y and XY + X + 2Y with X = A (x) I and Y = I (x) B.
+
+    ``A`` is the cycle with weights 1, 2, 3 repeated six times and ``B`` a
+    3x3 irreducible block; X and Y commute, so the colours do.
+    """
+    cycle = np.zeros((18, 18), dtype=np.int64)
+    for i, w in enumerate([1, 2, 3] * 6):
+        cycle[(i + 1) % 18, i] = w
+    block = np.array([[1, 1, 0], [0, 1, 2], [1, 0, 1]], dtype=np.int64)
+    x = np.kron(cycle, np.eye(3, dtype=np.int64))
+    y = np.kron(np.eye(18, dtype=np.int64), block)
+    return Skeleton(tuple(f"p{i}" for i in range(54)), ((x + y).tolist(), (x @ y + x + 2 * y).tolist()))
 
 
 @pytest.fixture

@@ -212,3 +212,51 @@ class TestCommands:
         code, out, _ = run(capsys, "validate", "-")
         assert code == 0
         assert json.loads(out)["validation"]["passed"]
+
+
+class TestNonFiniteInput:
+    """Infinite, NaN or overflowing numbers end in a message and exit 1 or 2."""
+
+    @pytest.mark.parametrize(
+        "entry", ["1e400", "Infinity", "-Infinity", "NaN", pytest.param("1" + "0" * 400, id="10**400")]
+    )
+    @pytest.mark.parametrize("command", ["validate", "components", "spectra", "phase", "kms"])
+    def test_non_finite_matrix_entry_is_an_input_error(self, capsys, tmp_path, entry, command):
+        doc = tmp_path / "inf.json"
+        doc.write_text('{"vertices": ["a"], "matrices": [[[%s]]]}' % entry)
+        extra = ["--beta", "1"] if command == "kms" else []
+        code, out, err = run(capsys, command, str(doc), *extra)
+        assert code == 1
+        assert out == ""
+        assert "input error" in err and "A_0(0,0)" in err
+
+    @pytest.mark.parametrize("entry", ["1e400", "Infinity", "NaN"])
+    def test_non_finite_dynamics_entry_is_a_parse_error(self, entry):
+        text = '{"vertices": ["a"], "matrices": [[[2]]], "dynamics": {"type": "explicit", "r": [%s]}}'
+        with pytest.raises(ParseError, match="dynamics.r"):
+            parse_input(text % entry)
+
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "0", "-1"])
+    def test_beta_must_be_finite_and_positive(self, capsys, beta):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["kms", EX1, f"--beta={beta}"])
+        assert exit_info.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "--beta" in out.err and "finite" in out.err
+
+    def test_overflowing_growth_factor_is_an_error_not_a_traceback(self, capsys):
+        from kgraphkms import Skeleton, extreme_states_at, normalize_dynamics
+
+        code, out, err = run(capsys, "kms", EX1, "--beta", "500")
+        assert code == 1
+        assert out == ""
+        assert "overflows" in err
+        doc = parse_input(Path(EX1).read_text())
+        skel = Skeleton(doc.vertices, doc.matrices)
+        with pytest.raises(ValueError, match="overflows"):
+            extreme_states_at(skel, normalize_dynamics(skel), 500.0)
+        # Where the factor is finite the states are still returned.
+        code, out, _ = run(capsys, "kms", EX1, "--beta", "400")
+        assert code == 0
+        assert json.loads(out)["kms"]["extreme_count"] == 3

@@ -20,8 +20,10 @@ from kgraphkms import (
 )
 from kgraphkms.components import analysis_of, analysis_scope, colour_reachability, is_hereditary
 from kgraphkms.dumbbell import make_dumbbell3, sample_commuting3
+from kgraphkms.skeleton import RULE_COMMUTE, validate_skeleton
+from kgraphkms.spectral import spectral_radius
 
-from conftest import EXAMPLE_1, EXAMPLE_2, NO_BRIDGE_COUNTEREXAMPLE, skeleton
+from conftest import EXAMPLE_1, EXAMPLE_2, NO_BRIDGE_COUNTEREXAMPLE, chain, skeleton
 
 TWO_LOOPS = skeleton("ab", [[2, 0], [0, 3]], [[2, 0], [0, 3]])
 
@@ -91,6 +93,36 @@ class TestDecompose:
         )
         decomp = decompose(skel)
         assert decomp.components == ((0,), (1,), (2,))
+
+
+class TestSingleVertexClosedForm:
+    """Single-vertex components take their flags and roots from the loop counts."""
+
+    # a: loops in both colours; b: a loop in colour 1 only; c: no loop (trivial);
+    # d: a loop count beyond 2**53, which rounds when made a float.
+    LOOPS = skeleton("abcd", np.diag([3, 0, 0, 2**60 + 1]).tolist(), np.diag([5, 4, 0, 7]).tolist())
+
+    @pytest.mark.parametrize(
+        "skel",
+        [LOOPS, EXAMPLE_1, EXAMPLE_2, FIG2, TWO_LOOPS, chain(12, 0)],
+        ids=["loops", "example1", "example2", "fig2", "two-loops", "chain12"],
+    )
+    def test_bit_equal_to_the_general_route(self, skel):
+        decomp = decompose(skel)
+        for c, comp in enumerate(decomp.components):
+            assert len(comp) == 1
+            for i, a in enumerate(skel.as_arrays()):
+                block = a[np.ix_(comp, comp)]
+                assert decomp.radii[c][i].hex() == spectral_radius(block).hex()
+                assert decomp.irreducible[c][i] is _digraph.irreducible(skel.colour_support(i)[np.ix_(comp, comp)])
+
+    def test_loopless_and_one_colour_loops(self):
+        decomp = decompose(self.LOOPS)
+        assert decomp.components == ((0,), (1,), (2,), (3,))
+        assert decomp.irreducible == ((True, True), (False, True), (False, False), (True, True))
+        assert decomp.radii[:3] == ((3.0, 5.0), (0.0, 4.0), (0.0, 0.0))
+        assert decomp.radii[3] == (float(2**60 + 1), 7.0)
+        assert decomp.trivial == (False, False, True, False)
 
 
 class TestReaches:
@@ -259,16 +291,19 @@ class TestColourReachability:
             assert np.array_equal(closures[0], closures[1])
 
 
-def chain(n, offset):
-    """Chain-n: colours M + M^2 and 2M + M^2 for upper bidiagonal M."""
-    m = np.diag(np.arange(n) + offset + 2) + np.diag(np.ones(n - 1, dtype=int), 1)
-    return Skeleton(tuple(f"c{i}" for i in range(n)), ((m + m @ m).tolist(), (2 * m + m @ m).tolist()))
-
-
 def assert_inherited(sub):
-    """The scope's analysis of ``sub`` equals a fresh one of an equal skeleton."""
+    """``sub`` and its inherited analysis equal a fresh build and a fresh analysis.
+
+    Restrictions and pieces skip the constructor's commutation proof, so the
+    fresh, fully checked ``Skeleton`` must accept them, equal them and find
+    no commutation violation.
+    """
+    fresh = Skeleton(sub.vertex_labels, sub.matrices)
+    assert sub == fresh
+    assert all(np.array_equal(a, b) for a, b in zip(sub.as_arrays(), fresh.as_arrays()))
+    assert RULE_COMMUTE not in validate_skeleton(sub.vertex_labels, sub.matrices).rules()
     got = analysis_of(sub)
-    want = decompose(Skeleton(sub.vertex_labels, sub.matrices))
+    want = decompose(fresh)
     assert got.components == want.components
     assert got.radii == want.radii  # exact float equality
     assert got.leq == want.leq

@@ -17,10 +17,11 @@ from kgraphkms import (
     supercritical_extremes,
     verify_state,
 )
-from kgraphkms.components import decompose
+from kgraphkms.components import check_assumptions, decompose
+from kgraphkms.dumbbell import make_dumbbell3, sample_commuting3
 from kgraphkms.engine import KIND_COMPONENT, KIND_POINT_MASS
 
-from conftest import skeleton, state_set
+from conftest import chain, product_skeleton, skeleton, state_set
 
 SINGLE = skeleton("v", [[2]], [[3]])
 
@@ -169,6 +170,29 @@ class TestSupercritical:
         assert len(states) == 3
         for s in states:
             assert verify_state(skel, dyn, beta, s.m).passed
+
+
+    @pytest.mark.parametrize("beta", (1.3, 1.001))
+    def test_stacked_solves_match_a_per_vertex_loop(self, beta):
+        graphs = [make_dumbbell3(p) for p in sample_commuting3(5, 40)]
+        graphs = [g for g in graphs if check_assumptions(g).all_pass]
+        for skel in graphs + [chain(12, 0), product_skeleton()]:
+            dyn = normalize_dynamics(skel)
+            states = supercritical_extremes(skel, dyn, beta)
+            assert [s.m for s in states] == per_vertex_reference(skel, dyn, beta)
+
+
+def per_vertex_reference(skel, dyn, beta):
+    """Point-mass states solved one vertex and one colour at a time."""
+    factors = [np.eye(skel.n) - math.exp(-beta * r) * a for r, a in zip(dyn.r, skel.as_arrays())]
+    out = []
+    for v in range(skel.n):
+        vec = np.zeros(skel.n)
+        vec[v] = 1.0
+        for factor in factors:
+            vec = np.linalg.solve(factor, vec)
+        out.append(tuple(float(t) for t in vec / vec.sum()))
+    return out
 
 
 class TestKms1:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from kgraphkms import (
-    Skeleton,
     check_spectral_ordering,
     common_pf_eigenvector,
     decompose,
@@ -21,10 +20,12 @@ from kgraphkms.spectral import (
     STATUS_HOLDS,
     STATUS_NOT_MET,
     EigenConsistencyError,
+    PFResult,
+    _collatz_wielandt,
     _perron_block,
 )
 
-from conftest import EXAMPLE_1, EXAMPLE_2, NO_BRIDGE_COUNTEREXAMPLE, skeleton
+from conftest import EXAMPLE_1, EXAMPLE_2, NO_BRIDGE_COUNTEREXAMPLE, product_skeleton, skeleton
 
 
 def quadratic_roots(a, b, c, d):
@@ -98,12 +99,8 @@ class TestCertifiedPerronRoot:
     def test_product_skeleton_radii(self):
         # X = A (x) I and Y = I (x) B commute, so X + Y and XY + X + 2Y have
         # roots a + b and ab + a + 2b with a = rho(A), b = rho(B).
-        cycle = weighted_cycle([1, 2, 3] * 6).astype(np.int64)
-        block = np.array([[1, 1, 0], [0, 1, 2], [1, 0, 1]], dtype=np.int64)
-        x = np.kron(cycle, np.eye(3, dtype=np.int64))
-        y = np.kron(np.eye(18, dtype=np.int64), block)
-        colours = (x + y, x @ y + x + 2 * y)
-        skel = Skeleton(tuple(f"p{i}" for i in range(54)), tuple(c.tolist() for c in colours))
+        skel = product_skeleton()
+        colours = [np.array(m) for m in skel.matrices]
         a, b = 6 ** (1 / 3), 1 + 2 ** (1 / 3)
         expected = (a + b, a * b + a + 2 * b)
         (radii,) = decompose(skel).radii
@@ -147,6 +144,27 @@ class TestCommonPF:
     def test_residuals_below_tolerance(self):
         for res in common_pf_eigenvector([[[0, 2], [2, 0]], [[3, 2], [2, 3]]]):
             assert res.residual <= 1e-12
+
+    @pytest.mark.parametrize("family", [[[[5]]], [[[5]], [[4]]], [[[1]], [[2**60 + 1]], [[7]]]])
+    def test_one_by_one_closed_form_matches_the_general_route(self, family):
+        # The general route, step by step: Perron vector of the sum, then
+        # each member's bracket, root clamped into it, and residual.
+        mats = [np.array(m, dtype=float) for m in family]
+        _, x, _ = _perron_block(sum(mats))
+        want = []
+        for m in mats:
+            lo, hi = _collatz_wielandt(m, x)
+            rho = min(max(spectral_radius(m), lo), hi)
+            residual = float(np.max(np.abs(m @ x - rho * x)))
+            want.append(PFResult(rho, tuple(float(t) for t in x), residual, (lo, hi)))
+        got = common_pf_eigenvector(family)
+        assert got == want
+        assert [r.residual for r in got] == [0.0] * len(family)
+
+    @pytest.mark.parametrize("family", [[[[0]]], [[[3]], [[0]]]])
+    def test_one_by_one_zero_entry_is_not_irreducible(self, family):
+        with pytest.raises(ValueError, match="irreducible"):
+            common_pf_eigenvector(family)
 
     def test_brackets_contain_radii(self):
         families = [

@@ -2,9 +2,11 @@
 
 ``data/golden`` holds the standard output of every case below, one file
 each, and ``data/golden/exits.json`` their exit codes and standard error.
-They were recorded with
+Cases without a recorded output are recorded with
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+which leaves every recorded case as it is.
 
 Structure, strings, integers and exit codes must match exactly. Floats may
 differ by 1e-12 relative, so that the check holds across BLAS builds. Text
@@ -39,7 +41,19 @@ COMMANDS = {
     "phase-text": ("phase", "--format", "text"),
     "kms": ("kms", "--beta", "1.3"),
 }
-CASES = [(stem, name) for stem in INPUTS for name in COMMANDS]
+CASES = [(stem, name, COMMANDS[name]) for stem in INPUTS for name in COMMANDS]
+# Chain-20 (``conftest.chain``, offsets 0 and 3) runs the removal recursion
+# through 20 pieces, and ``conftest.product_skeleton`` is one 54-vertex
+# component; each is checked by its phase report and by the states at an
+# inverse temperature inside an interval.
+CASES += [
+    ("chain20-b0", "phase", ("phase",)),
+    ("chain20-b0", "kms", ("kms", "--beta", "0.8")),
+    ("chain20-b3", "phase", ("phase",)),
+    ("chain20-b3", "kms", ("kms", "--beta", "0.8")),
+    ("product", "phase", ("phase",)),
+    ("product", "kms", ("kms", "--beta", "1.3")),
+]
 
 # A number in a text report: integer, decimal or fraction, optionally marked
 # approximate; not part of a label such as ``c12``.
@@ -50,17 +64,17 @@ def case_id(stem: str, name: str) -> str:
     return f"{stem}.{name}"
 
 
-def stdout_file(stem: str, name: str) -> Path:
-    suffix = "txt" if "--format" in COMMANDS[name] else "json"
+def stdout_file(stem: str, name: str, argv) -> Path:
+    suffix = "txt" if "--format" in argv else "json"
     return GOLDEN / f"{case_id(stem, name)}.{suffix}"
 
 
-def run_case(stem: str, name: str) -> tuple[int, str, str]:
+def run_case(stem: str, argv) -> tuple[int, str, str]:
     from kgraphkms.cli import main
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([COMMANDS[name][0], str(DATA / f"{stem}.json"), *COMMANDS[name][1:]])
+        code = main([argv[0], str(DATA / f"{stem}.json"), *argv[1:]])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -105,14 +119,15 @@ def assert_text_matches(got: str, want: str):
         assert _close(gv, wv, max(gu, wu)), f"number differs: {g} != {w}"
 
 
-@pytest.mark.parametrize("stem,name", CASES, ids=[case_id(*c) for c in CASES])
-def test_report_matches_golden(stem, name):
-    code, out, err = run_case(stem, name)
+@pytest.mark.parametrize("stem,name,argv", CASES, ids=[case_id(s, n) for s, n, _ in CASES])
+def test_report_matches_golden(stem, name, argv):
+    code, out, err = run_case(stem, argv)
     recorded = json.loads(EXITS.read_text(encoding="utf-8"))[case_id(stem, name)]
     assert code == recorded["exit"]
     assert err == recorded["stderr"]
-    want = stdout_file(stem, name).read_text(encoding="utf-8")
-    if stdout_file(stem, name).suffix == ".json":
+    path = stdout_file(stem, name, argv)
+    want = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
         assert_json_matches(json.loads(out), json.loads(want))
     else:
         assert_text_matches(out, want)
@@ -127,11 +142,15 @@ def test_text_comparison_allows_only_the_last_digit():
 
 
 def write_golden() -> None:
+    """Record every case that has no output file yet."""
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    exits = {}
-    for stem, name in CASES:
-        code, out, err = run_case(stem, name)
-        stdout_file(stem, name).write_text(out, encoding="utf-8")
+    exits = json.loads(EXITS.read_text(encoding="utf-8")) if EXITS.exists() else {}
+    for stem, name, argv in CASES:
+        path = stdout_file(stem, name, argv)
+        if path.exists():
+            continue
+        code, out, err = run_case(stem, argv)
+        path.write_text(out, encoding="utf-8")
         exits[case_id(stem, name)] = {"exit": code, "stderr": err}
     EXITS.write_text(json.dumps(exits, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 

@@ -47,6 +47,7 @@ from .engine import (
     removal_set,
     supercritical_extremes,
     verify_state,
+    verify_states,
 )
 from .formats import InputDocument, ParseError, emit_report, input_to_json, parse_input
 from .skeleton import Skeleton, ValidationReport, degree_power, validate_skeleton

@@ -36,7 +36,7 @@ from .engine import (
     extreme_states_at,
     normalize_dynamics,
     phase_diagram,
-    verify_state,
+    verify_states,
 )
 from .formats import InputDocument, ParseError, emit_report, input_to_json, parse_input
 from .skeleton import Skeleton, validate_skeleton
@@ -84,18 +84,28 @@ def _build_dynamics(skel: Skeleton, doc: InputDocument) -> Dynamics:
     )
 
 
-def _state_payload(skel: Skeleton, dyn: Dynamics, state: ExtremeState, tol: float) -> dict:
-    check = verify_state(skel, dyn, state.beta, state.m, tol=tol)
-    if not check.passed:
-        raise RuntimeError(f"state failed verification at emission: {check}")
-    return {
-        "beta": state.beta,
-        "m": {label: value for label, value in zip(skel.vertex_labels, state.m)},
-        "kind": state.kind,
-        "anchor": list(state.anchor),
-        "depth": state.depth,
-        "factors_through_ck": state.factors_through_ck,
-    }
+def _state_payloads(
+    skel: Skeleton, dyn: Dynamics, beta: float, states: tuple[ExtremeState, ...], tol: float
+) -> list[dict]:
+    """Report entries for the states at one inverse temperature.
+
+    The states are checked once more here, as one batch in the frame of the
+    whole graph: the only check of the vectors the engine embedded.
+    """
+    for check in verify_states(skel, dyn, beta, [state.m for state in states], tol=tol):
+        if not check.passed:
+            raise RuntimeError(f"state failed verification at emission: {check}")
+    return [
+        {
+            "beta": state.beta,
+            "m": dict(zip(skel.vertex_labels, state.m)),
+            "kind": state.kind,
+            "anchor": list(state.anchor),
+            "depth": state.depth,
+            "factors_through_ck": state.factors_through_ck,
+        }
+        for state in states
+    ]
 
 
 def _components_section(skel: Skeleton) -> dict:
@@ -137,7 +147,7 @@ def _phase_section(skel: Skeleton, dyn: Dynamics, diagram, tol: float) -> dict:
             {
                 "value": b,
                 "symbolic": sym,
-                "extreme_states": [_state_payload(skel, dyn, s, tol) for s in states],
+                "extreme_states": _state_payloads(skel, dyn, b, states, tol),
             }
             for b, sym, states in zip(
                 diagram.critical_betas, diagram.symbolic_betas, diagram.critical_points
@@ -220,10 +230,12 @@ def _cmd_kms(args) -> int:
     if skel is not None:
         diagram = phase_diagram(skel, dyn, allow_violations=args.allow_violations)
         states = extreme_states_at(skel, dyn, args.beta, diagram=diagram)
+        # A --beta that matches a critical value gets that value's states.
+        beta = states[0].beta if states else args.beta
         report["kms"] = {
             "beta": args.beta,
             "extreme_count": len(states),
-            "extreme_states": [_state_payload(skel, dyn, s, args.tol) for s in states],
+            "extreme_states": _state_payloads(skel, dyn, beta, states, args.tol),
         }
     print(emit_report(report, args.format))
     return code

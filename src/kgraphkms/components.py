@@ -168,6 +168,13 @@ def analysis_of(skel: Skeleton) -> ComponentDecomposition:
     return entry[1]
 
 
+def adopt_analysis(skel: Skeleton, decomp: ComponentDecomposition) -> None:
+    """Register a decomposition already known for ``skel`` in the open scope, if any."""
+    memo = _ANALYSES.get()
+    if memo is not None:
+        memo.setdefault(id(skel), (skel, decomp))
+
+
 def reaches(skel: Skeleton, v: int, w: int) -> bool:
     """Whether some path has range ``v`` and source ``w`` (v == w counts)."""
     return bool(analysis_of(skel).reach[v, w])
@@ -318,9 +325,8 @@ def _sub_skeleton(skel: Skeleton, keep: list[int]) -> Skeleton:
     piece, so the induced matrices commute without a fresh proof.
     """
     sub = skel._induced(keep)
-    memo = _ANALYSES.get()
-    if memo is not None:
-        memo[id(sub)] = (sub, analysis_of(skel).sliced(keep))
+    if _ANALYSES.get() is not None:
+        adopt_analysis(sub, analysis_of(skel).sliced(keep))
     return sub
 
 

@@ -12,13 +12,15 @@ directly comparable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .components import (
     AssumptionReport,
+    ComponentDecomposition,
+    adopt_analysis,
     analysis_of,
     analysis_scope,
     check_assumptions,
@@ -126,7 +128,12 @@ class Interval:
 
 @dataclass(frozen=True)
 class PhasePiece:
-    """One node of the removal recursion: a sub-skeleton and its critical data."""
+    """One node of the removal recursion: a sub-skeleton and its critical data.
+
+    ``vertices`` are the piece's vertex indices in the skeleton the diagram
+    was asked about, and ``analysis`` is the piece's decomposition, which
+    later evaluations of the diagram reuse.
+    """
 
     skeleton: Skeleton
     vertices: tuple[int, ...]
@@ -137,6 +144,7 @@ class PhasePiece:
     depth: int
     sources_present: bool
     warnings: tuple[str, ...]
+    analysis: ComponentDecomposition = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -198,13 +206,19 @@ def normalize_dynamics(
             raise ValueError(f"expected {skel.k} dynamics entries, got {len(raw)}")
         if any(t <= 0 for t in raw):
             raise ValueError("dynamics entries must be strictly positive")
-        factor = max(lr / t for lr, t in zip(log_radii, raw))
+        ratios = [lr / t for lr, t in zip(log_radii, raw)]
+        factor = max(ratios)
+        if not math.isfinite(factor):
+            _overflow(ratios.index(factor), raw)
         if factor <= 0:
             raise ValueError(
                 "all Perron roots are <= 1; no critical inverse temperature exists"
             )
         if rescale:
             r_vec = tuple(factor * t for t in raw)
+            for j, t in enumerate(r_vec):
+                if not math.isfinite(t):
+                    _overflow(j, raw)
         else:
             if abs(factor - 1.0) > CRITICAL_RTOL:
                 raise ValueError(
@@ -226,6 +240,13 @@ def normalize_dynamics(
         preferred=len(critical) == skel.k,
         critical_colours=critical,
         log_radii=tuple(log_radii),
+    )
+
+
+def _overflow(j: int, raw: Sequence[float]) -> None:
+    raise ValueError(
+        f"dynamics entry {j} ({raw[j]!r}) cannot be normalised: scaling it to "
+        "critical inverse temperature 1 overflows a float"
     )
 
 
@@ -319,26 +340,36 @@ def _removal_set(skel: Skeleton, dyn: Dynamics) -> frozenset[int]:
     return frozenset(closure - core)
 
 
-def _embed(m: Sequence[float], from_labels: Sequence[str], to_labels: Sequence[str]) -> tuple[float, ...]:
-    pos = {label: i for i, label in enumerate(to_labels)}
-    out = [0.0] * len(to_labels)
-    for value, label in zip(m, from_labels):
-        out[pos[label]] = float(value)
-    return tuple(out)
+def _embedded(rows, frame, size: int, beta: float, meta) -> list[ExtremeState]:
+    """States whose vertex vectors are ``rows`` moved into a ``size``-vertex frame.
+
+    Column j of ``rows`` lands on vertex ``frame[j]``, every other vertex
+    gets 0, and ``meta`` gives each row's kind, anchor, depth and
+    factoring flag.
+    """
+    out = np.zeros((len(rows), size))
+    out[:, list(frame)] = rows
+    return [ExtremeState(beta, tuple(m), *rest) for m, rest in zip(out.tolist(), meta)]
 
 
-def _embed_state(state: ExtremeState, from_labels, to_labels, beta=None) -> ExtremeState:
-    return replace(
-        state,
-        m=_embed(state.m, from_labels, to_labels),
-        beta=state.beta if beta is None else beta,
-    )
+def _point_mass_meta(skel: Skeleton, depth: int):
+    return [(KIND_POINT_MASS, (label,), depth, False) for label in skel.vertex_labels]
 
 
-def _certify(skel: Skeleton, dyn: Dynamics, beta: float, m, context: str) -> None:
-    check = verify_state(skel, dyn, beta, m, tol=STATE_TOL)
-    if not check.passed:
-        raise EigenConsistencyError(f"{context}: constructed state fails verification: {check}")
+def _frame(sub: Skeleton, pos: dict[str, int]) -> list[int]:
+    """Indices of ``sub``'s vertices in the skeleton whose labels ``pos`` numbers."""
+    return [pos[label] for label in sub.vertex_labels]
+
+
+def _certify(skel: Skeleton, dyn: Dynamics, beta: float, rows: np.ndarray, context) -> None:
+    """Raise unless every row passes ``verify_state``; ``context(j)`` names row j."""
+    margins = _margins(skel, dyn, beta, rows)
+    bad = np.flatnonzero(~_passed(margins, STATE_TOL))
+    if bad.size:
+        check = StateCheck(False, *margins[:, bad[0]].tolist())
+        raise EigenConsistencyError(
+            f"{context(bad[0])}: constructed state fails verification: {check}"
+        )
 
 
 def psi_state(skel: Skeleton, dyn: Dynamics, component: Iterable[int], depth: int = 0) -> ExtremeState:
@@ -351,16 +382,16 @@ def psi_state(skel: Skeleton, dyn: Dynamics, component: Iterable[int], depth: in
     """
     ext = extend_eigenvector(skel, component)
     z = np.array(ext.z)
-    m = tuple(float(t) for t in z / z.sum())
+    m = z / z.sum()
     factors = all(
         abs(dyn.r[i] - math.log(ext.component_radii[i])) <= CRITICAL_RTOL * max(1.0, dyn.r[i])
         for i in range(skel.k)
     )
     anchor = tuple(skel.vertex_labels[v] for v in ext.d)
-    _certify(skel, dyn, 1.0, m, f"component state for {anchor}")
+    _certify(skel, dyn, 1.0, m[None, :], lambda _: f"component state for {anchor}")
     return ExtremeState(
         beta=1.0,
-        m=m,
+        m=tuple(m.tolist()),
         kind=KIND_COMPONENT,
         anchor=anchor,
         depth=depth,
@@ -369,16 +400,33 @@ def psi_state(skel: Skeleton, dyn: Dynamics, component: Iterable[int], depth: in
 
 
 def supercritical_extremes(
-    skel: Skeleton, dyn: Dynamics, beta: float, depth: int = 0
+    skel: Skeleton,
+    dyn: Dynamics,
+    beta: float,
+    depth: int = 0,
+    *,
+    frame: Sequence[int] | None = None,
+    size: int | None = None,
 ) -> tuple[ExtremeState, ...]:
     """One extreme state per vertex, valid strictly above criticality.
 
     For each vertex the point mass is pushed through the inverse of the
     product ``prod_i (1 - e^(-beta r_i) A_i)`` and normalised; every factor
     is invertible because ``beta r_i`` strictly exceeds ``ln rho(A_i)``.
+    With ``frame``, the indices of ``skel``'s vertices in a larger skeleton
+    of ``size`` vertices, the states are returned in that skeleton's frame.
     """
     if skel.n == 0:
         return ()
+    beta = float(beta)
+    rows = _point_masses(skel, dyn, beta)
+    if frame is None:
+        frame, size = range(skel.n), skel.n
+    return tuple(_embedded(rows, frame, size, beta, _point_mass_meta(skel, depth)))
+
+
+def _point_masses(skel: Skeleton, dyn: Dynamics, beta: float) -> np.ndarray:
+    """The certified point-mass states at ``beta`` on a non-empty skeleton: row v is vertex v's."""
     decomp = analysis_of(skel)
     arrays = skel.as_arrays()
     for i in range(skel.k):
@@ -389,13 +437,11 @@ def supercritical_extremes(
             )
     n = skel.n
     # Row v of ``vecs`` is vertex v's vector, pushed through one factor per
-    # colour. Each colour is one stacked solve of n single-right-hand-side
-    # systems, the same LAPACK call per system as solving them one by one;
-    # one factorisation with n right-hand sides would round differently.
+    # colour: one factorisation per colour, solved for all n right-hand sides.
     vecs = np.eye(n)
     for i in range(skel.k):
         factor = np.eye(n) - math.exp(-beta * dyn.r[i]) * arrays[i]
-        sols = np.linalg.solve(np.broadcast_to(factor, (n, n, n)), vecs[:, :, None])[:, :, 0]
+        sols = np.linalg.solve(factor, vecs.T).T
         # Normwise backward error: near a critical value the solution
         # grows like 1/margin, and so does the rounding in F x.
         resid = np.abs(sols @ factor.T - vecs).max(axis=1)
@@ -407,31 +453,19 @@ def supercritical_extremes(
                 f"supercritical solve residual {resid[bad[0]]:.3e} in colour {i}"
             )
         vecs = sols
-    states = []
-    for v, vec in enumerate(vecs):
-        m = tuple(float(t) for t in vec / vec.sum())
-        label = skel.vertex_labels[v]
-        _certify(skel, dyn, beta, m, f"point-mass state at {label}")
-        states.append(
-            ExtremeState(
-                beta=float(beta),
-                m=m,
-                kind=KIND_POINT_MASS,
-                anchor=(label,),
-                depth=depth,
-                factors_through_ck=False,
-            )
-        )
-    return tuple(states)
+    rows = vecs / vecs.sum(axis=1, keepdims=True)
+    _certify(skel, dyn, beta, rows, lambda v: f"point-mass state at {skel.vertex_labels[v]}")
+    return rows
 
 
-def _kms1_parts(skel: Skeleton, dyn: Dynamics, depth: int):
+def _kms1_parts(skel: Skeleton, dyn: Dynamics, depth: int, pos: dict[str, int], beta: float):
     """Critical-temperature machinery shared by the API call and the sweep.
 
-    Returns the extreme states at beta = 1 (in the frame of ``skel``), the
-    quotient skeleton left after dropping the removal set and the surviving
-    critical components, and the criticality report they came from. The
-    caller has checked the assumptions.
+    Returns the extreme states at the critical value, labelled ``beta`` and
+    embedded in the skeleton whose labels ``pos`` numbers, the quotient
+    skeleton left after dropping the removal set and the surviving critical
+    components, and the criticality report they came from. The caller has
+    checked the assumptions.
     """
     inner = restrict(skel, _removal_set(skel, dyn))
     inner_decomp = analysis_of(inner)
@@ -440,17 +474,13 @@ def _kms1_parts(skel: Skeleton, dyn: Dynamics, depth: int):
     if not crit_idx:
         raise ValueError("no critical components after removal; inconsistent dynamics")
 
-    states: list[ExtremeState] = []
-    core = set()
-    for c in crit_idx:
-        comp = inner_decomp.components[c]
-        state = psi_state(inner, dyn, comp, depth=depth)
-        states.append(_embed_state(state, inner.vertex_labels, skel.vertex_labels))
-        core.update(comp)
-    quotient = restrict(inner, core)
+    psi = [psi_state(inner, dyn, inner_decomp.components[c], depth=depth) for c in crit_idx]
+    meta = [(s.kind, s.anchor, depth, s.factors_through_ck) for s in psi]
+    states = _embedded([s.m for s in psi], _frame(inner, pos), len(pos), beta, meta)
+    quotient = restrict(inner, {v for c in crit_idx for v in inner_decomp.components[c]})
     if quotient.n:
-        for state in supercritical_extremes(quotient, dyn, 1.0, depth=depth):
-            states.append(_embed_state(state, quotient.vertex_labels, skel.vertex_labels))
+        rows = _point_masses(quotient, dyn, 1.0)
+        states += _embedded(rows, _frame(quotient, pos), len(pos), beta, _point_mass_meta(quotient, depth))
     return tuple(states), quotient, inner_crit
 
 
@@ -464,7 +494,8 @@ def kms1_extremes(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False)
     """
     with analysis_scope():
         _require_assumptions(skel, allow_violations)
-        states, _, _ = _kms1_parts(skel, dyn, depth=0)
+        pos = {label: v for v, label in enumerate(skel.vertex_labels)}
+        states, _, _ = _kms1_parts(skel, dyn, 0, pos, 1.0)
     return states
 
 
@@ -516,25 +547,24 @@ def phase_diagram(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False)
 def _removal_pieces(skel: Skeleton, dyn: Dynamics) -> list[PhasePiece]:
     """Every node of the removal recursion, parents before children."""
     pieces: list[PhasePiece] = []
+    pos = {label: v for v, label in enumerate(skel.vertex_labels)}
 
     def process(sub: Skeleton, beta_start: float, depth: int) -> None:
         sub_dyn = normalize_dynamics(sub, r=dyn.r, rationally_independent=dyn.rationally_independent)
         beta_c = sub_dyn.normalization_factor
-        states, quotient, crit = _kms1_parts(sub, sub_dyn, depth)
-        embedded = tuple(
-            _embed_state(s, sub.vertex_labels, skel.vertex_labels, beta=beta_c) for s in states
-        )
+        states, quotient, crit = _kms1_parts(sub, sub_dyn, depth, pos, beta_c)
         pieces.append(
             PhasePiece(
                 skeleton=sub,
-                vertices=tuple(skel.index_of(lab) for lab in sub.vertex_labels),
+                vertices=tuple(_frame(sub, pos)),
                 beta_start=beta_start,
                 beta_crit=beta_c,
                 symbolic_beta=_symbolic_beta(sub, dyn.r),
-                critical_states=embedded,
+                critical_states=states,
                 depth=depth,
                 sources_present=sub.has_sources,
                 warnings=crit.warnings,
+                analysis=analysis_of(sub),
             )
         )
         for nxt in split_isolated(quotient):
@@ -571,12 +601,16 @@ def _assemble(skel: Skeleton, dyn: Dynamics, pieces: list[PhasePiece]) -> PhaseD
         sym = None
         for p in pieces:
             if snap[p.beta_crit] == b:
-                bucket.extend(replace(s, beta=b) for s in p.critical_states)
+                if p.beta_crit == b:
+                    bucket.extend(p.critical_states)
+                else:  # merged into a larger value of its near-tie cluster
+                    bucket.extend(replace(s, beta=b) for s in p.critical_states)
                 if sym is None:
                     sym = p.symbolic_beta
             elif snap[p.beta_crit] < b < snap[p.beta_start]:
-                for s in supercritical_extremes(p.skeleton, dyn, b, depth=p.depth):
-                    bucket.append(_embed_state(s, p.skeleton.vertex_labels, skel.vertex_labels))
+                bucket.extend(
+                    supercritical_extremes(p.skeleton, dyn, b, p.depth, frame=p.vertices, size=skel.n)
+                )
         critical_points.append(tuple(bucket))
         symbolic.append(sym)
 
@@ -619,8 +653,9 @@ def extreme_states_at(
 
     Values within ``match_rtol`` of a critical value resolve to that
     critical point; otherwise the surviving quotient pieces straddling
-    ``beta`` are evaluated supercritically. Below the terminal value the
-    state set is empty.
+    ``beta`` are evaluated supercritically, reusing the analyses that the
+    pieces of ``diagram`` carry. Below the terminal value the state set is
+    empty.
     """
     if beta <= 0:
         raise ValueError("inverse temperature must be positive")
@@ -634,8 +669,8 @@ def extreme_states_at(
         out: list[ExtremeState] = []
         for p in diag.pieces:
             if p.beta_crit < beta < p.beta_start:
-                for s in supercritical_extremes(p.skeleton, dyn, beta, depth=p.depth):
-                    out.append(_embed_state(s, p.skeleton.vertex_labels, skel.vertex_labels))
+                adopt_analysis(p.skeleton, p.analysis)
+                out += supercritical_extremes(p.skeleton, dyn, beta, p.depth, frame=p.vertices, size=skel.n)
         return tuple(out)
 
 
@@ -660,29 +695,48 @@ def verify_state(skel: Skeleton, dyn: Dynamics, beta: float, m, tol: float = STA
     vec = np.array([float(t) for t in m])
     if vec.shape != (skel.n,):
         raise ValueError(f"state vector has length {vec.size}, expected {skel.n}")
-    arrays = skel.as_arrays()
-    l1_error = abs(float(vec.sum()) - 1.0)
-    min_entry = float(vec.min()) if vec.size else 0.0
-    colour_violation = 0.0
-    for i in range(skel.k):
-        excess = arrays[i] @ vec - _growth(beta, dyn.r[i]) * vec
-        colour_violation = max(colour_violation, float(excess.max()))
-    gap = vec.copy()
-    for i in range(skel.k):
-        gap = gap - math.exp(-beta * dyn.r[i]) * (arrays[i] @ gap)
-    product_violation = float((-gap).max()) if gap.size else 0.0
-    passed = (
-        l1_error <= tol
-        and min_entry >= -tol
-        and colour_violation <= tol
-        and product_violation <= tol
-    )
-    return StateCheck(
-        passed=passed,
-        l1_error=l1_error,
-        min_entry=min_entry,
-        colour_violation=colour_violation,
-        product_violation=product_violation,
+    return verify_states(skel, dyn, beta, vec[None, :], tol)[0]
+
+
+def verify_states(skel: Skeleton, dyn: Dynamics, beta: float, rows, tol: float = STATE_TOL) -> tuple[StateCheck, ...]:
+    """``verify_state`` for every row of an (s x n) matrix of vertex vectors."""
+    if len(rows) == 0:
+        return ()
+    margins = _margins(skel, dyn, beta, rows)
+    passed = _passed(margins, tol).tolist()
+    return tuple(StateCheck(p, *col) for p, col in zip(passed, margins.T.tolist()))
+
+
+def _margins(skel: Skeleton, dyn: Dynamics, beta: float, rows) -> np.ndarray:
+    """The (4 x s) margins of ``verify_state`` for the rows of ``rows``.
+
+    In order: l1 error, min entry, colour excess and product gap. Each is
+    a bound on the entries of the state or of a linear image of it, so one
+    matrix product per colour serves the whole batch.
+    """
+    m = np.asarray(rows, dtype=float)
+    if m.ndim != 2 or m.shape[1] != skel.n:
+        raise ValueError(f"states have shape {m.shape}, expected (s, {skel.n})")
+    margins = np.zeros((4, m.shape[0]))
+    margins[0] = np.abs(m.sum(axis=1) - 1.0)
+    if skel.n:
+        margins[1] = m.min(axis=1)
+        gap = m
+        for i, a in enumerate(skel.as_arrays()):
+            excess = (m @ a.T - _growth(beta, dyn.r[i]) * m).max(axis=1)
+            margins[2] = np.maximum(margins[2], excess)
+            gap = gap - math.exp(-beta * dyn.r[i]) * (gap @ a.T)
+        margins[3] = (-gap).max(axis=1)
+    return margins
+
+
+def _passed(margins: np.ndarray, tol: float) -> np.ndarray:
+    l1_error, min_entry, colour_violation, product_violation = margins
+    return (
+        (l1_error <= tol)
+        & (min_entry >= -tol)
+        & (colour_violation <= tol)
+        & (product_violation <= tol)
     )
 
 

@@ -260,3 +260,36 @@ class TestNonFiniteInput:
         code, out, _ = run(capsys, "kms", EX1, "--beta", "400")
         assert code == 0
         assert json.loads(out)["kms"]["extreme_count"] == 3
+
+    @pytest.mark.parametrize("command", [["phase"], ["kms", "--beta", "2"]])
+    def test_overflowing_dynamics_scale_names_the_entry(self, capsys, tmp_path, command):
+        doc = tmp_path / "tiny.json"
+        doc.write_text(
+            '{"vertices": ["a"], "k": 1, "matrices": [[[3]]], "dynamics": '
+            '{"type": "explicit", "r": [1e-320]}, "rationally_independent": true}'
+        )
+        code, out, err = run(capsys, command[0], str(doc), *command[1:])
+        assert code == 1
+        assert out == ""
+        assert "dynamics entry 0" in err and "overflows" in err
+        assert "Perron roots" not in err
+
+
+class TestEmissionCheck:
+    def test_every_emitted_state_is_checked_in_the_top_frame(self, capsys, monkeypatch):
+        import kgraphkms.cli as cli
+        from dataclasses import replace
+
+        original = cli.extreme_states_at
+
+        def nudged(*args, **kwargs):
+            first, *rest = original(*args, **kwargs)
+            m = (first.m[0] + 1e-6,) + first.m[1:]
+            return (replace(first, m=m), *rest)
+
+        monkeypatch.setattr(cli, "extreme_states_at", nudged)
+        code, out, err = run(capsys, "kms", EX1, "--beta", "1.5")
+        assert code == 1
+        assert out == ""
+        assert "failed verification at emission" in err and "l1_error=9.99" in err
+

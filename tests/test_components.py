@@ -11,6 +11,7 @@ from kgraphkms import (
     check_assumptions,
     components,
     decompose,
+    extreme_states_at,
     hereditary_closure,
     normalize_dynamics,
     phase_diagram,
@@ -390,3 +391,21 @@ class TestAnalysisInheritance:
         for _ in range(2):
             phase_diagram(skel, dyn)
         assert calls == [skel, skel]
+
+    def test_repeated_passes_decompose_alike(self, monkeypatch):
+        # An analysis kept on the skeleton between calls would make the
+        # second pass cheaper than the first.
+        skel = chain(8, 1)
+        dyn = normalize_dynamics(skel)
+        calls = []
+        original = components.decompose
+        monkeypatch.setattr(components, "decompose", lambda s: calls.append(s) or original(s))
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            diagram = phase_diagram(skel, dyn)
+            for beta in (0.95, 2.0):
+                extreme_states_at(skel, dyn, beta, diagram=diagram)
+            extreme_states_at(skel, dyn, 0.95)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0

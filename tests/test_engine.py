@@ -16,12 +16,16 @@ from kgraphkms import (
     removal_set,
     supercritical_extremes,
     verify_state,
+    verify_states,
 )
+from kgraphkms import components
 from kgraphkms.components import check_assumptions, decompose
 from kgraphkms.dumbbell import make_dumbbell3, sample_commuting3
 from kgraphkms.engine import KIND_COMPONENT, KIND_POINT_MASS
+from kgraphkms.spectral import SOLVE_RESIDUAL_TOL
 
 from conftest import chain, product_skeleton, skeleton, state_set
+from test_golden import FLOAT_RTOL
 
 SINGLE = skeleton("v", [[2]], [[3]])
 
@@ -72,6 +76,15 @@ class TestNormalize:
             normalize_dynamics(SINGLE, (1.0, 1.0), rescale=False)
         dyn = normalize_dynamics(SINGLE, (math.log(2), math.log(3)), rescale=False)
         assert dyn.preferred
+
+    def test_scaling_that_overflows_names_the_entry(self):
+        three_loops = skeleton("a", [[3]])
+        with pytest.raises(ValueError, match=r"entry 0 \(1e-320\).*overflows"):
+            normalize_dynamics(three_loops, (1e-320,))
+        # The factor is finite (ln 3 / 1e-10) but the first entry scaled by it is not.
+        with pytest.raises(ValueError, match=r"entry 0 \(1e\+308\).*overflows"):
+            normalize_dynamics(SINGLE, (1e308, 1e-10))
+        assert normalize_dynamics(three_loops, (1e-300,)).r == pytest.approx((math.log(3),))
 
 
 class TestCriticality:
@@ -141,6 +154,15 @@ class TestSupercritical:
             [(1.0, 0.0), (round(5 / 11, 9), round(6 / 11, 9))]
         )
 
+    def test_states_in_a_larger_frame(self, ex1, ex1_dyn):
+        from kgraphkms import restrict
+
+        quotient = restrict(ex1, {2})
+        own = supercritical_extremes(quotient, ex1_dyn, 1.5, depth=2)
+        placed = supercritical_extremes(quotient, ex1_dyn, 1.5, depth=2, frame=(2, 0), size=3)
+        assert [s.m for s in placed] == [(m[1], 0.0, m[0]) for m in (s.m for s in own)]
+        assert [(s.beta, s.anchor, s.depth) for s in placed] == [(s.beta, s.anchor, s.depth) for s in own]
+
     def test_single_vertex(self):
         dyn = normalize_dynamics(SINGLE)
         for beta in (1.5, 3.0, 10.0):
@@ -174,25 +196,131 @@ class TestSupercritical:
 
     @pytest.mark.parametrize("beta", (1.3, 1.001))
     def test_stacked_solves_match_a_per_vertex_loop(self, beta):
-        graphs = [make_dumbbell3(p) for p in sample_commuting3(5, 40)]
-        graphs = [g for g in graphs if check_assumptions(g).all_pass]
-        for skel in graphs + [chain(12, 0), product_skeleton()]:
+        # One factorisation per colour rounds differently from solving the
+        # vertices one by one, so the states agree to the report tolerance
+        # of the golden check, and each is backward stable.
+        for skel in passing_dumbbells() + [chain(12, 0), product_skeleton()]:
             dyn = normalize_dynamics(skel)
             states = supercritical_extremes(skel, dyn, beta)
-            assert [s.m for s in states] == per_vertex_reference(skel, dyn, beta)
+            reference = per_vertex_reference(skel, dyn, beta)
+            for state, want in zip(states, reference, strict=True):
+                for got, ref in zip(state.m, want, strict=True):
+                    assert abs(got - ref) <= FLOAT_RTOL * max(abs(got), abs(ref))
+            assert_backward_stable(skel, dyn, beta, states)
+
+
+def passing_dumbbells():
+    graphs = [make_dumbbell3(p) for p in sample_commuting3(5, 40)]
+    return [g for g in graphs if check_assumptions(g).all_pass]
+
+
+def factors_at(skel, dyn, beta):
+    return [np.eye(skel.n) - math.exp(-beta * r) * a for r, a in zip(dyn.r, skel.as_arrays())]
 
 
 def per_vertex_reference(skel, dyn, beta):
     """Point-mass states solved one vertex and one colour at a time."""
-    factors = [np.eye(skel.n) - math.exp(-beta * r) * a for r, a in zip(dyn.r, skel.as_arrays())]
     out = []
     for v in range(skel.n):
         vec = np.zeros(skel.n)
         vec[v] = 1.0
-        for factor in factors:
+        for factor in factors_at(skel, dyn, beta):
             vec = np.linalg.solve(factor, vec)
         out.append(tuple(float(t) for t in vec / vec.sum()))
     return out
+
+
+def assert_backward_stable(skel, dyn, beta, states):
+    """Vertex v's state m has ``prod_i F_i m`` a multiple of the point mass at v.
+
+    The off-diagonal remainder is bounded by the normwise backward-error
+    bound of the solves, taken over the whole product.
+    """
+    factors = factors_at(skel, dyn, beta)
+    norm = math.prod(float(np.abs(f).sum(axis=1).max()) for f in factors)
+    for v, state in enumerate(states):
+        m = np.array(state.m)
+        image = m
+        for factor in factors:
+            image = factor @ image
+        remainder = image.copy()
+        remainder[v] = 0.0
+        assert np.abs(remainder).max() <= SOLVE_RESIDUAL_TOL * norm * np.abs(m).max()
+
+
+class TestBatchVerification:
+    GRAPHS = [("dumbbell", g) for g in passing_dumbbells()] + [
+        ("chain-12", chain(12, 0)),
+        ("product", product_skeleton()),
+    ]
+
+    @staticmethod
+    def batches(skel, dyn):
+        """Supercritical and critical states, and copies perturbed by 1e-6."""
+        diagram = phase_diagram(skel, dyn)
+        yield 1.3, np.array([s.m for s in supercritical_extremes(skel, dyn, 1.3)])
+        for beta, states in zip(diagram.critical_betas, diagram.critical_points):
+            yield beta, np.array([s.m for s in states])
+        rows = np.array([s.m for s in supercritical_extremes(skel, dyn, 1.3)])
+        shifted = rows.copy()
+        shifted[:, 0] += 1e-6
+        yield 1.3, shifted
+        moved = rows.copy()
+        moved[:, 0] -= 1e-6
+        moved[:, -1] += 1e-6
+        yield 1.3, moved
+
+    @pytest.mark.parametrize("name,skel", GRAPHS, ids=[n for n, _ in GRAPHS])
+    def test_batch_agrees_with_one_state_at_a_time(self, name, skel):
+        dyn = normalize_dynamics(skel)
+        verdicts = set()
+        for beta, rows in self.batches(skel, dyn):
+            checks = verify_states(skel, dyn, beta, rows)
+            assert len(checks) == len(rows)
+            for row, check in zip(rows, checks):
+                single = verify_state(skel, dyn, beta, row)
+                assert check.passed == single.passed
+                for field in ("l1_error", "min_entry", "colour_violation", "product_violation"):
+                    assert abs(getattr(check, field) - getattr(single, field)) <= 1e-12
+                verdicts.add(check.passed)
+        assert verdicts == {True, False}
+
+    def test_perturbed_states_are_rejected(self):
+        skel = product_skeleton()
+        dyn = normalize_dynamics(skel)
+        *_, (_, shifted), (_, moved) = self.batches(skel, dyn)
+        for rows in (shifted, moved):
+            assert not any(c.passed for c in verify_states(skel, dyn, 1.3, rows))
+            assert not any(verify_state(skel, dyn, 1.3, row).passed for row in rows)
+
+    def test_shapes(self, ex1, ex1_dyn):
+        assert verify_states(ex1, ex1_dyn, 1.5, []) == ()
+        with pytest.raises(ValueError, match="shape"):
+            verify_states(ex1, ex1_dyn, 1.5, np.ones((2, 2)))
+        with pytest.raises(ValueError, match="length 2"):
+            verify_state(ex1, ex1_dyn, 1.5, (0.5, 0.5))
+
+
+class TestDiagramAnalyses:
+    def test_evaluating_a_diagram_decomposes_nothing(self, monkeypatch):
+        calls = []
+        original = components.decompose
+        monkeypatch.setattr(components, "decompose", lambda s: calls.append(s) or original(s))
+        for skel, betas in ((chain(12, 0), (0.9, 0.75, 2.0)), (product_skeleton(), (1.3, 4.0))):
+            dyn = normalize_dynamics(skel)
+            diagram = phase_diagram(skel, dyn)
+            calls.clear()
+            for beta in betas:
+                assert all(abs(beta - b) > 1e-3 for b in diagram.critical_betas)
+                assert extreme_states_at(skel, dyn, beta, diagram=diagram)
+            assert calls == []
+
+    def test_pieces_carry_their_analysis(self):
+        skel = chain(8, 1)
+        diagram = phase_diagram(skel, normalize_dynamics(skel))
+        for piece in diagram.pieces:
+            assert piece.analysis == decompose(piece.skeleton)
+            assert "analysis" not in repr(piece)
 
 
 class TestKms1:

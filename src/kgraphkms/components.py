@@ -8,7 +8,8 @@ sources, and the assumption report gates the temperature-sweep engine.
 The decomposition is the one graph analysis the engine needs. Inside an
 ``analysis_scope`` it is computed at most once per skeleton, and the
 sub-skeletons built by ``restrict`` and ``split_isolated`` inherit a slice
-of their parent's instead of being analysed again.
+of their parent's instead of being analysed again. ``adopt_analysis``
+registers one known from elsewhere, such as a phase piece's.
 """
 
 from __future__ import annotations

@@ -63,10 +63,6 @@ class Dynamics:
     critical_colours: frozenset[int]
     log_radii: tuple[float, ...]
 
-    @property
-    def k(self) -> int:
-        return len(self.r)
-
 
 @dataclass(frozen=True)
 class ExtremeState:
@@ -183,13 +179,7 @@ def normalize_dynamics(
     """
     if skel.n == 0:
         raise ValueError("cannot normalise a dynamics on the empty skeleton")
-    decomp = analysis_of(skel)
-    log_radii = []
-    for i in range(skel.k):
-        rho = decomp.global_radius(i)
-        if rho <= 0.0:
-            raise ValueError(f"colour {i} has Perron root 0; no positive dynamics exists")
-        log_radii.append(math.log(rho))
+    log_radii = _log_radii(skel)
 
     if isinstance(r, str):
         if r != "preferred":
@@ -208,17 +198,22 @@ def normalize_dynamics(
             raise ValueError("dynamics entries must be strictly positive")
         ratios = [lr / t for lr, t in zip(log_radii, raw)]
         factor = max(ratios)
-        if not math.isfinite(factor):
-            _overflow(ratios.index(factor), raw)
+        scaled = tuple(factor * t for t in raw)
+        # A tiny entry overflows the factor, a huge one its own scaled value.
+        bad = [j for j, q in enumerate(ratios) if q == math.inf] or [
+            j for j, t in enumerate(scaled) if math.isinf(t)
+        ]
+        if bad:
+            raise ValueError(
+                f"dynamics entry {bad[0]} ({raw[bad[0]]!r}) cannot be normalised: "
+                "scaling it to critical inverse temperature 1 overflows a float"
+            )
         if factor <= 0:
             raise ValueError(
                 "all Perron roots are <= 1; no critical inverse temperature exists"
             )
         if rescale:
-            r_vec = tuple(factor * t for t in raw)
-            for j, t in enumerate(r_vec):
-                if not math.isfinite(t):
-                    _overflow(j, raw)
+            r_vec = scaled
         else:
             if abs(factor - 1.0) > CRITICAL_RTOL:
                 raise ValueError(
@@ -243,11 +238,16 @@ def normalize_dynamics(
     )
 
 
-def _overflow(j: int, raw: Sequence[float]) -> None:
-    raise ValueError(
-        f"dynamics entry {j} ({raw[j]!r}) cannot be normalised: scaling it to "
-        "critical inverse temperature 1 overflows a float"
-    )
+def _log_radii(skel: Skeleton) -> list[float]:
+    """``ln rho(A_i)`` for every colour; each global Perron root must be positive."""
+    decomp = analysis_of(skel)
+    out = []
+    for i in range(skel.k):
+        rho = decomp.global_radius(i)
+        if rho <= 0.0:
+            raise ValueError(f"colour {i} has Perron root 0; no positive dynamics exists")
+        out.append(math.log(rho))
+    return out
 
 
 def critical_components(skel: Skeleton, dyn: Dynamics) -> CriticalityReport:
@@ -262,13 +262,7 @@ def critical_components(skel: Skeleton, dyn: Dynamics) -> CriticalityReport:
     if skel.n == 0:
         return CriticalityReport((), frozenset(), ())
     decomp = analysis_of(skel)
-    global_log = []
-    for i in range(skel.k):
-        rho = decomp.global_radius(i)
-        if rho <= 0:
-            raise ValueError(f"colour {i} has Perron root 0")
-        global_log.append(math.log(rho))
-    ratios = [global_log[i] / dyn.r[i] for i in range(skel.k)]
+    ratios = [lr / r for lr, r in zip(_log_radii(skel), dyn.r)]
     if abs(max(ratios) - 1.0) > CRITICAL_RTOL:
         raise ValueError(
             f"dynamics is not normalised for this skeleton (max ratio {max(ratios):.12g})"
@@ -297,16 +291,6 @@ def critical_components(skel: Skeleton, dyn: Dynamics) -> CriticalityReport:
     return CriticalityReport(tuple(by_component), active, tuple(warnings))
 
 
-def _minimal_critical(decomp, crit: CriticalityReport) -> tuple[int, ...]:
-    """Critical components with no other critical component receiving from them."""
-    crit_idx = crit.critical_indices()
-    out = []
-    for c in crit_idx:
-        if not any(d != c and decomp.leq[d][c] for d in crit_idx):
-            out.append(c)
-    return tuple(out)
-
-
 def removal_set(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False) -> frozenset[int]:
     """Vertices to drop so every remaining critical component is hereditary.
 
@@ -329,13 +313,12 @@ def _require_assumptions(skel: Skeleton, allow_violations: bool) -> None:
 
 def _removal_set(skel: Skeleton, dyn: Dynamics) -> frozenset[int]:
     decomp = analysis_of(skel)
-    crit = critical_components(skel, dyn)
-    minimal = _minimal_critical(decomp, crit)
+    crit_idx = critical_components(skel, dyn).critical_indices()
+    # Minimal: no other critical component receives a path from them.
+    minimal = [c for c in crit_idx if not any(d != c and decomp.leq[d][c] for d in crit_idx)]
     if not minimal:
         raise ValueError("no critical components found; is the dynamics normalised?")
-    core = set()
-    for c in minimal:
-        core.update(decomp.components[c])
+    core = {v for c in minimal for v in decomp.components[c]}
     closure = hereditary_closure(skel, core)
     return frozenset(closure - core)
 
@@ -363,13 +346,9 @@ def _frame(sub: Skeleton, pos: dict[str, int]) -> list[int]:
 
 def _certify(skel: Skeleton, dyn: Dynamics, beta: float, rows: np.ndarray, context) -> None:
     """Raise unless every row passes ``verify_state``; ``context(j)`` names row j."""
-    margins = _margins(skel, dyn, beta, rows)
-    bad = np.flatnonzero(~_passed(margins, STATE_TOL))
-    if bad.size:
-        check = StateCheck(False, *margins[:, bad[0]].tolist())
-        raise EigenConsistencyError(
-            f"{context(bad[0])}: constructed state fails verification: {check}"
-        )
+    for j, check in enumerate(verify_states(skel, dyn, beta, rows)):
+        if not check.passed:
+            raise EigenConsistencyError(f"{context(j)}: constructed state fails verification: {check}")
 
 
 def psi_state(skel: Skeleton, dyn: Dynamics, component: Iterable[int], depth: int = 0) -> ExtremeState:
@@ -400,13 +379,7 @@ def psi_state(skel: Skeleton, dyn: Dynamics, component: Iterable[int], depth: in
 
 
 def supercritical_extremes(
-    skel: Skeleton,
-    dyn: Dynamics,
-    beta: float,
-    depth: int = 0,
-    *,
-    frame: Sequence[int] | None = None,
-    size: int | None = None,
+    skel: Skeleton, dyn: Dynamics, beta: float, depth: int = 0, *, frame: Sequence[int] | None = None, size: int = 0
 ) -> tuple[ExtremeState, ...]:
     """One extreme state per vertex, valid strictly above criticality.
 
@@ -501,20 +474,12 @@ def kms1_extremes(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False)
 
 def _symbolic_beta(skel: Skeleton, r: Sequence[float]) -> str | None:
     """Render a critical value as ln(a)/ln(b) when both sides snap to integers."""
-    decomp = analysis_of(skel)
-    radii = [decomp.global_radius(i) for i in range(skel.k)]
-    best_i, best = 0, -math.inf
-    for i, rho in enumerate(radii):
-        if rho <= 0:
-            continue
-        ratio = math.log(rho) / r[i]
-        if ratio > best:
-            best, best_i = ratio, i
-    if best == -math.inf:
-        return None
+    ratios = [lr / ri for lr, ri in zip(_log_radii(skel), r)]
+    best = max(ratios)
     if abs(best - 1.0) <= 1e-12:
         return "1"
-    a = radii[best_i]
+    best_i = ratios.index(best)
+    a = analysis_of(skel).global_radius(best_i)
     b = math.exp(r[best_i])
     a_int, b_int = round(a), round(b)
     if (
@@ -601,10 +566,8 @@ def _assemble(skel: Skeleton, dyn: Dynamics, pieces: list[PhasePiece]) -> PhaseD
         sym = None
         for p in pieces:
             if snap[p.beta_crit] == b:
-                if p.beta_crit == b:
-                    bucket.extend(p.critical_states)
-                else:  # merged into a larger value of its near-tie cluster
-                    bucket.extend(replace(s, beta=b) for s in p.critical_states)
+                # A value merged into a larger one of its cluster takes that label.
+                bucket.extend(s if s.beta == b else replace(s, beta=b) for s in p.critical_states)
                 if sym is None:
                     sym = p.symbolic_beta
             elif snap[p.beta_crit] < b < snap[p.beta_start]:
@@ -699,45 +662,28 @@ def verify_state(skel: Skeleton, dyn: Dynamics, beta: float, m, tol: float = STA
 
 
 def verify_states(skel: Skeleton, dyn: Dynamics, beta: float, rows, tol: float = STATE_TOL) -> tuple[StateCheck, ...]:
-    """``verify_state`` for every row of an (s x n) matrix of vertex vectors."""
-    if len(rows) == 0:
-        return ()
-    margins = _margins(skel, dyn, beta, rows)
-    passed = _passed(margins, tol).tolist()
-    return tuple(StateCheck(p, *col) for p, col in zip(passed, margins.T.tolist()))
+    """``verify_state`` for every row of an (s x n) matrix of vertex vectors.
 
-
-def _margins(skel: Skeleton, dyn: Dynamics, beta: float, rows) -> np.ndarray:
-    """The (4 x s) margins of ``verify_state`` for the rows of ``rows``.
-
-    In order: l1 error, min entry, colour excess and product gap. Each is
-    a bound on the entries of the state or of a linear image of it, so one
-    matrix product per colour serves the whole batch.
+    Each check bounds the entries of a state or of a linear image of it, so
+    one matrix product per colour serves the whole batch.
     """
     m = np.asarray(rows, dtype=float)
+    if len(m) == 0:
+        return ()
     if m.ndim != 2 or m.shape[1] != skel.n:
         raise ValueError(f"states have shape {m.shape}, expected (s, {skel.n})")
-    margins = np.zeros((4, m.shape[0]))
-    margins[0] = np.abs(m.sum(axis=1) - 1.0)
+    l1_error = np.abs(m.sum(axis=1) - 1.0)
+    min_entry = colour_violation = product_violation = np.zeros(len(m))
     if skel.n:
-        margins[1] = m.min(axis=1)
+        min_entry = m.min(axis=1)
         gap = m
-        for i, a in enumerate(skel.as_arrays()):
-            excess = (m @ a.T - _growth(beta, dyn.r[i]) * m).max(axis=1)
-            margins[2] = np.maximum(margins[2], excess)
-            gap = gap - math.exp(-beta * dyn.r[i]) * (gap @ a.T)
-        margins[3] = (-gap).max(axis=1)
-    return margins
-
-
-def _passed(margins: np.ndarray, tol: float) -> np.ndarray:
-    l1_error, min_entry, colour_violation, product_violation = margins
-    return (
-        (l1_error <= tol)
-        & (min_entry >= -tol)
-        & (colour_violation <= tol)
-        & (product_violation <= tol)
-    )
+        for a, r in zip(skel.as_arrays(), dyn.r):
+            colour_violation = np.maximum(colour_violation, (m @ a.T - _growth(beta, r) * m).max(axis=1))
+            gap = gap - math.exp(-beta * r) * (gap @ a.T)
+        product_violation = (-gap).max(axis=1)
+    passed = (l1_error <= tol) & (min_entry >= -tol) & (colour_violation <= tol) & (product_violation <= tol)
+    columns = (passed, l1_error, min_entry, colour_violation, product_violation)
+    return tuple(map(StateCheck, *(c.tolist() for c in columns)))
 
 
 def factors_through(skel: Skeleton, dyn: Dynamics, beta: float, m, tol: float = STATE_TOL) -> bool:
@@ -752,11 +698,6 @@ def factors_through(skel: Skeleton, dyn: Dynamics, beta: float, m, tol: float = 
     vec = np.array([float(t) for t in m])
     if vec.shape != (skel.n,):
         raise ValueError(f"state vector has length {vec.size}, expected {skel.n}")
-    arrays = skel.as_arrays()
-    worst = 0.0
-    for i in range(skel.k):
-        worst = max(
-            worst,
-            float(np.max(np.abs(arrays[i] @ vec - _growth(beta, dyn.r[i]) * vec))),
-        )
-    return worst <= tol
+    return all(
+        np.abs(a @ vec - _growth(beta, r) * vec).max() <= tol for a, r in zip(skel.as_arrays(), dyn.r)
+    )

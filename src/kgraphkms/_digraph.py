@@ -59,19 +59,29 @@ def tarjan_sccs(succ: list[list[int]]) -> list[list[int]]:
 
 
 def succ_lists(adj: np.ndarray) -> list[list[int]]:
-    """Successor lists of a boolean adjacency matrix (adj[v, w] = edge v -> w)."""
-    return [list(np.flatnonzero(row)) for row in adj]
+    """Successor lists of a boolean adjacency matrix (adj[v, w] = edge v -> w).
+
+    Each list is ascending and holds Python ints, which Tarjan's walk
+    indexes faster than numpy scalars.
+    """
+    rows, cols = np.nonzero(adj)
+    bounds = np.searchsorted(rows, np.arange(adj.shape[0] + 1)).tolist()
+    cols = cols.tolist()
+    return [cols[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def transitive_closure(adj: np.ndarray) -> np.ndarray:
-    """Closure under paths of length >= 1, by repeated boolean squaring."""
-    n = adj.shape[0]
-    reach = adj.astype(bool).copy()
-    if n == 0:
+    """Closure under paths of length >= 1, by repeated boolean squaring.
+
+    The squares are float64 products, so they run on BLAS. They are exact:
+    each entry counts intermediate vertices, at most n < 2**53.
+    """
+    reach = adj.astype(bool)
+    if reach.shape[0] == 0:
         return reach
     while True:
-        step = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
-        grown = reach | step
+        counts = reach.astype(float)
+        grown = reach | (counts @ counts > 0)
         if np.array_equal(grown, reach):
             return grown
         reach = grown

@@ -13,8 +13,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .components import analysis_of, analysis_scope, check_assumptions
 from .dumbbell import (
@@ -40,7 +38,7 @@ from .engine import (
 )
 from .formats import InputDocument, ParseError, emit_report, input_to_json, parse_input
 from .skeleton import Skeleton, validate_skeleton
-from .spectral import common_pf_eigenvector
+from .spectral import component_perron
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -120,13 +118,13 @@ def _components_section(skel: Skeleton) -> dict:
 
 def _spectra_section(skel: Skeleton) -> dict:
     decomp = analysis_of(skel)
-    arrays = skel.as_arrays()
     components = []
-    for comp, radii, irreducible in zip(decomp.components, decomp.radii, decomp.coordinatewise_irreducible):
+    for c, (comp, radii, irreducible) in enumerate(
+        zip(decomp.components, decomp.radii, decomp.coordinatewise_irreducible)
+    ):
         entry = {"vertices": [skel.vertex_labels[v] for v in comp], "radii": list(radii)}
         if irreducible:
-            block = np.ix_(comp, comp)
-            entry["pf_vector"] = list(common_pf_eigenvector([a[block] for a in arrays])[0].vector)
+            entry["pf_vector"] = list(component_perron(skel, decomp, c)[0].vector)
         components.append(entry)
     return {"global_radii": [decomp.global_radius(i) for i in range(skel.k)], "components": components}
 

@@ -22,15 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._digraph import (
-    irreducible,
-    succ_lists,
-    tarjan_sccs,
-    transitive_closure,
-    weak_components,
-)
+from ._digraph import succ_lists, tarjan_sccs, transitive_closure, weak_components
 from .skeleton import Skeleton
-from .spectral import spectral_radius
+from .spectral import _sccs_and_root
 
 
 @dataclass(frozen=True)
@@ -250,15 +244,16 @@ def _block_spectra(arrays, comp: tuple[int, ...]) -> tuple[tuple[bool, ...], tup
     A single vertex is irreducible in a colour exactly when it has a loop
     there, and its Perron root is the loop count: the same flag and float
     that ``irreducible`` and ``spectral_radius`` return on the 1x1 block.
+    A larger block is irreducible when its support has one strongly
+    connected component, and the same Tarjan run gives the blocks whose
+    roots ``spectral_radius`` maximises.
     """
     if len(comp) == 1:
         v = comp[0]
         return tuple(bool(a[v, v] > 0) for a in arrays), tuple(float(a[v, v]) for a in arrays)
     block = np.ix_(comp, comp)
-    return (
-        tuple(irreducible(a[block] > 0) for a in arrays),
-        tuple(spectral_radius(a[block]) for a in arrays),
-    )
+    spectra = [_sccs_and_root(a[block]) for a in arrays]
+    return tuple(len(sccs) == 1 for sccs, _ in spectra), tuple(root for _, root in spectra)
 
 
 def check_assumptions(skel: Skeleton) -> AssumptionReport:

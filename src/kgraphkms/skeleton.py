@@ -157,17 +157,13 @@ class Skeleton:
     def union_support(self) -> np.ndarray:
         """Boolean matrix with True where any colour has an edge."""
         out = np.zeros((self.n, self.n), dtype=bool)
-        for m in self.matrices:
-            for v, row in enumerate(m):
-                for w, x in enumerate(row):
-                    if x:
-                        out[v, w] = True
+        for arr in self.as_arrays():
+            out |= arr > 0
         return out
 
     def colour_support(self, i: int) -> np.ndarray:
-        return np.array([[x > 0 for x in row] for row in self.matrices[i]], dtype=bool).reshape(
-            (self.n, self.n)
-        )
+        """Boolean matrix with True where colour ``i`` has an edge."""
+        return self.as_arrays()[i] > 0
 
     @property
     def has_sources(self) -> bool:

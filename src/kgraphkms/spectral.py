@@ -4,9 +4,10 @@ Spectral radii are computed per strongly connected block by one dense
 eigensolve, certified by a Collatz–Wielandt bracket, so reducible matrices
 are handled exactly as the maximum over their diagonal blocks. The
 extension step takes the common Perron vector of a hereditary component's
-colour blocks and solves a dense linear system per colour to continue it
-across the components that feed from it; a truncated path-weight series is
-kept alongside as an independent cross-check.
+colour blocks, certified against the roots its analysis already holds, and
+solves a dense linear system per colour to continue it across the
+components that feed from it; a truncated path-weight series is kept
+alongside as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -159,6 +160,20 @@ def _perron_block(block: np.ndarray) -> tuple[float, np.ndarray, tuple[float, fl
     return min(max(rho, lo), hi), x, bracket
 
 
+def _sccs_and_root(arr: np.ndarray) -> tuple[list[list[int]], float]:
+    """Strongly connected components of a float matrix's support, and its Perron root.
+
+    The root is the largest certified root over the components' diagonal
+    blocks; one Tarjan run gives both, so a caller that also needs
+    irreducibility (one component) does not walk the graph twice.
+    """
+    sccs = tarjan_sccs(succ_lists(arr > 0))
+    best = 0.0
+    for comp in sccs:
+        best = max(best, _perron_block(arr[np.ix_(comp, comp)])[0])
+    return sccs, best
+
+
 def spectral_radius(matrix) -> float:
     """Perron root of a square nonnegative matrix, reducible or not.
 
@@ -166,15 +181,7 @@ def spectral_radius(matrix) -> float:
     support digraph and maximised, so no assumption of irreducibility is
     needed.
     """
-    arr = _as_float_matrix(matrix)
-    n = arr.shape[0]
-    if n == 0:
-        return 0.0
-    best = 0.0
-    for comp in tarjan_sccs(succ_lists(arr > 0)):
-        block = arr[np.ix_(comp, comp)]
-        best = max(best, _perron_block(block)[0])
-    return best
+    return _sccs_and_root(_as_float_matrix(matrix))[1]
 
 
 def common_pf_eigenvector(family: Sequence, tol: float = 1e-9) -> list[PFResult]:
@@ -190,12 +197,35 @@ def common_pf_eigenvector(family: Sequence, tol: float = 1e-9) -> list[PFResult]
     mats = [_as_float_matrix(m) for m in family]
     if not mats:
         raise ValueError("empty matrix family")
-    shape = mats[0].shape
-    if any(m.shape != shape for m in mats):
+    if any(m.shape != mats[0].shape for m in mats):
         raise ValueError("family members differ in dimension")
     for i, m in enumerate(mats):
         if not irreducible(m > 0):
             raise ValueError(f"family member {i} is not irreducible")
+    return _shared_perron(mats, [spectral_radius(m) for m in mats], tol)
+
+
+def component_perron(skel, decomp, c: int) -> list[PFResult]:
+    """``common_pf_eigenvector`` of component ``c``'s colour blocks, from its analysis.
+
+    ``decomp`` is ``skel``'s decomposition, whose irreducibility flags and
+    Perron roots are the ones ``irreducible`` and ``spectral_radius`` give
+    on each block, bit for bit; only the shared vector is computed here.
+    """
+    for i, flag in enumerate(decomp.irreducible[c]):
+        if not flag:
+            raise ValueError(f"family member {i} is not irreducible")
+    block = np.ix_(decomp.components[c], decomp.components[c])
+    return _shared_perron([a[block] for a in skel.as_arrays()], decomp.radii[c])
+
+
+def _shared_perron(mats: list[np.ndarray], roots: Sequence[float], tol: float = 1e-9) -> list[PFResult]:
+    """Certify the shared Perron vector of irreducible float blocks of one shape.
+
+    ``roots[i]`` is member ``i``'s own certified Perron root, which the
+    vector's bracket for that member must meet.
+    """
+    shape = mats[0].shape
     if shape == (1, 1):
         # Closed form of the general route below: the vector (1,) is exact,
         # with each positive entry as its root, bracket and zero residual.
@@ -217,7 +247,7 @@ def common_pf_eigenvector(family: Sequence, tol: float = 1e-9) -> list[PFResult]
     for i, m in enumerate(mats):
         bracket = _collatz_wielandt(m, x)
         lo, hi = bracket
-        own = spectral_radius(m)
+        own = roots[i]
         rho = min(max(own, lo), hi)
         residual = float(np.max(np.abs(m @ x - rho * x)))
         consistent = _certified(bracket) and abs(rho - own) <= RADIUS_BAND_RTOL * max(1.0, own)
@@ -234,8 +264,9 @@ def common_pf_eigenvector(family: Sequence, tol: float = 1e-9) -> list[PFResult]
 def _partition_for(skel, component: Iterable[int]):
     """Split vertices into (feeders F, component D, untouched H) for one component.
 
-    Also returns each colour's Perron root over the feeder block: F is a
-    union of components, so that root is the largest of their roots.
+    Returns the skeleton's analysis, the component's index in it, F, D, H
+    and each colour's Perron root over the feeder block: F is a union of
+    components, so that root is the largest of their roots.
     """
     from .components import analysis_of, is_hereditary
 
@@ -250,7 +281,7 @@ def _partition_for(skel, component: Iterable[int]):
     h = [v for v in range(skel.n) if not feeds[v]]
     feeders = [c for c, comp in enumerate(decomp.components) if feeds[comp[0]] and comp != tuple(d)]
     feeder_radii = [max([0.0] + [decomp.radii[c][i] for c in feeders]) for i in range(skel.k)]
-    return f, d, h, feeder_radii
+    return decomp, decomp.components.index(tuple(d)), f, d, h, feeder_radii
 
 
 def _blocks(skel, f: list[int], d: list[int]):
@@ -258,8 +289,7 @@ def _blocks(skel, f: list[int], d: list[int]):
     arrays = skel.as_arrays()
     e_blocks = [a[np.ix_(f, f)] if f else np.zeros((0, 0)) for a in arrays]
     b_blocks = [a[np.ix_(f, d)] if f else np.zeros((0, len(d))) for a in arrays]
-    d_blocks = [a[np.ix_(d, d)] for a in arrays]
-    return e_blocks, b_blocks, d_blocks
+    return e_blocks, b_blocks
 
 
 def extend_eigenvector(skel, component: Iterable[int], colours: Iterable[int] | None = None) -> ExtensionResult:
@@ -273,9 +303,9 @@ def extend_eigenvector(skel, component: Iterable[int], colours: Iterable[int] | 
     the exchange identity ``(rho_i I - E_i) B_j x = (rho_j I - E_j) B_i x``
     is checked for all colour pairs as a further consistency probe.
     """
-    f, d, h, rho_e = _partition_for(skel, component)
-    e_blocks, b_blocks, d_blocks = _blocks(skel, f, d)
-    pf = common_pf_eigenvector(d_blocks)
+    decomp, c, f, d, h, rho_e = _partition_for(skel, component)
+    e_blocks, b_blocks = _blocks(skel, f, d)
+    pf = component_perron(skel, decomp, c)
     x = np.array(pf[0].vector)
     radii = tuple(r.radius for r in pf)
 
@@ -362,11 +392,11 @@ def quick_exit_weight(skel, component: Iterable[int], colour: int, truncation: i
     series converges geometrically to the solved weight vector ``y`` and
     serves as an independent oracle for it.
     """
-    f, d, _, _ = _partition_for(skel, component)
-    e_blocks, b_blocks, d_blocks = _blocks(skel, f, d)
+    decomp, c, f, d, _, _ = _partition_for(skel, component)
+    e_blocks, b_blocks = _blocks(skel, f, d)
     if not f:
         return np.zeros(0)
-    pf = common_pf_eigenvector(d_blocks)
+    pf = component_perron(skel, decomp, c)
     x = np.array(pf[0].vector)
     rho = pf[colour].radius
     term = b_blocks[colour] @ x

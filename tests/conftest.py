@@ -1,7 +1,14 @@
+import importlib.util
+import sys
+from functools import cache
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from kgraphkms import Skeleton, normalize_dynamics
+from kgraphkms import Skeleton, normalize_dynamics, parse_input
+
+DATA = Path(__file__).parent / "data"
 
 
 def skeleton(labels, *matrices) -> Skeleton:
@@ -52,6 +59,36 @@ def product_skeleton():
     x = np.kron(cycle, np.eye(3, dtype=np.int64))
     y = np.kron(np.eye(18, dtype=np.int64), block)
     return Skeleton(tuple(f"p{i}" for i in range(54)), ((x + y).tolist(), (x @ y + x + 2 * y).tolist()))
+
+
+@cache
+def _benchmark_workloads():
+    # perfbench is a directory of scripts, not a package: load its generator
+    # by path, registered under a name of its own for its dataclasses.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def cycle_product_skeleton(seed):
+    """The benchmark's 54-vertex ``cycle-product`` input for ``seed`` (``perfbench/workloads.py``)."""
+    return _benchmark_workloads().cycle_product_skeleton(seed)
+
+
+def data_skeletons() -> dict[str, Skeleton]:
+    """The skeletons of the input documents in ``tests/data``, by file stem."""
+    docs = {path.stem: parse_input(path.read_text()) for path in sorted(DATA.glob("*.json"))}
+    return {stem: Skeleton(doc.vertices, doc.matrices) for stem, doc in docs.items()}
+
+
+def count_eig(monkeypatch) -> list:
+    """Record the shape of every ``np.linalg.eig`` call for the rest of the test."""
+    calls = []
+    original = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or original(a))
+    return calls
 
 
 @pytest.fixture

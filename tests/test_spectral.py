@@ -1,16 +1,22 @@
 import math
 import random
-import time
+import sys
 
 import numpy as np
 import pytest
 
 from kgraphkms import (
+    _digraph,
     check_spectral_ordering,
     common_pf_eigenvector,
+    components,
+    critical_components,
     decompose,
     extend_eigenvector,
+    normalize_dynamics,
+    phase_diagram,
     quick_exit_weight,
+    spectral,
     spectral_radius,
 )
 from kgraphkms.dumbbell import commutation_gaps_3, make_dumbbell2, make_dumbbell3, sample_commuting3
@@ -23,9 +29,19 @@ from kgraphkms.spectral import (
     PFResult,
     _collatz_wielandt,
     _perron_block,
+    component_perron,
 )
 
-from conftest import EXAMPLE_1, EXAMPLE_2, NO_BRIDGE_COUNTEREXAMPLE, product_skeleton, skeleton
+from conftest import (
+    EXAMPLE_1,
+    EXAMPLE_2,
+    NO_BRIDGE_COUNTEREXAMPLE,
+    count_eig,
+    cycle_product_skeleton,
+    data_skeletons,
+    product_skeleton,
+    skeleton,
+)
 
 
 def quadratic_roots(a, b, c, d):
@@ -75,16 +91,16 @@ def weighted_cycle(weights) -> np.ndarray:
 
 
 class TestCertifiedPerronRoot:
-    def test_long_weighted_cycle(self):
+    def test_long_weighted_cycle(self, monkeypatch):
         # Every eigenvalue of a weighted cycle has modulus equal to the
         # geometric mean of its weights, so no power iteration converges
         # on it quickly; one certified eigensolve gets the root exactly.
         rng = random.Random(300)
         weights = [rng.randint(1, 3) for _ in range(300)]
         expected = math.exp(sum(math.log(w) for w in weights) / len(weights))
-        start = time.perf_counter()
+        eig_calls = count_eig(monkeypatch)
         rho = spectral_radius(weighted_cycle(weights))
-        assert time.perf_counter() - start < 1.0
+        assert eig_calls == [(300, 300)]
         assert rho == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_badly_scaled_perron_vector_is_refined(self):
@@ -178,6 +194,77 @@ class TestCommonPF:
                 lo, hi = res.bracket
                 assert lo <= res.radius <= hi
                 assert hi - lo <= 1e-9 * hi
+
+
+def pf_hex(results):
+    """Every float of a ``PFResult`` list, as ``float.hex``."""
+    return [
+        (r.radius.hex(), [t.hex() for t in r.vector], [b.hex() for b in r.bracket], r.residual.hex())
+        for r in results
+    ]
+
+
+ANALYSIS_INPUTS = {
+    **data_skeletons(),
+    **{f"cycle-product-{seed}": cycle_product_skeleton(seed) for seed in range(10)},
+    "product": product_skeleton(),
+}
+
+
+class TestAnalysisRoute:
+    """The extension takes each component's flags and roots from its analysis."""
+
+    @pytest.mark.parametrize("skel", ANALYSIS_INPUTS.values(), ids=ANALYSIS_INPUTS.keys())
+    def test_matches_the_public_route_on_every_critical_component(self, skel):
+        decomp = decompose(skel)
+        critical = critical_components(skel, normalize_dynamics(skel)).critical_indices()
+        assert critical
+        for c in critical:
+            block = np.ix_(decomp.components[c], decomp.components[c])
+            want = common_pf_eigenvector([a[block] for a in skel.as_arrays()])
+            assert pf_hex(component_perron(skel, decomp, c)) == pf_hex(want)
+
+    def test_rejects_a_reducible_colour_block_like_the_public_route(self):
+        # One vertex with a loop in the first colour only.
+        skel = skeleton("v", [[2]], [[0]])
+        decomp = decompose(skel)
+        with pytest.raises(ValueError, match="family member 1 is not irreducible"):
+            common_pf_eigenvector([[[2]], [[0]]])
+        with pytest.raises(ValueError, match="family member 1 is not irreducible"):
+            component_perron(skel, decomp, 0)
+
+    def test_phase_diagram_certifies_each_block_once(self, monkeypatch):
+        # The product skeleton is one 54-vertex component: one eigensolve per
+        # colour block in decompose and one for the shared vector. Flags and
+        # roots are never derived again outside decompose.
+        skel = product_skeleton()
+        dyn = normalize_dynamics(skel)
+        depth, outside = [0], []
+        original_decompose = components.decompose
+
+        def decompose_counted(s):
+            depth[0] += 1
+            try:
+                return original_decompose(s)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(components, "decompose", decompose_counted)
+        for owner, name in ((spectral, "spectral_radius"), (_digraph, "irreducible")):
+            original = getattr(owner, name)
+
+            def counting(*args, name=name, original=original):
+                if not depth[0]:
+                    outside.append(name)
+                return original(*args)
+
+            for module in list(sys.modules.values()):
+                if getattr(module, "__name__", "").startswith("kgraphkms") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        eig_calls = count_eig(monkeypatch)
+        phase_diagram(skel, dyn)
+        assert eig_calls == [(54, 54)] * 3
+        assert outside == []
 
 
 class TestExtension:

@@ -87,30 +87,6 @@ def transitive_closure(adj: np.ndarray) -> np.ndarray:
         reach = grown
 
 
-def weak_components(adj: np.ndarray) -> list[list[int]]:
-    """Connected components ignoring edge direction, sorted by least node."""
-    n = adj.shape[0]
-    sym = adj | adj.T
-    seen = [False] * n
-    pieces: list[list[int]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        frontier = [start]
-        seen[start] = True
-        piece = []
-        while frontier:
-            v = frontier.pop()
-            piece.append(v)
-            for w in np.flatnonzero(sym[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    frontier.append(int(w))
-        pieces.append(sorted(piece))
-    pieces.sort(key=lambda p: p[0])
-    return pieces
-
-
 def irreducible(adj: np.ndarray) -> bool:
     """Strongly connected, with a loop when there is a single node."""
     if adj.shape[0] == 1:

@@ -209,7 +209,8 @@ def _cmd_spectra(args) -> int:
 def _prepare_solve(args) -> tuple[dict, Skeleton | None, Dynamics | None, int]:
     """Shared start of ``kms`` and ``phase``: build, normalise, check assumptions.
 
-    Returns ``skel`` None when the report is already final.
+    Returns ``skel`` None when the report is already final. Past this point
+    the assumptions hold or are waived, so the sweep need not check them again.
     """
     report, doc, skel, code = _prepare(args)
     if skel is None or (code and not args.allow_violations):
@@ -226,7 +227,7 @@ def _prepare_solve(args) -> tuple[dict, Skeleton | None, Dynamics | None, int]:
 def _cmd_kms(args) -> int:
     report, skel, dyn, code = _prepare_solve(args)
     if skel is not None:
-        diagram = phase_diagram(skel, dyn, allow_violations=args.allow_violations)
+        diagram = phase_diagram(skel, dyn, allow_violations=True)
         states = extreme_states_at(skel, dyn, args.beta, diagram=diagram)
         # A --beta that matches a critical value gets that value's states.
         beta = states[0].beta if states else args.beta
@@ -242,7 +243,7 @@ def _cmd_kms(args) -> int:
 def _cmd_phase(args) -> int:
     report, skel, dyn, code = _prepare_solve(args)
     if skel is not None:
-        diagram = phase_diagram(skel, dyn, allow_violations=args.allow_violations)
+        diagram = phase_diagram(skel, dyn, allow_violations=True)
         report["phase"] = _phase_section(skel, dyn, diagram, args.tol)
     print(emit_report(report, args.format))
     return code
@@ -308,7 +309,6 @@ def _cmd_fuzz(args) -> int:
         bridge_lo=blo,
         bridge_hi=bhi,
         zero_wv_bridge=args.zero_wv,
-        positive_bridges=not args.zero_wv,
     )
     result = fuzz_ordering(args.seed, args.count, bounds)
     report = {

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._digraph import succ_lists, tarjan_sccs, transitive_closure, weak_components
+from ._digraph import succ_lists, tarjan_sccs, transitive_closure
 from .skeleton import Skeleton
 from .spectral import _sccs_and_root
 
@@ -31,24 +31,39 @@ from .spectral import _sccs_and_root
 class ComponentDecomposition:
     """SCC partition in an order that block-upper-triangularises every colour.
 
-    ``components[c]`` is a sorted tuple of vertex indices. ``leq[c][d]`` is
-    the partial order "component c receives a path from component d"; with
-    the stored order this relation only ever points from earlier to later
-    components. ``irreducible[c][i]`` says whether the colour-``i`` block of
-    component ``c`` is irreducible, and ``reach[v, w]`` (read-only) whether
-    a path, possibly trivial, has range ``v`` and source ``w``.
+    ``components[c]`` is a sorted tuple of vertex indices.
+    ``irreducible[c][i]`` says whether the colour-``i`` block of component
+    ``c`` is irreducible, and ``reach[v, w]`` (read-only) whether a path,
+    possibly trivial, has range ``v`` and source ``w``. The component
+    relation ``leq`` and the ``trivial`` flags are derived from these.
     """
 
     components: tuple[tuple[int, ...], ...]
-    trivial: tuple[bool, ...]
     irreducible: tuple[tuple[bool, ...], ...]
     radii: tuple[tuple[float, ...], ...]
-    leq: tuple[tuple[bool, ...], ...]
     reach: np.ndarray = field(compare=False, repr=False)
 
     @property
     def count(self) -> int:
         return len(self.components)
+
+    @property
+    def trivial(self) -> tuple[bool, ...]:
+        """Per component: a single vertex with a loop in no colour."""
+        return tuple(
+            len(comp) == 1 and not any(flags) for comp, flags in zip(self.components, self.irreducible)
+        )
+
+    @property
+    def leq(self) -> np.ndarray:
+        """``leq[c, d]``: component c receives a path from component d.
+
+        ``reach`` taken at each component's least vertex, which is exact
+        since every component is strongly connected. With the stored order
+        the relation only ever points from earlier to later components.
+        """
+        firsts = [comp[0] for comp in self.components]
+        return self.reach[np.ix_(firsts, firsts)]
 
     @property
     def coordinatewise_irreducible(self) -> tuple[bool, ...]:
@@ -66,11 +81,6 @@ class ComponentDecomposition:
         """[c, d] is True when ``x`` links some vertex of c to some vertex of d."""
         return _component_relation(self.components, x)
 
-    def weak_pieces(self) -> list[list[int]]:
-        """Weakly connected vertex sets, each sorted, ordered by least vertex."""
-        groups = weak_components(np.array(self.leq, dtype=bool).reshape(self.count, self.count))
-        return sorted(sorted(int(v) for c in g for v in self.components[c]) for g in groups)
-
     def sliced(self, keep: Sequence[int]) -> "ComponentDecomposition":
         """The decomposition of the sub-skeleton induced on ``keep``.
 
@@ -79,13 +89,13 @@ class ComponentDecomposition:
         through a dropped one: a path from kept ``w`` through dropped ``h``
         would make ``w`` a path source into a hereditary set, hence dropped,
         and a piece has no edges to the rest at all. So reachability among
-        kept vertices, and with it every kept component, ``leq`` and the
-        per-colour single-colour reachability, is unchanged, and each kept
-        colour block is the same matrix, so flags and radii are
-        bit-identical. The Kahn order survives too: a kept component's
-        predecessors in the order constraints are all kept, so dropped
-        components never change which kept ones are ready, and the
-        smallest-vertex tie-break is preserved by the monotone relabelling.
+        kept vertices, and with it every kept component and the per-colour
+        single-colour reachability, is unchanged, and each kept colour block
+        is the same matrix, so flags and radii are bit-identical. The Kahn
+        order survives too: a kept component's predecessors in the order
+        constraints are all kept, so dropped components never change which
+        kept ones are ready, and the smallest-vertex tie-break is preserved
+        by the monotone relabelling.
         """
         pos = {int(v): i for i, v in enumerate(keep)}
         kept = [c for c, comp in enumerate(self.components) if int(comp[0]) in pos]
@@ -93,10 +103,8 @@ class ComponentDecomposition:
         reach.flags.writeable = False
         return ComponentDecomposition(
             components=tuple(tuple(pos[int(v)] for v in self.components[c]) for c in kept),
-            trivial=tuple(self.trivial[c] for c in kept),
             irreducible=tuple(self.irreducible[c] for c in kept),
             radii=tuple(self.radii[c] for c in kept),
-            leq=tuple(tuple(self.leq[a][b] for b in kept) for a in kept),
             reach=reach,
         )
 
@@ -230,10 +238,8 @@ def decompose(skel: Skeleton) -> ComponentDecomposition:
     spectra = [_block_spectra(arrays, comp) for comp in components]
     return ComponentDecomposition(
         components=components,
-        trivial=tuple(len(c) == 1 and not adj[c[0], c[0]] for c in components),
         irreducible=tuple(flags for flags, _ in spectra),
         radii=tuple(radii for _, radii in spectra),
-        leq=tuple(map(tuple, _component_relation(components, reach).tolist())),
         reach=reach,
     )
 
@@ -256,6 +262,12 @@ def _block_spectra(arrays, comp: tuple[int, ...]) -> tuple[tuple[bool, ...], tup
     return tuple(len(sccs) == 1 for sccs, _ in spectra), tuple(root for _, root in spectra)
 
 
+def _weak_pieces(skel: Skeleton) -> list[list[int]]:
+    """Weakly connected vertex sets: the sorted SCCs of the symmetrised union support."""
+    adj = skel.union_support()
+    return sorted(tarjan_sccs(succ_lists(adj | adj.T)))
+
+
 def check_assumptions(skel: Skeleton) -> AssumptionReport:
     """Evaluate the engine's standing connectivity assumptions."""
     if skel.n == 0:
@@ -265,7 +277,7 @@ def check_assumptions(skel: Skeleton) -> AssumptionReport:
     decomp = analysis_of(skel)
 
     trivial_idx = tuple(c for c, t in enumerate(decomp.trivial) if t)
-    pieces = decomp.weak_pieces()
+    pieces = _weak_pieces(skel)
     isolated = tuple(tuple(p) for p in pieces) if len(pieces) > 1 else ()
 
     a2_offenders = [
@@ -350,7 +362,7 @@ def split_isolated(skel: Skeleton) -> list[Skeleton]:
     """Split into weakly connected pieces; a connected skeleton maps to itself."""
     if skel.n == 0:
         return []
-    pieces = analysis_of(skel).weak_pieces()
+    pieces = _weak_pieces(skel)
     if len(pieces) == 1:
         return [skel]
     return [_sub_skeleton(skel, piece) for piece in pieces]

@@ -214,7 +214,8 @@ class DumbbellBounds:
     Loop counts start at 2 so every component has all per-colour Perron
     roots above 1. ``w_loop_lo``/``w_loop_hi`` override the range for the
     loops at w, which is how a caller forces the hereditary end to dominate.
-    ``zero_wv_bridge`` pins the w-to-v bundle to zero in both colours.
+    ``zero_wv_bridge`` pins the w-to-v bundle to zero in both colours;
+    otherwise every bridge bundle must be nonempty in both colours.
     """
 
     loop_lo: int = 2
@@ -224,7 +225,6 @@ class DumbbellBounds:
     w_loop_lo: int | None = None
     w_loop_hi: int | None = None
     zero_wv_bridge: bool = False
-    positive_bridges: bool = True
 
 
 def _solve_second_colour(first, diff1, diff2, rng, bounds):
@@ -278,10 +278,8 @@ def sample_dumbbell3(rng: random.Random, bounds: DumbbellBounds) -> Dumbbell3Par
         if rhs != 0:
             return None
         r2 = rng.randint(bounds.bridge_lo, bounds.bridge_hi)
-    if bounds.positive_bridges:
-        needed = [q1, q2, r1, r2] + ([] if bounds.zero_wv_bridge else [s1, s2])
-        if any(b < 1 for b in needed):
-            return None
+    if not bounds.zero_wv_bridge and min(q1, q2, r1, r2, s1, s2) < 1:
+        return None
     params = Dumbbell3Params(m, n, p, (q1, q2), (r1, r2), (s1, s2))
     gaps = commutation_gaps_3(m, n, p, params.bridge_vu, params.bridge_wu, params.bridge_wv)
     if any(g != 0 for g in gaps):

@@ -313,9 +313,10 @@ def _require_assumptions(skel: Skeleton, allow_violations: bool) -> None:
 
 def _removal_set(skel: Skeleton, dyn: Dynamics) -> frozenset[int]:
     decomp = analysis_of(skel)
+    leq = decomp.leq
     crit_idx = critical_components(skel, dyn).critical_indices()
     # Minimal: no other critical component receives a path from them.
-    minimal = [c for c in crit_idx if not any(d != c and decomp.leq[d][c] for d in crit_idx)]
+    minimal = [c for c in crit_idx if not any(d != c and leq[d, c] for d in crit_idx)]
     if not minimal:
         raise ValueError("no critical components found; is the dynamics normalised?")
     core = {v for c in minimal for v in decomp.components[c]}
@@ -609,12 +610,11 @@ def extreme_states_at(
     dyn: Dynamics,
     beta: float,
     diagram: PhaseDiagram | None = None,
-    match_rtol: float = 1e-9,
     allow_violations: bool = False,
 ) -> tuple[ExtremeState, ...]:
     """Extreme states at an arbitrary inverse temperature.
 
-    Values within ``match_rtol`` of a critical value resolve to that
+    Values within ``CRITICAL_RTOL`` of a critical value resolve to that
     critical point; otherwise the surviving quotient pieces straddling
     ``beta`` are evaluated supercritically, reusing the analyses that the
     pieces of ``diagram`` carry. Below the terminal value the state set is
@@ -625,7 +625,7 @@ def extreme_states_at(
     with analysis_scope():
         diag = diagram if diagram is not None else phase_diagram(skel, dyn, allow_violations)
         for b, states in zip(diag.critical_betas, diag.critical_points):
-            if abs(beta - b) <= match_rtol * max(1.0, b):
+            if abs(beta - b) <= CRITICAL_RTOL * max(1.0, b):
                 return states
         if beta < diag.terminal_beta:
             return ()

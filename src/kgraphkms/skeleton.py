@@ -46,8 +46,15 @@ class ValidationReport:
         return {v.rule for v in self.violations}
 
 
-def _freeze_matrix(rows) -> IntMatrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+def _integer(x) -> int | None:
+    """``x`` as an exact integer if it is an int, a numpy integer or an integral float, else None."""
+    if type(x) is int:  # the common case, tested first
+        return x
+    if isinstance(x, bool):
+        return None
+    if isinstance(x, (int, np.integer)) or (isinstance(x, float) and x.is_integer()):
+        return int(x)
+    return None
 
 
 def _int_matmul(a: IntMatrix, b: IntMatrix) -> np.ndarray:
@@ -92,7 +99,7 @@ class Skeleton:
 
     def __post_init__(self):
         labels = tuple(str(x) for x in self.vertex_labels)
-        mats = tuple(_freeze_matrix(m) for m in self.matrices)
+        mats = tuple(tuple(tuple(map(_integer, row)) for row in m) for m in self.matrices)
         object.__setattr__(self, "vertex_labels", labels)
         object.__setattr__(self, "matrices", mats)
         if len(set(labels)) != len(labels):
@@ -103,6 +110,8 @@ class Skeleton:
         for i, m in enumerate(mats):
             if len(m) != n or any(len(row) != n for row in m):
                 raise ValueError(f"matrix {i} is not {n}x{n}")
+            if any(x is None for row in m for x in row):
+                raise ValueError(f"matrix {i} has entries that are not integers")
             if any(x < 0 for row in m for x in row):
                 raise ValueError(f"matrix {i} has negative entries")
         for i in range(len(mats)):
@@ -207,17 +216,14 @@ def validate_skeleton(vertex_labels: Sequence[str], matrices) -> ValidationRepor
         ok = True
         for v, row in enumerate(rows):
             out_row = []
-            for w, x in enumerate(row):
-                if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-                    if isinstance(x, float) and float(x).is_integer():
-                        x = int(x)
-                    else:
-                        violations.append(
-                            Violation(RULE_INTEGER, f"entry A_{i}({v},{w})={x!r} is not an integer", (i, v, w))
-                        )
-                        ok = False
-                        continue
-                x = int(x)
+            for w, raw in enumerate(row):
+                x = _integer(raw)
+                if x is None:
+                    violations.append(
+                        Violation(RULE_INTEGER, f"entry A_{i}({v},{w})={raw!r} is not an integer", (i, v, w))
+                    )
+                    ok = False
+                    continue
                 if x < 0:
                     violations.append(
                         Violation(RULE_NONNEGATIVE, f"entry A_{i}({v},{w})={x} is negative", (i, v, w))
@@ -229,10 +235,9 @@ def validate_skeleton(vertex_labels: Sequence[str], matrices) -> ValidationRepor
 
     clean = [g for g in grids if g is not None]
     if len(clean) == len(grids) and n > 0:
-        frozen = [_freeze_matrix(g) for g in clean]
-        for i in range(len(frozen)):
-            for j in range(i + 1, len(frozen)):
-                bad = _commutator_support(frozen[i], frozen[j]).tolist()
+        for i in range(len(clean)):
+            for j in range(i + 1, len(clean)):
+                bad = _commutator_support(clean[i], clean[j]).tolist()
                 if bad:
                     violations.append(
                         Violation(
@@ -241,7 +246,7 @@ def validate_skeleton(vertex_labels: Sequence[str], matrices) -> ValidationRepor
                             (i, j),
                         )
                     )
-        for i, m in enumerate(frozen):
+        for i, m in enumerate(clean):
             for v in range(n):
                 if not any(m[v]):
                     violations.append(

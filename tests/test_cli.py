@@ -1,10 +1,11 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
-from kgraphkms import ParseError, parse_input, input_to_json, emit_report
+from kgraphkms import ParseError, components, parse_input, input_to_json, emit_report
 from kgraphkms.cli import main
 from kgraphkms.formats import format_number
 
@@ -170,6 +171,29 @@ class TestCommands:
         code, out, _ = run(capsys, "kms", str(doc), "--beta", "1", "--allow-violations")
         assert code == 0
         assert json.loads(out)["kms"]["extreme_count"] == 2
+
+    @pytest.mark.parametrize("stem", ["product", "chain20-b0"])
+    @pytest.mark.parametrize("command", [["phase"], ["kms", "--beta", "1.3"]], ids=["phase", "kms"])
+    @pytest.mark.parametrize("flags", [[], ["--allow-violations"]], ids=["strict", "allow"])
+    def test_assumptions_checked_once(self, capsys, monkeypatch, stem, command, flags):
+        calls = []
+        original = components.check_assumptions
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("kgraphkms") and getattr(module, "check_assumptions", None) is original:
+                monkeypatch.setattr(module, "check_assumptions", lambda s: calls.append(s) or original(s))
+        code, _, _ = run(capsys, command[0], str(DATA / f"{stem}.json"), *command[1:], *flags)
+        assert code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("entry", [2.5, "3", True], ids=repr)
+    def test_non_integer_entry_is_never_computed_on(self, capsys, tmp_path, entry):
+        doc = tmp_path / "bad.json"
+        doc.write_text(json.dumps({"vertices": ["a"], "matrices": [[[entry]]]}))
+        code, out, _ = run(capsys, "phase", str(doc), "--allow-violations")
+        report = json.loads(out)
+        assert code == 2
+        assert "phase" not in report
+        assert report["validation"]["violations"][0]["rule"] == "entry-integer"
 
     def test_dumbbell_emits_parseable_document(self, capsys):
         code, out, _ = run(

@@ -24,7 +24,7 @@ from kgraphkms.dumbbell import make_dumbbell3, sample_commuting3
 from kgraphkms.skeleton import RULE_COMMUTE, validate_skeleton
 from kgraphkms.spectral import spectral_radius
 
-from conftest import EXAMPLE_1, EXAMPLE_2, NO_BRIDGE_COUNTEREXAMPLE, chain, skeleton
+from conftest import EXAMPLE_1, EXAMPLE_2, NO_BRIDGE_COUNTEREXAMPLE, chain, data_skeletons, skeleton
 
 TWO_LOOPS = skeleton("ab", [[2, 0], [0, 3]], [[2, 0], [0, 3]])
 
@@ -124,6 +124,74 @@ class TestSingleVertexClosedForm:
         assert decomp.radii[:3] == ((3.0, 5.0), (0.0, 4.0), (0.0, 0.0))
         assert decomp.radii[3] == (float(2**60 + 1), 7.0)
         assert decomp.trivial == (False, False, True, False)
+
+
+def reference_leq(decomp) -> np.ndarray:
+    """The component relation as the product ``C^T reach C`` of the vertex-to-component membership ``C``."""
+    member = np.zeros((decomp.reach.shape[0], decomp.count), dtype=np.int64)
+    for c, comp in enumerate(decomp.components):
+        member[list(comp), c] = 1
+    return (member.T @ decomp.reach.astype(np.int64) @ member) > 0
+
+
+def reference_trivial(skel, decomp) -> tuple[bool, ...]:
+    """Per component: a single vertex with no loop in any colour."""
+    return tuple(len(c) == 1 and not any(m[c[0]][c[0]] for m in skel.matrices) for c in decomp.components)
+
+
+def reference_weak_pieces(skel) -> list[list[int]]:
+    """Union-find over the edges of every colour; pieces sorted, ordered by least vertex."""
+    parent = list(range(skel.n))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for m in skel.matrices:
+        for v in range(skel.n):
+            for w in range(skel.n):
+                if m[v][w]:
+                    parent[find(v)] = find(w)
+    pieces: dict[int, list[int]] = {}
+    for v in range(skel.n):
+        pieces.setdefault(find(v), []).append(v)
+    return sorted(pieces.values())
+
+
+def sparse_one_colour(seed: int, n: int) -> Skeleton:
+    """One colour, so nothing to commute: many weak pieces and non-trivial components."""
+    rng = np.random.default_rng(seed)
+    m = (rng.random((n, n)) < 1.2 / n) * rng.integers(1, 4, (n, n))
+    return Skeleton(tuple(f"x{v}" for v in range(n)), (m.tolist(),))
+
+
+DERIVED_FIXTURES = {
+    "example1": EXAMPLE_1,
+    "example2": EXAMPLE_2,
+    "fig2": FIG2,
+    "two-loops": TWO_LOOPS,
+    "no-bridge": NO_BRIDGE_COUNTEREXAMPLE,
+    "loops": TestSingleVertexClosedForm.LOOPS,
+    "empty": Skeleton.empty(2),
+    **{f"chain{n}-{b}": chain(n, b) for n, b in ((1, 0), (5, 3), (12, 0))},
+    **{f"dumbbell{i}": make_dumbbell3(p) for i, p in enumerate(sample_commuting3(9, 12))},
+    **{f"sparse{seed}": sparse_one_colour(seed, 30) for seed in range(8)},
+    **{f"data-{stem}": skel for stem, skel in data_skeletons().items()},
+}
+
+
+@pytest.mark.parametrize("skel", DERIVED_FIXTURES.values(), ids=DERIVED_FIXTURES.keys())
+def test_derived_data_match_their_definitions(skel):
+    decomp = decompose(skel)
+    assert decomp.leq.dtype == bool
+    assert np.array_equal(decomp.leq, reference_leq(decomp))
+    assert decomp.trivial == reference_trivial(skel, decomp)
+    assert all(type(t) is bool for t in decomp.trivial)
+    pieces = reference_weak_pieces(skel)
+    assert components._weak_pieces(skel) == pieces
+    want = [tuple(skel.vertex_labels[v] for v in p) for p in pieces]
+    assert [sub.vertex_labels for sub in split_isolated(skel)] == want
 
 
 class TestReaches:
@@ -307,7 +375,7 @@ def assert_inherited(sub):
     want = decompose(fresh)
     assert got.components == want.components
     assert got.radii == want.radii  # exact float equality
-    assert got.leq == want.leq
+    assert np.array_equal(got.leq, want.leq)
     assert got.trivial == want.trivial
     assert got.irreducible == want.irreducible
     assert np.array_equal(got.reach, want.reach)

@@ -167,7 +167,7 @@ class TestFuzz:
         assert report.hypothesis_met_rate == 0.0
 
     def test_zero_wv_bridge_never_meets_hypothesis(self):
-        bounds = DumbbellBounds(zero_wv_bridge=True, positive_bridges=False)
+        bounds = DumbbellBounds(zero_wv_bridge=True)
         report = fuzz_ordering(13, 60, bounds)
         assert report.samples == 60
         assert report.hypothesis_met == 0

@@ -308,7 +308,9 @@ class TestDiagramAnalyses:
         skel = chain(8, 1)
         diagram = phase_diagram(skel, normalize_dynamics(skel))
         for piece in diagram.pieces:
-            assert piece.analysis == decompose(piece.skeleton)
+            fresh = decompose(piece.skeleton)
+            assert piece.analysis == fresh
+            assert np.array_equal(piece.analysis.reach, fresh.reach)
             assert "analysis" not in repr(piece)
 
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from kgraphkms import Skeleton, degree_power, validate_skeleton
@@ -68,6 +69,19 @@ class TestValidate:
     def test_constructor_rejects_noncommuting(self):
         with pytest.raises(ValueError, match="commute"):
             skeleton("vw", [[1, 1], [0, 2]], [[1, 2], [0, 2]])
+
+    @pytest.mark.parametrize("entry", [2.5, "3", True, np.bool_(True), None], ids=repr)
+    def test_constructor_rejects_what_validation_rejects(self, entry):
+        assert RULE_INTEGER in validate_skeleton(["a"], [[[entry]]]).rules()
+        with pytest.raises(ValueError, match="not integers"):
+            Skeleton(("a",), (((entry,),),))
+
+    @pytest.mark.parametrize("entry", [3, np.int64(3), np.uint8(3), 3.0, np.float64(3.0)], ids=repr)
+    def test_constructor_accepts_what_validation_accepts(self, entry):
+        assert validate_skeleton(["a"], [[[entry]]]).passed
+        skel = Skeleton(("a",), (((entry,),),))
+        assert skel.matrices == (((3,),),)
+        assert type(skel.matrices[0][0][0]) is int
 
     def test_row_and_column_sums_positive_when_valid(self):
         for skel in (EXAMPLE_1,):

@@ -263,7 +263,12 @@ def _block_spectra(arrays, comp: tuple[int, ...]) -> tuple[tuple[bool, ...], tup
 
 
 def _weak_pieces(skel: Skeleton) -> list[list[int]]:
-    """Weakly connected vertex sets: the sorted SCCs of the symmetrised union support."""
+    """Weakly connected vertex sets: the sorted SCCs of the symmetrised union support.
+
+    A single component is one piece, read off the analysis without a walk.
+    """
+    if analysis_of(skel).count == 1:
+        return [list(range(skel.n))]
     adj = skel.union_support()
     return sorted(tarjan_sccs(succ_lists(adj | adj.T)))
 

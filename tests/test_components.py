@@ -174,6 +174,7 @@ DERIVED_FIXTURES = {
     "no-bridge": NO_BRIDGE_COUNTEREXAMPLE,
     "loops": TestSingleVertexClosedForm.LOOPS,
     "empty": Skeleton.empty(2),
+    "cycle5": Skeleton(tuple("abcde"), ([[int(w == (v + 1) % 5) for w in range(5)] for v in range(5)],)),
     **{f"chain{n}-{b}": chain(n, b) for n, b in ((1, 0), (5, 3), (12, 0))},
     **{f"dumbbell{i}": make_dumbbell3(p) for i, p in enumerate(sample_commuting3(9, 12))},
     **{f"sparse{seed}": sparse_one_colour(seed, 30) for seed in range(8)},

@@ -222,6 +222,26 @@ class TestCommands:
         assert payload["fuzz"]["samples"] == 25
         assert payload["fuzz"]["contradictions"] == []
 
+    @pytest.mark.parametrize(
+        "extra, met, holds",
+        [((), 86, 86), (("--zero-wv",), 0, 64)],
+        ids=["default", "zero-wv"],
+    )
+    def test_fuzz_report_is_pinned(self, capsys, extra, met, holds):
+        # Recorded before the sampler was last rewritten; the same draws
+        # must give the same report byte for byte.
+        code, out, err = run(capsys, "fuzz", "--seed", "1", "--count", "500", *extra)
+        assert (code, err) == (0, "")
+        fuzz = {
+            "conclusion_holds": holds,
+            "contradictions": [],
+            "hypothesis_met": met,
+            "hypothesis_not_met": 500 - met,
+            "samples": 500,
+            "seed": 1,
+        }
+        assert out == json.dumps({"fuzz": fuzz}, indent=2) + "\n"
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{nope")

@@ -1,3 +1,8 @@
+import json
+import random
+from dataclasses import astuple
+from pathlib import Path
+
 import pytest
 
 from kgraphkms import (
@@ -20,7 +25,15 @@ from kgraphkms.dumbbell import (
     matrices_2,
     matrices_3,
     sample_commuting3,
+    sample_dumbbell3,
 )
+
+# Sampler output recorded before the sampler was last rewritten: per case,
+# the first samples of ``sample_commuting3``, the outcome of the first
+# trials of ``sample_dumbbell3`` on one generator (None for a rejection)
+# and the generator's next ``random()`` after them. The benchmark's
+# ``dumbbell-batch`` graphs and ``tests/test_engine.py`` depend on these draws.
+SAMPLER_PINS = json.loads((Path(__file__).parent / "data" / "golden" / "sampler.json").read_text())
 
 
 def brute_commutes(mats) -> bool:
@@ -146,6 +159,18 @@ class TestSampling:
             assert gaps == (0, 0, 0)
             skel = make_dumbbell3(params)
             assert check_assumptions(skel).all_pass
+
+    @pytest.mark.parametrize("case", SAMPLER_PINS, ids=lambda c: f"seed{c['seed']}-{'-'.join(c['bounds']) or 'default'}")
+    def test_draws_are_pinned(self, case):
+        def flat(params):
+            return None if params is None else [x for pair in astuple(params) for x in pair]
+
+        bounds = DumbbellBounds(**case["bounds"])
+        samples = sample_commuting3(case["seed"], len(case["samples"]), bounds)
+        assert [flat(p) for p in samples] == case["samples"]
+        rng = random.Random(case["seed"])
+        assert [flat(sample_dumbbell3(rng, bounds)) for _ in case["trials"]] == case["trials"]
+        assert rng.random() == case["next_random"]
 
     def test_dominant_bounds_force_w_dominance(self):
         bounds = DumbbellBounds(loop_lo=2, loop_hi=5, w_loop_lo=8, w_loop_hi=12)

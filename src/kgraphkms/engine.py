@@ -54,6 +54,12 @@ class Dynamics:
     first critical inverse temperature is 1. ``rationally_independent`` is a
     caller attestation: it cannot be decided from floating point input, and
     uniqueness of convex decompositions of states relies on it.
+
+    ``analysis`` holds the skeleton the dynamics was normalised on and its
+    decomposition. ``phase_diagram``, ``extreme_states_at``, ``removal_set``
+    and ``kms1_extremes`` reuse that decomposition when they are asked about
+    that very skeleton object, never an equal copy; a dynamics built
+    without it makes them analyse the skeleton themselves.
     """
 
     r: tuple[float, ...]
@@ -62,6 +68,7 @@ class Dynamics:
     preferred: bool
     critical_colours: frozenset[int]
     log_radii: tuple[float, ...]
+    analysis: tuple[Skeleton, ComponentDecomposition] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -179,7 +186,8 @@ def normalize_dynamics(
     """
     if skel.n == 0:
         raise ValueError("cannot normalise a dynamics on the empty skeleton")
-    log_radii = _log_radii(skel)
+    decomp = analysis_of(skel)
+    log_radii = _log_radii(decomp, skel.k)
 
     if isinstance(r, str):
         if r != "preferred":
@@ -235,14 +243,20 @@ def normalize_dynamics(
         preferred=len(critical) == skel.k,
         critical_colours=critical,
         log_radii=tuple(log_radii),
+        analysis=(skel, decomp),
     )
 
 
-def _log_radii(skel: Skeleton) -> list[float]:
+def _adopt_dynamics_analysis(skel: Skeleton, dyn: Dynamics) -> None:
+    """Register the analysis carried by ``dyn`` in the open scope if it is ``skel``'s own."""
+    if dyn.analysis is not None and dyn.analysis[0] is skel:
+        adopt_analysis(skel, dyn.analysis[1])
+
+
+def _log_radii(decomp: ComponentDecomposition, k: int) -> list[float]:
     """``ln rho(A_i)`` for every colour; each global Perron root must be positive."""
-    decomp = analysis_of(skel)
     out = []
-    for i in range(skel.k):
+    for i in range(k):
         rho = decomp.global_radius(i)
         if rho <= 0.0:
             raise ValueError(f"colour {i} has Perron root 0; no positive dynamics exists")
@@ -262,7 +276,7 @@ def critical_components(skel: Skeleton, dyn: Dynamics) -> CriticalityReport:
     if skel.n == 0:
         return CriticalityReport((), frozenset(), ())
     decomp = analysis_of(skel)
-    ratios = [lr / r for lr, r in zip(_log_radii(skel), dyn.r)]
+    ratios = [lr / r for lr, r in zip(_log_radii(decomp, skel.k), dyn.r)]
     if abs(max(ratios) - 1.0) > CRITICAL_RTOL:
         raise ValueError(
             f"dynamics is not normalised for this skeleton (max ratio {max(ratios):.12g})"
@@ -299,6 +313,7 @@ def removal_set(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False) -
     minimal critical components critical and makes each of them hereditary.
     """
     with analysis_scope():
+        _adopt_dynamics_analysis(skel, dyn)
         _require_assumptions(skel, allow_violations)
         return _removal_set(skel, dyn)
 
@@ -467,6 +482,7 @@ def kms1_extremes(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False)
     components dropped contributes one lifted point-mass state per vertex.
     """
     with analysis_scope():
+        _adopt_dynamics_analysis(skel, dyn)
         _require_assumptions(skel, allow_violations)
         pos = {label: v for v, label in enumerate(skel.vertex_labels)}
         states, _, _ = _kms1_parts(skel, dyn, 0, pos, 1.0)
@@ -475,12 +491,13 @@ def kms1_extremes(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False)
 
 def _symbolic_beta(skel: Skeleton, r: Sequence[float]) -> str | None:
     """Render a critical value as ln(a)/ln(b) when both sides snap to integers."""
-    ratios = [lr / ri for lr, ri in zip(_log_radii(skel), r)]
+    decomp = analysis_of(skel)
+    ratios = [lr / ri for lr, ri in zip(_log_radii(decomp, skel.k), r)]
     best = max(ratios)
     if abs(best - 1.0) <= 1e-12:
         return "1"
     best_i = ratios.index(best)
-    a = analysis_of(skel).global_radius(best_i)
+    a = decomp.global_radius(best_i)
     b = math.exp(r[best_i])
     a_int, b_int = round(a), round(b)
     if (
@@ -506,6 +523,7 @@ def phase_diagram(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False)
     passes too, since restriction keeps its components' analysis intact.
     """
     with analysis_scope():
+        _adopt_dynamics_analysis(skel, dyn)
         _require_assumptions(skel, allow_violations)
         return _assemble(skel, dyn, _removal_pieces(skel, dyn))
 
@@ -623,6 +641,7 @@ def extreme_states_at(
     if beta <= 0:
         raise ValueError("inverse temperature must be positive")
     with analysis_scope():
+        _adopt_dynamics_analysis(skel, dyn)
         diag = diagram if diagram is not None else phase_diagram(skel, dyn, allow_violations)
         for b, states in zip(diag.critical_betas, diag.critical_points):
             if abs(beta - b) <= CRITICAL_RTOL * max(1.0, b):

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -434,9 +435,9 @@ class TestAnalysisInheritance:
                 decomp.reach[0, 0] = False
 
     def test_closure_count_on_chain12(self, monkeypatch):
-        # One closure for the analysis normalize_dynamics makes outside a
-        # scope, one for phase_diagram's own, and one per colour for its
-        # assumption check; every piece inherits the rest.
+        # One closure for the analysis normalize_dynamics makes, which
+        # phase_diagram reuses, and one per colour for its assumption check;
+        # every piece inherits the rest.
         skel = chain(12, 0)
         calls = []
         original = _digraph.transitive_closure
@@ -449,32 +450,43 @@ class TestAnalysisInheritance:
             if getattr(module, "__name__", "").startswith("kgraphkms") and getattr(module, "transitive_closure", None) is original:
                 monkeypatch.setattr(module, "transitive_closure", counting)
         phase_diagram(skel, normalize_dynamics(skel))
-        assert len(calls) <= 2 + skel.k
+        assert len(calls) <= 1 + skel.k
 
     def test_no_analysis_outlives_a_call(self, monkeypatch):
+        # Only the dynamics carries an analysis past a call, and only for the
+        # skeleton object it was normalised on: an equal copy's dynamics or
+        # one built by hand gets no reuse, so a cache kept on the skeleton
+        # would show up as a missing decomposition.
         skel = chain(6, 1)
         dyn = normalize_dynamics(skel)
+        twin_dyn = normalize_dynamics(chain(6, 1))
         calls = []
         original = components.decompose
         monkeypatch.setattr(components, "decompose", lambda s: calls.append(s) or original(s))
-        for _ in range(2):
-            phase_diagram(skel, dyn)
-        assert calls == [skel, skel]
+        for d, want in ((dyn, []), (twin_dyn, [skel, skel]), (replace(dyn, analysis=None), [skel, skel])):
+            calls.clear()
+            for _ in range(2):
+                phase_diagram(skel, d)
+            assert calls == want
 
     def test_repeated_passes_decompose_alike(self, monkeypatch):
         # An analysis kept on the skeleton between calls would make the
-        # second pass cheaper than the first.
+        # second pass cheaper than the first; the carried one makes every
+        # pass free of decompositions.
         skel = chain(8, 1)
         dyn = normalize_dynamics(skel)
+        twin_dyn = normalize_dynamics(chain(8, 1))
         calls = []
         original = components.decompose
         monkeypatch.setattr(components, "decompose", lambda s: calls.append(s) or original(s))
-        counts = []
-        for _ in range(2):
-            calls.clear()
-            diagram = phase_diagram(skel, dyn)
-            for beta in (0.95, 2.0):
-                extreme_states_at(skel, dyn, beta, diagram=diagram)
-            extreme_states_at(skel, dyn, 0.95)
-            counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
+        for d, nonzero in ((dyn, False), (twin_dyn, True), (replace(dyn, analysis=None), True)):
+            counts = []
+            for _ in range(2):
+                calls.clear()
+                diagram = phase_diagram(skel, d)
+                for beta in (0.95, 2.0):
+                    extreme_states_at(skel, d, beta, diagram=diagram)
+                extreme_states_at(skel, d, 0.95)
+                counts.append(len(calls))
+            assert counts[0] == counts[1]
+            assert (counts[0] > 0) is nonzero

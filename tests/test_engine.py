@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kgraphkms import (
     AssumptionError,
+    Dynamics,
     Skeleton,
     critical_components,
     extreme_states_at,
@@ -85,6 +87,50 @@ class TestNormalize:
         with pytest.raises(ValueError, match=r"entry 0 \(1e\+308\).*overflows"):
             normalize_dynamics(SINGLE, (1e308, 1e-10))
         assert normalize_dynamics(three_loops, (1e-300,)).r == pytest.approx((math.log(3),))
+
+
+class TestDynamicsAnalysis:
+    """A dynamics carries the analysis of the skeleton object it was normalised on."""
+
+    def test_equality_and_repr_ignore_the_analysis(self, ex1, ex1_dyn):
+        by_hand = Dynamics(
+            r=ex1_dyn.r,
+            normalization_factor=1.0,
+            rationally_independent=True,
+            preferred=True,
+            critical_colours=frozenset({0, 1}),
+            log_radii=ex1_dyn.log_radii,
+        )
+        assert ex1_dyn.analysis[0] is ex1 and by_hand.analysis is None
+        assert ex1_dyn == by_hand and hash(ex1_dyn) == hash(by_hand)
+        assert repr(ex1_dyn) == repr(by_hand) == (
+            "Dynamics(r=(1.6094379124341003, 1.3862943611198906), normalization_factor=1.0, "
+            "rationally_independent=True, preferred=True, critical_colours=frozenset({0, 1}), "
+            "log_radii=(1.6094379124341003, 1.3862943611198906))"
+        )
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda skel, dyn: phase_diagram(skel, dyn),
+            lambda skel, dyn: extreme_states_at(skel, dyn, 2.0),
+            lambda skel, dyn: removal_set(skel, dyn),
+            lambda skel, dyn: kms1_extremes(skel, dyn),
+        ],
+        ids=["phase_diagram", "extreme_states_at", "removal_set", "kms1_extremes"],
+    )
+    def test_entry_points_reuse_it_for_the_same_skeleton_only(self, monkeypatch, call):
+        skel = chain(6, 1)
+        dyn = normalize_dynamics(skel)
+        twin_dyn = normalize_dynamics(chain(6, 1))
+        calls = []
+        original = components.decompose
+        monkeypatch.setattr(components, "decompose", lambda s: calls.append(s) or original(s))
+        assert twin_dyn == dyn
+        for d, want in ((dyn, []), (twin_dyn, [skel]), (replace(dyn, analysis=None), [skel])):
+            calls.clear()
+            call(skel, d)
+            assert calls == want
 
 
 class TestCriticality:

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -236,13 +237,16 @@ class TestAnalysisRoute:
     def test_phase_diagram_certifies_each_block_once(self, monkeypatch):
         # The product skeleton is one 54-vertex component: one eigensolve per
         # colour block in decompose and one for the shared vector. Flags and
-        # roots are never derived again outside decompose.
+        # roots are never derived again outside decompose, and a dynamics
+        # normalised on this very skeleton brings decompose's two along.
         skel = product_skeleton()
         dyn = normalize_dynamics(skel)
-        depth, outside = [0], []
+        twin_dyn = normalize_dynamics(product_skeleton())
+        depth, outside, decomposed = [0], [], []
         original_decompose = components.decompose
 
         def decompose_counted(s):
+            decomposed.append(s)
             depth[0] += 1
             try:
                 return original_decompose(s)
@@ -262,8 +266,12 @@ class TestAnalysisRoute:
                 if getattr(module, "__name__", "").startswith("kgraphkms") and getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counting)
         eig_calls = count_eig(monkeypatch)
-        phase_diagram(skel, dyn)
-        assert eig_calls == [(54, 54)] * 3
+        for d, decompositions, eigs in ((dyn, 0, 1), (twin_dyn, 1, 3), (replace(dyn, analysis=None), 1, 3)):
+            decomposed.clear()
+            eig_calls.clear()
+            phase_diagram(skel, d)
+            assert decomposed == [skel] * decompositions
+            assert eig_calls == [(54, 54)] * eigs
         assert outside == []
 
 

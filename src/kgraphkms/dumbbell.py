@@ -227,6 +227,28 @@ class DumbbellBounds:
     zero_wv_bridge: bool = False
 
 
+def _draws(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
+    """``count`` successive ``rng.randint(lo, hi)`` values, from the same generator state.
+
+    This is CPython's rule for ``randint`` on a ``random.Random``: take
+    ``k`` bits of the range's size, redraw until below it. Applying it
+    directly skips ``randint``'s argument handling, which dominated
+    sampling on three-vertex graphs.
+    """
+    n = hi - lo + 1
+    if n <= 0:
+        raise ValueError(f"empty sampling range {lo}:{hi}")
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(lo + r)
+    return out
+
+
 def _solve_second_colour(first, diff1, diff2, rng, bounds):
     """Integer second-colour bridge matching ``b2 * diff1 == b1 * diff2``."""
     if diff1 != 0:
@@ -237,7 +259,7 @@ def _solve_second_colour(first, diff1, diff2, rng, bounds):
         return val if val >= 0 else None
     if first * diff2 != 0:
         return None
-    return rng.randint(bounds.bridge_lo, bounds.bridge_hi)
+    return _draws(rng, bounds.bridge_lo, bounds.bridge_hi, 1)[0]
 
 
 def sample_dumbbell3(rng: random.Random, bounds: DumbbellBounds) -> Dumbbell3Params | None:
@@ -250,12 +272,11 @@ def sample_dumbbell3(rng: random.Random, bounds: DumbbellBounds) -> Dumbbell3Par
     lo, hi = bounds.loop_lo, bounds.loop_hi
     wlo = bounds.w_loop_lo if bounds.w_loop_lo is not None else lo
     whi = bounds.w_loop_hi if bounds.w_loop_hi is not None else hi
-    m = (rng.randint(lo, hi), rng.randint(lo, hi))
-    n = (rng.randint(lo, hi), rng.randint(lo, hi))
-    p = (rng.randint(wlo, whi), rng.randint(wlo, whi))
-    q1 = rng.randint(bounds.bridge_lo, bounds.bridge_hi)
-    r1 = rng.randint(bounds.bridge_lo, bounds.bridge_hi)
-    s1 = 0 if bounds.zero_wv_bridge else rng.randint(bounds.bridge_lo, bounds.bridge_hi)
+    m0, m1, n0, n1 = _draws(rng, lo, hi, 4)
+    m, n = (m0, m1), (n0, n1)
+    p = tuple(_draws(rng, wlo, whi, 2))
+    q1, r1 = _draws(rng, bounds.bridge_lo, bounds.bridge_hi, 2)
+    s1 = 0 if bounds.zero_wv_bridge else _draws(rng, bounds.bridge_lo, bounds.bridge_hi, 1)[0]
 
     q2 = _solve_second_colour(q1, n[0] - m[0], n[1] - m[1], rng, bounds)
     if q2 is None:
@@ -277,7 +298,7 @@ def sample_dumbbell3(rng: random.Random, bounds: DumbbellBounds) -> Dumbbell3Par
     else:
         if rhs != 0:
             return None
-        r2 = rng.randint(bounds.bridge_lo, bounds.bridge_hi)
+        r2 = _draws(rng, bounds.bridge_lo, bounds.bridge_hi, 1)[0]
     if not bounds.zero_wv_bridge and min(q1, q2, r1, r2, s1, s2) < 1:
         return None
     params = Dumbbell3Params(m, n, p, (q1, q2), (r1, r2), (s1, s2))

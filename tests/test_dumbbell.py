@@ -20,6 +20,7 @@ from kgraphkms import (
     validate_skeleton,
 )
 from kgraphkms.dumbbell import (
+    _draws,
     commutation_gap_2,
     commutation_gaps_3,
     matrices_2,
@@ -171,6 +172,17 @@ class TestSampling:
         rng = random.Random(case["seed"])
         assert [flat(sample_dumbbell3(rng, bounds)) for _ in case["trials"]] == case["trials"]
         assert rng.random() == case["next_random"]
+
+    @pytest.mark.parametrize("lo, hi", [(2, 9), (1, 1), (0, 1), (3, 1000), (-4, 4), (1, 2**70)])
+    def test_draws_follow_randint(self, lo, hi):
+        mine, reference = random.Random(lo * 31 + hi), random.Random(lo * 31 + hi)
+        for count in (1, 2, 4, 7):
+            assert _draws(mine, lo, hi, count) == [reference.randint(lo, hi) for _ in range(count)]
+        assert mine.getstate() == reference.getstate()
+
+    def test_empty_range_is_rejected(self):
+        with pytest.raises(ValueError, match="empty sampling range 9:2"):
+            sample_dumbbell3(random.Random(0), DumbbellBounds(loop_lo=9, loop_hi=2))
 
     def test_dominant_bounds_force_w_dominance(self):
         bounds = DumbbellBounds(loop_lo=2, loop_hi=5, w_loop_lo=8, w_loop_hi=12)

@@ -300,9 +300,22 @@ def _cmd_dumbbell(args) -> int:
     return EXIT_OK
 
 
+def _bundle_range(flag: str, text: str) -> tuple[int, int]:
+    """A ``lo:hi`` option value, or ``ValueError`` (exit 1) naming the flag."""
+    try:
+        lo, hi = (int(t) for t in text.split(":"))
+    except ValueError:
+        lo, hi = 1, 0
+    if lo > hi:
+        raise ValueError(f"{flag} must be lo:hi with integers lo <= hi, got {text!r}")
+    return lo, hi
+
+
 def _cmd_fuzz(args) -> int:
-    lo, hi = (int(t) for t in args.loops.split(":"))
-    blo, bhi = (int(t) for t in args.bridges.split(":"))
+    if args.count < 0:
+        raise ValueError(f"--count must be at least 0, got {args.count}")
+    lo, hi = _bundle_range("--loops", args.loops)
+    blo, bhi = _bundle_range("--bridges", args.bridges)
     bounds = DumbbellBounds(
         loop_lo=lo,
         loop_hi=hi,
@@ -336,21 +349,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def graph_command(name: str, help_text: str):
+    def graph_command(name: str, help_text: str, func):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("input", nargs="?", default="-", help="input JSON file, or - for stdin")
         cmd.add_argument("--format", choices=("json", "text"), default="json")
         cmd.add_argument("--tol", type=float, default=STATE_TOL)
         cmd.add_argument("--allow-violations", action="store_true")
+        # Every step of the command shares one analysis of the input graph.
+        cmd.set_defaults(func=analysis_scope()(func))
         return cmd
 
-    graph_command("validate", "check the input against every skeleton invariant").set_defaults(func=_cmd_validate)
-    graph_command("components", "strongly connected components and assumptions").set_defaults(func=_cmd_components)
-    graph_command("spectra", "per-component and global Perron roots").set_defaults(func=_cmd_spectra)
-    kms = graph_command("kms", "extreme states at one inverse temperature")
+    graph_command("validate", "check the input against every skeleton invariant", _cmd_validate)
+    graph_command("components", "strongly connected components and assumptions", _cmd_components)
+    graph_command("spectra", "per-component and global Perron roots", _cmd_spectra)
+    kms = graph_command("kms", "extreme states at one inverse temperature", _cmd_kms)
     kms.add_argument("--beta", type=_inverse_temperature, required=True)
-    kms.set_defaults(func=_cmd_kms)
-    graph_command("phase", "critical values and the full simplex structure").set_defaults(func=_cmd_phase)
+    graph_command("phase", "critical values and the full simplex structure", _cmd_phase)
 
     dumbbell = sub.add_parser("dumbbell", help="emit an input document for a dumbbell graph")
     dumbbell.add_argument("--figure", type=int, choices=(2, 3), required=True)
@@ -377,8 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with analysis_scope():
-            return args.func(args)
+        return args.func(args)
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,39 @@ class TestCommands:
         payload = json.loads(out)
         assert payload["fuzz"]["samples"] == 25
         assert payload["fuzz"]["contradictions"] == []
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (("--count", "-5"), "--count must be at least 0, got -5"),
+            (("--loops", "2"), "--loops must be lo:hi with integers lo <= hi, got '2'"),
+            (("--loops", "9:2"), "--loops must be lo:hi with integers lo <= hi, got '9:2'"),
+            (("--bridges", "1:x"), "--bridges must be lo:hi with integers lo <= hi, got '1:x'"),
+        ],
+        ids=["count", "loops-one-value", "loops-empty", "bridges-not-integer"],
+    )
+    def test_fuzz_argument_errors_name_the_flag(self, capsys, option, message):
+        code, out, err = run(capsys, "fuzz", "--count", "3", *option)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    def test_fuzz_releases_each_sample_analysis(self, capsys, monkeypatch):
+        # The analyses alive while a sample is decomposed: as many as the
+        # samples so far if the command kept them, a handful if not.
+        live, peaks = weakref.WeakSet(), []
+        original = components.decompose
+
+        def tracked(skel):
+            decomp = original(skel)
+            live.add(decomp)
+            peaks[-1] = max(peaks[-1], len(live))
+            return decomp
+
+        monkeypatch.setattr(components, "decompose", tracked)
+        for count in ("10", "40"):
+            peaks.append(0)
+            assert run(capsys, "fuzz", "--seed", "2", "--count", count)[0] == 0
+        assert peaks[0] == peaks[1] <= 2
 
     @pytest.mark.parametrize(
         "extra, met, holds",

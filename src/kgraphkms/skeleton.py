@@ -58,15 +58,21 @@ def _integer(x) -> int | None:
 
 
 def _int_matmul(a: IntMatrix, b: IntMatrix) -> np.ndarray:
-    """Exact product of two square integer matrices as an array.
+    """Exact product of two square integer matrices as an integer array.
 
-    ``int64`` when no entry of the product can reach ``2**62`` (each is a
-    sum of ``n`` terms bounded by ``max|a| max|b|``), Python integers in an
-    object array otherwise.
+    Every partial sum of an entry is bounded by ``n max|a| max|b|``. Below
+    ``2**53`` all of them are exact float64 integers whatever the summation
+    order, so the product runs on BLAS and is read back as ``int64``; below
+    ``2**62`` it is taken in ``int64``, and otherwise in Python integers in
+    an object array.
     """
     n = len(a)
     peak_a, peak_b = (max(1, max(map(abs, chain.from_iterable(m)), default=0)) for m in (a, b))
-    dtype = np.int64 if n * peak_a * peak_b < 2**62 else object
+    bound = n * peak_a * peak_b
+    if bound < 2**53:
+        product = np.array(a, dtype=float).reshape(n, n) @ np.array(b, dtype=float).reshape(n, n)
+        return product.astype(np.int64)
+    dtype = np.int64 if bound < 2**62 else object
     return np.array(a, dtype=dtype).reshape(n, n) @ np.array(b, dtype=dtype).reshape(n, n)
 
 

@@ -183,6 +183,31 @@ class TestExactCommutation:
             assert all(type(x) is int for row in out for x in row)
         assert _int_product((), ()) == ()
 
+    @pytest.mark.parametrize("limit", [2**53, 2**62])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_int_product_exact_on_both_sides_of_each_path_limit(self, limit, side):
+        # n max|a| max|b| just below or just above the limit. Row 0 of a and
+        # column 0 of b hold the odd peaks, so product entry (0, 0) is that
+        # bound itself: above 2**53 it is odd and no float64, so only the
+        # switch away from float64 keeps it exact.
+        rng = random.Random(limit + side)
+        n, peak_a = 3, 2**20 + 1
+        peak_b = (limit // (n * peak_a) - 1) | 1
+        if side > 0:
+            peak_b += 2
+        assert (n * peak_a * peak_b < limit) is (side < 0)
+
+        def matrix(peak, fixed):
+            return tuple(
+                tuple(peak if fixed(v, w) else peak - 2 * rng.randrange(4) for w in range(n)) for v in range(n)
+            )
+
+        a, b = matrix(peak_a, lambda v, w: v == 0), matrix(peak_b, lambda v, w: w == 0)
+        out = _int_product(a, b)
+        assert out == reference_product(a, b)
+        assert out[0][0] == n * peak_a * peak_b
+        assert all(type(x) is int for row in out for x in row)
+
 
 class TestFloatArrays:
     def test_built_once_and_read_only(self):

@@ -304,11 +304,11 @@ def _bundle_range(flag: str, text: str) -> tuple[int, int]:
     """A ``lo:hi`` option value, or ``ValueError`` (exit 1) naming the flag."""
     try:
         lo, hi = (int(t) for t in text.split(":"))
+        if lo <= hi:
+            return lo, hi
     except ValueError:
-        lo, hi = 1, 0
-    if lo > hi:
-        raise ValueError(f"{flag} must be lo:hi with integers lo <= hi, got {text!r}")
-    return lo, hi
+        pass
+    raise ValueError(f"{flag} must be lo:hi with integers lo <= hi, got {text!r}")
 
 
 def _cmd_fuzz(args) -> int:

@@ -9,7 +9,8 @@ The decomposition is the one graph analysis the engine needs. Inside an
 ``analysis_scope`` it is computed at most once per skeleton, and the
 sub-skeletons built by ``restrict`` and ``split_isolated`` inherit a slice
 of their parent's instead of being analysed again. ``adopt_analysis``
-registers one known from elsewhere, such as a phase piece's.
+registers one known from elsewhere, such as a phase piece's or the one a
+dynamics was normalised with.
 """
 
 from __future__ import annotations

@@ -69,11 +69,9 @@ def _int_matmul(a: IntMatrix, b: IntMatrix) -> np.ndarray:
     n = len(a)
     peak_a, peak_b = (max(1, max(map(abs, chain.from_iterable(m)), default=0)) for m in (a, b))
     bound = n * peak_a * peak_b
-    if bound < 2**53:
-        product = np.array(a, dtype=float).reshape(n, n) @ np.array(b, dtype=float).reshape(n, n)
-        return product.astype(np.int64)
-    dtype = np.int64 if bound < 2**62 else object
-    return np.array(a, dtype=dtype).reshape(n, n) @ np.array(b, dtype=dtype).reshape(n, n)
+    dtype = float if bound < 2**53 else np.int64 if bound < 2**62 else object
+    product = np.array(a, dtype=dtype).reshape(n, n) @ np.array(b, dtype=dtype).reshape(n, n)
+    return product.astype(np.int64) if dtype is float else product
 
 
 def _int_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -301,14 +301,17 @@ def _cmd_dumbbell(args) -> int:
 
 
 def _bundle_range(flag: str, text: str) -> tuple[int, int]:
-    """A ``lo:hi`` option value, or ``ValueError`` (exit 1) naming the flag."""
+    """A ``lo:hi`` option value with ``0 <= lo <= hi``, or ``ValueError`` (exit 1) naming the flag."""
+    shape = f"{flag} must be lo:hi with integers lo <= hi, got {text!r}"
     try:
         lo, hi = (int(t) for t in text.split(":"))
-        if lo <= hi:
-            return lo, hi
     except ValueError:
-        pass
-    raise ValueError(f"{flag} must be lo:hi with integers lo <= hi, got {text!r}")
+        raise ValueError(shape) from None
+    if lo > hi:
+        raise ValueError(shape)
+    if lo < 0:
+        raise ValueError(f"{flag} bundle sizes must be nonnegative, got {text!r}")
+    return lo, hi
 
 
 def _cmd_fuzz(args) -> int:

@@ -23,9 +23,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._digraph import succ_lists, tarjan_sccs, transitive_closure
+from ._digraph import irreducible, succ_lists, tarjan_sccs, transitive_closure
 from .skeleton import Skeleton
-from .spectral import _sccs_and_root
+from .spectral import _family_perron
+
+# The shared Perron vector of every single-vertex component.
+_UNIT = np.ones(1)
+_UNIT.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -37,12 +41,18 @@ class ComponentDecomposition:
     ``c`` is irreducible, and ``reach[v, w]`` (read-only) whether a path,
     possibly trivial, has range ``v`` and source ``w``. The component
     relation ``leq`` and the ``trivial`` flags are derived from these.
+    ``vectors[c]`` (read-only) is the unit-sum Perron vector that the
+    colour blocks of component ``c`` share, in the order of its vertices,
+    and ``brackets[c][i]`` the Collatz–Wielandt bracket of its colour-``i``
+    block there, which contains ``radii[c][i]``.
     """
 
     components: tuple[tuple[int, ...], ...]
     irreducible: tuple[tuple[bool, ...], ...]
     radii: tuple[tuple[float, ...], ...]
     reach: np.ndarray = field(compare=False, repr=False)
+    vectors: tuple[np.ndarray, ...] = field(compare=False, repr=False)
+    brackets: tuple[tuple[tuple[float, float], ...], ...] = field(compare=False, repr=False)
 
     @property
     def count(self) -> int:
@@ -92,7 +102,8 @@ class ComponentDecomposition:
         and a piece has no edges to the rest at all. So reachability among
         kept vertices, and with it every kept component and the per-colour
         single-colour reachability, is unchanged, and each kept colour block
-        is the same matrix, so flags and radii are bit-identical. The Kahn
+        is the same matrix, so flags, radii, vectors and brackets are
+        bit-identical. The Kahn
         order survives too: a kept component's predecessors in the order
         constraints are all kept, so dropped components never change which
         kept ones are ready, and the smallest-vertex tie-break is preserved
@@ -107,6 +118,8 @@ class ComponentDecomposition:
             irreducible=tuple(self.irreducible[c] for c in kept),
             radii=tuple(self.radii[c] for c in kept),
             reach=reach,
+            vectors=tuple(self.vectors[c] for c in kept),
+            brackets=tuple(self.brackets[c] for c in kept),
         )
 
 
@@ -208,8 +221,9 @@ def decompose(skel: Skeleton) -> ComponentDecomposition:
 
     Components come out topologically sorted so that every colour matrix is
     block upper triangular under the induced vertex order; ties are broken
-    by the smallest original vertex index. Per-component flags, per-colour
-    Perron roots and the vertex reachability matrix are attached.
+    by the smallest original vertex index. Per-component flags, Perron
+    vectors, per-colour Perron roots and brackets, and the vertex
+    reachability matrix are attached.
     """
     adj = skel.union_support()
     comps = [tuple(c) for c in tarjan_sccs(succ_lists(adj))]
@@ -236,31 +250,36 @@ def decompose(skel: Skeleton) -> ComponentDecomposition:
     np.fill_diagonal(reach, True)
     reach.flags.writeable = False
     arrays = skel.as_arrays()
-    spectra = [_block_spectra(arrays, comp) for comp in components]
+    spectra = [_block_spectra(arrays, c, comp) for c, comp in enumerate(components)]
     return ComponentDecomposition(
         components=components,
-        irreducible=tuple(flags for flags, _ in spectra),
-        radii=tuple(radii for _, radii in spectra),
+        irreducible=tuple(s[0] for s in spectra),
+        radii=tuple(s[1] for s in spectra),
         reach=reach,
+        vectors=tuple(s[2] for s in spectra),
+        brackets=tuple(s[3] for s in spectra),
     )
 
 
-def _block_spectra(arrays, comp: tuple[int, ...]) -> tuple[tuple[bool, ...], tuple[float, ...]]:
-    """Per-colour irreducibility flags and Perron roots of one component's blocks.
+def _block_spectra(arrays, c: int, comp: tuple[int, ...]):
+    """Per-colour flags and roots, shared Perron vector and per-colour brackets of one component.
 
     A single vertex is irreducible in a colour exactly when it has a loop
     there, and its Perron root is the loop count: the same flag and float
-    that ``irreducible`` and ``spectral_radius`` return on the 1x1 block.
-    A larger block is irreducible when its support has one strongly
-    connected component, and the same Tarjan run gives the blocks whose
-    roots ``spectral_radius`` maximises.
+    that ``irreducible`` and ``spectral_radius`` return on the 1x1 block,
+    with the vector (1,) and the root as its bracket. A larger block takes
+    one Tarjan run per colour for the flags and one certified eigensolve of
+    the colour sum for the vector and every colour's root
+    (``_family_perron``).
     """
     if len(comp) == 1:
         v = comp[0]
-        return tuple(bool(a[v, v] > 0) for a in arrays), tuple(float(a[v, v]) for a in arrays)
+        radii = tuple(float(a[v, v]) for a in arrays)
+        return tuple(bool(a[v, v] > 0) for a in arrays), radii, _UNIT, tuple(zip(radii, radii))
     block = np.ix_(comp, comp)
-    spectra = [_sccs_and_root(a[block]) for a in arrays]
-    return tuple(len(sccs) == 1 for sccs, _ in spectra), tuple(root for _, root in spectra)
+    mats = [a[block] for a in arrays]
+    x, radii, brackets = _family_perron(mats, f"component {c} (vertices {list(comp)})")
+    return tuple(irreducible(m > 0) for m in mats), radii, x, brackets
 
 
 def _weak_pieces(skel: Skeleton) -> list[list[int]]:

@@ -104,10 +104,10 @@ def _as_float_matrix(matrix) -> np.ndarray:
 
 
 def _collatz_wielandt(matrix: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    """Bracket ``min_i (Ax)_i/x_i <= rho(A) <= max_i (Ax)_i/x_i`` for irreducible A.
+    """Bracket ``min_i (Ax)_i/x_i <= rho(A) <= max_i (Ax)_i/x_i`` for nonnegative A.
 
-    Holds for every strictly positive ``x``; any other ``x`` gives the
-    empty-handed bracket ``(-inf, inf)``.
+    Holds for every strictly positive ``x`` (Horn–Johnson 8.1.26); any
+    other ``x`` gives the empty-handed bracket ``(-inf, inf)``.
     """
     if not np.all(x > 0):
         return -np.inf, np.inf
@@ -126,9 +126,9 @@ def _perron_block(block: np.ndarray) -> tuple[float, np.ndarray, tuple[float, fl
     One dense eigensolve gives the eigenvalue with the largest real part
     and its eigenvector, scaled to unit sum. The vector must be strictly
     positive and its Collatz–Wielandt bracket at most ``RADIUS_BAND_RTOL``
-    wide, relative; if not, one step of inverse iteration at the computed
-    root refines the vector (small entries of a badly scaled Perron vector
-    carry large relative error) and both are checked again. The root is the
+    wide, relative; if not, up to two steps of inverse iteration at the
+    computed root refine the vector (small entries of a badly scaled Perron
+    vector carry large relative error), each checked again. The root is the
     eigenvalue clamped into the bracket. Returns (radius, unit-sum vector,
     bracket) or raises ``EigenConsistencyError``.
     """
@@ -142,36 +142,37 @@ def _perron_block(block: np.ndarray) -> tuple[float, np.ndarray, tuple[float, fl
     x = vectors[:, top].real
     x = x / x.sum()
     bracket = _collatz_wielandt(block, x)
-    if not _certified(bracket):
-        try:
-            y = np.linalg.solve(block - rho * np.eye(d), x)
-        except np.linalg.LinAlgError:
-            y = x  # exactly singular at rho: nothing to refine
-        with np.errstate(all="ignore"):
-            x = y / y.sum()
+    for _ in range(2):
+        if _certified(bracket):
+            break
+        x = _inverse_step(block, rho, x)
         bracket = _collatz_wielandt(block, x)
-        if not _certified(bracket):
-            raise EigenConsistencyError(
-                f"Perron root {rho!r} of a {d}x{d} block not certified: Collatz-Wielandt "
-                f"bracket [{bracket[0]!r}, {bracket[1]!r}] (infinite when the "
-                f"eigenvector is not strictly positive)"
-            )
+    if not _certified(bracket):
+        raise EigenConsistencyError(
+            f"Perron root {rho!r} of a {d}x{d} block not certified: Collatz-Wielandt "
+            f"bracket [{bracket[0]!r}, {bracket[1]!r}] (infinite when the "
+            f"eigenvector is not strictly positive)"
+        )
     lo, hi = bracket
     return min(max(rho, lo), hi), x, bracket
 
 
-def _sccs_and_root(arr: np.ndarray) -> tuple[list[list[int]], float]:
-    """Strongly connected components of a float matrix's support, and its Perron root.
+def _inverse_step(block: np.ndarray, rho: float, x: np.ndarray) -> np.ndarray:
+    """One step of inverse iteration at ``rho`` from ``x``, scaled to unit sum.
 
-    The root is the largest certified root over the components' diagonal
-    blocks; one Tarjan run gives both, so a caller that also needs
-    irreducibility (one component) does not walk the graph twice.
+    When ``x > 0`` the step solves the similar system ``D^-1 (B - rho I) D z
+    = 1`` with ``D = diag(x)`` and returns ``D z``: the entries of ``z`` are
+    all of one size, so the solve resolves each entry of the vector to the
+    same relative accuracy, however widely the entries spread.
     """
-    sccs = tarjan_sccs(succ_lists(arr > 0))
-    best = 0.0
-    for comp in sccs:
-        best = max(best, _perron_block(arr[np.ix_(comp, comp)])[0])
-    return sccs, best
+    scale = x if np.all(x > 0) else np.ones_like(x)
+    try:
+        z = np.linalg.solve(block * scale / scale[:, None] - rho * np.eye(len(x)), x / scale)
+    except np.linalg.LinAlgError:
+        return x  # exactly singular at rho: nothing to refine
+    y = scale * z
+    with np.errstate(all="ignore"):
+        return y / y.sum()
 
 
 def spectral_radius(matrix) -> float:
@@ -181,18 +182,62 @@ def spectral_radius(matrix) -> float:
     support digraph and maximised, so no assumption of irreducibility is
     needed.
     """
-    return _sccs_and_root(_as_float_matrix(matrix))[1]
+    arr = _as_float_matrix(matrix)
+    best = 0.0
+    for comp in tarjan_sccs(succ_lists(arr > 0)):
+        best = max(best, _perron_block(arr[np.ix_(comp, comp)])[0])
+    return best
+
+
+def _family_perron(
+    mats: list[np.ndarray], owner: str
+) -> tuple[np.ndarray, tuple[float, ...], tuple[tuple[float, float], ...]]:
+    """Shared Perron vector of commuting blocks with an irreducible sum, and each block's root.
+
+    One certified eigensolve of the sum gives its Perron vector ``x > 0``,
+    scaled to unit sum. The sum is irreducible, so ``x`` spans its Perron
+    eigenspace, and each commuting block maps that eigenspace to itself:
+    ``x`` is an eigenvector of every block, reducible ones included, and a
+    nonnegative matrix with a positive eigenvector has its Perron root as
+    that eigenvalue (Horn–Johnson 8.1.30). Each block's root is therefore
+    ``sum(A x)``, clamped into the block's Collatz–Wielandt bracket at
+    ``x``, which must be at most ``RADIUS_BAND_RTOL`` wide, relative; if not,
+    ``EigenConsistencyError`` names ``owner``, the colour and the bracket.
+    Returns (read-only vector, roots, brackets).
+    """
+    total = np.zeros(mats[0].shape)
+    for m in mats:
+        total += m
+    try:
+        _, x, _ = _perron_block(total)
+    except EigenConsistencyError as exc:
+        raise EigenConsistencyError(f"{owner}, colour sum: {exc}") from None
+    x.flags.writeable = False
+    roots, brackets = [], []
+    for i, m in enumerate(mats):
+        ax = m @ x
+        ratios = ax / x
+        lo, hi = bracket = float(ratios.min()), float(ratios.max())
+        if not _certified(bracket):
+            raise EigenConsistencyError(
+                f"{owner}, colour {i}: Collatz-Wielandt bracket [{lo!r}, {hi!r}] at the shared "
+                f"Perron vector is wider than the radius band"
+            )
+        roots.append(min(max(float(ax.sum()), lo), hi))
+        brackets.append(bracket)
+    return x, tuple(roots), tuple(brackets)
 
 
 def common_pf_eigenvector(family: Sequence, tol: float = 1e-9) -> list[PFResult]:
     """Shared unimodular Perron vector of commuting irreducible matrices.
 
-    The vector is computed once, from the sum of the family, then verified
-    against every member: its Collatz–Wielandt bracket for the member must
-    be within the radius band and meet the member's own certified root, and
-    the eigen residual must be within tolerance. Failing either means the
-    family was not simultaneously diagonalisable at the Perron root, i.e.
-    the stated preconditions (irreducibility, commutation) were violated.
+    The vector is computed once, from the sum of the family, and gives every
+    member's root and Collatz–Wielandt bracket (``_family_perron``). Each
+    root must lie within the radius band of the member's own
+    ``spectral_radius``, and each eigen residual within tolerance. Failing
+    either means the family was not simultaneously diagonalisable at the
+    Perron root, i.e. the stated preconditions (irreducibility, commutation)
+    were violated.
     """
     mats = [_as_float_matrix(m) for m in family]
     if not mats:
@@ -202,60 +247,59 @@ def common_pf_eigenvector(family: Sequence, tol: float = 1e-9) -> list[PFResult]
     for i, m in enumerate(mats):
         if not irreducible(m > 0):
             raise ValueError(f"family member {i} is not irreducible")
-    return _shared_perron(mats, [spectral_radius(m) for m in mats], tol)
+    _check_commuting(mats)
+    x, roots, brackets = _family_perron(mats, "family")
+    for i, (m, rho) in enumerate(zip(mats, roots)):
+        own = spectral_radius(m)
+        if abs(rho - own) > RADIUS_BAND_RTOL * max(1.0, own):
+            raise EigenConsistencyError(
+                f"family not simultaneously diagonalisable at the Perron root: member {i} "
+                f"root {rho!r} at the shared vector, {own!r} on its own"
+            )
+    return _pf_results(mats, x, roots, brackets, tol)
 
 
 def component_perron(skel, decomp, c: int) -> list[PFResult]:
     """``common_pf_eigenvector`` of component ``c``'s colour blocks, from its analysis.
 
-    ``decomp`` is ``skel``'s decomposition, whose irreducibility flags and
-    Perron roots are the ones ``irreducible`` and ``spectral_radius`` give
-    on each block, bit for bit; only the shared vector is computed here.
+    ``decomp`` is ``skel``'s decomposition, which holds the component's
+    irreducibility flags, shared Perron vector, roots and brackets, so no
+    eigensolve runs here; the flags, the float commutation and the eigen
+    residuals are checked as the public route checks them.
     """
     for i, flag in enumerate(decomp.irreducible[c]):
         if not flag:
             raise ValueError(f"family member {i} is not irreducible")
     block = np.ix_(decomp.components[c], decomp.components[c])
-    return _shared_perron([a[block] for a in skel.as_arrays()], decomp.radii[c])
+    mats = [a[block] for a in skel.as_arrays()]
+    _check_commuting(mats)
+    return _pf_results(mats, decomp.vectors[c], decomp.radii[c], decomp.brackets[c])
 
 
-def _shared_perron(mats: list[np.ndarray], roots: Sequence[float], tol: float = 1e-9) -> list[PFResult]:
-    """Certify the shared Perron vector of irreducible float blocks of one shape.
-
-    ``roots[i]`` is member ``i``'s own certified Perron root, which the
-    vector's bracket for that member must meet.
-    """
-    shape = mats[0].shape
-    if shape == (1, 1):
-        # Closed form of the general route below: the vector (1,) is exact,
-        # with each positive entry as its root, bracket and zero residual.
-        return [
-            PFResult(radius=float(m[0, 0]), vector=(1.0,), residual=0.0, bracket=(float(m[0, 0]),) * 2)
-            for m in mats
-        ]
+def _check_commuting(mats: list[np.ndarray]) -> None:
+    """Raise ``ValueError`` unless the float blocks commute within ``1e-9``; 1x1 blocks always do."""
+    if mats[0].shape == (1, 1):
+        return
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             if not np.allclose(mats[i] @ mats[j], mats[j] @ mats[i], rtol=0, atol=1e-9):
                 raise ValueError(f"family members {i} and {j} do not commute")
 
-    total = np.zeros(shape)
-    for m in mats:
-        total += m
-    _, x, _ = _perron_block(total)
+
+def _pf_results(mats, x: np.ndarray, roots, brackets, tol: float = 1e-9) -> list[PFResult]:
+    """One ``PFResult`` per block at the shared vector ``x``, each eigen residual checked."""
+    if mats[0].shape == (1, 1):
+        # Closed form: the vector (1,) is exact, with zero residual.
+        return [PFResult(radius=r, vector=(1.0,), residual=0.0, bracket=b) for r, b in zip(roots, brackets)]
     vector = tuple(float(t) for t in x)
     results = []
-    for i, m in enumerate(mats):
-        bracket = _collatz_wielandt(m, x)
-        lo, hi = bracket
-        own = roots[i]
-        rho = min(max(own, lo), hi)
+    for i, (m, rho, bracket) in enumerate(zip(mats, roots, brackets)):
         residual = float(np.max(np.abs(m @ x - rho * x)))
-        consistent = _certified(bracket) and abs(rho - own) <= RADIUS_BAND_RTOL * max(1.0, own)
-        if not consistent or residual > tol * max(1.0, rho):
+        if residual > tol * max(1.0, rho):
             raise EigenConsistencyError(
                 f"family not simultaneously diagonalisable at the Perron root: "
-                f"member {i} root {own!r}, Collatz-Wielandt bracket [{lo!r}, {hi!r}] "
-                f"at the shared vector, residual {residual:.3e}"
+                f"member {i} root {rho!r}, Collatz-Wielandt bracket [{bracket[0]!r}, "
+                f"{bracket[1]!r}] at the shared vector, residual {residual:.3e}"
             )
         results.append(PFResult(radius=rho, vector=vector, residual=residual, bracket=bracket))
     return results
@@ -327,42 +371,34 @@ def extend_eigenvector(skel, component: Iterable[int], colours: Iterable[int] | 
     if not admissible:
         raise ValueError("no colour dominates the feeder blocks; extension undefined")
 
-    nf = len(f)
-    if nf == 0:
-        y = np.zeros(0)
-        cross = 0.0
-    else:
+    y = np.zeros(0)
+    cross = exchange = 0.0
+    if f:
+        # rho_i I - E_i and B_i x, once per colour, serve the solves and the
+        # exchange identity.
+        systems = [radii[i] * np.eye(len(f)) - e for i, e in enumerate(e_blocks)]
+        bx = [b @ x for b in b_blocks]
         solutions = []
         for i in admissible:
-            system = radii[i] * np.eye(nf) - e_blocks[i]
-            rhs = b_blocks[i] @ x
-            sol = np.linalg.solve(system, rhs)
-            residual = float(np.max(np.abs(system @ sol - rhs)))
-            if residual > SOLVE_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(rhs)))):
+            sol = np.linalg.solve(systems[i], bx[i])
+            residual = float(np.max(np.abs(systems[i] @ sol - bx[i])))
+            if residual > SOLVE_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(bx[i])))):
                 raise EigenConsistencyError(
                     f"linear solve residual {residual:.3e} above tolerance in colour {i}"
                 )
             solutions.append(sol)
         y = solutions[0]
-        cross = 0.0
         for other in solutions[1:]:
             cross = max(cross, float(np.max(np.abs(other - y))))
-
-    # Exchange identity across all colour pairs, admissible or not.
-    exchange = 0.0
-    for i in range(skel.k):
-        for j in range(skel.k):
-            if i == j or nf == 0:
-                continue
-            lhs = (radii[i] * np.eye(nf) - e_blocks[i]) @ (b_blocks[j] @ x)
-            rhs = (radii[j] * np.eye(nf) - e_blocks[j]) @ (b_blocks[i] @ x)
-            exchange = max(exchange, float(np.max(np.abs(lhs - rhs))))
+        # Exchange identity across all colour pairs, admissible or not; the
+        # discrepancy of (i, j) is that of (j, i), so each pair is taken once.
+        for i in range(skel.k):
+            for j in range(i + 1, skel.k):
+                exchange = max(exchange, float(np.max(np.abs(systems[i] @ bx[j] - systems[j] @ bx[i]))))
 
     z = np.zeros(skel.n)
-    for pos, v in enumerate(f):
-        z[v] = y[pos]
-    for pos, v in enumerate(d):
-        z[v] = x[pos]
+    z[f] = y
+    z[d] = x
     arrays = skel.as_arrays()
     residuals = tuple(
         float(np.max(np.abs(arrays[i] @ z - radii[i] * z))) for i in range(skel.k)

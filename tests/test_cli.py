@@ -230,8 +230,11 @@ class TestCommands:
             (("--loops", "2"), "--loops must be lo:hi with integers lo <= hi, got '2'"),
             (("--loops", "9:2"), "--loops must be lo:hi with integers lo <= hi, got '9:2'"),
             (("--bridges", "1:x"), "--bridges must be lo:hi with integers lo <= hi, got '1:x'"),
+            (("--loops=-3:4",), "--loops bundle sizes must be nonnegative, got '-3:4'"),
+            (("--bridges=-2:0",), "--bridges bundle sizes must be nonnegative, got '-2:0'"),
+            (("--bridges=-1:-1",), "--bridges bundle sizes must be nonnegative, got '-1:-1'"),
         ],
-        ids=["count", "loops-one-value", "loops-empty", "bridges-not-integer"],
+        ids=["count", "loops-one-value", "loops-empty", "bridges-not-integer", "loops-negative", "bridges-negative", "bridges-all-negative"],
     )
     def test_fuzz_argument_errors_name_the_flag(self, capsys, option, message):
         code, out, err = run(capsys, "fuzz", "--count", "3", *option)

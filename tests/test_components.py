@@ -377,6 +377,9 @@ def assert_inherited(sub):
     want = decompose(fresh)
     assert got.components == want.components
     assert got.radii == want.radii  # exact float equality
+    assert got.brackets == want.brackets
+    assert [x.tobytes() for x in got.vectors] == [x.tobytes() for x in want.vectors]
+    assert not any(x.flags.writeable for x in got.vectors)
     assert np.array_equal(got.leq, want.leq)
     assert got.trivial == want.trivial
     assert got.irreducible == want.irreducible

@@ -1,7 +1,8 @@
+import json
 import math
 import random
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from kgraphkms import (
     critical_components,
     decompose,
     extend_eigenvector,
+    extreme_states_at,
     normalize_dynamics,
     phase_diagram,
     quick_exit_weight,
@@ -34,9 +36,11 @@ from kgraphkms.spectral import (
 )
 
 from conftest import (
+    DATA,
     EXAMPLE_1,
     EXAMPLE_2,
     NO_BRIDGE_COUNTEREXAMPLE,
+    chain,
     count_eig,
     cycle_product_skeleton,
     data_skeletons,
@@ -130,6 +134,74 @@ class TestCertifiedPerronRoot:
     def test_reducible_block_raises(self):
         with pytest.raises(EigenConsistencyError, match="bracket"):
             _perron_block(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def cycle_and_square():
+    """An 80-cycle ``W`` with weights 3 (40 times) then 1 (40 times), and ``W²``.
+
+    ``W`` is irreducible with root ``sqrt(3)``; ``W²`` splits into two
+    40-cycles, so it is reducible, with root 3. Their sum's Perron vector
+    spans ``3**20``.
+    """
+    w = weighted_cycle([3] * 40 + [1] * 40).astype(int)
+    return w, w @ w
+
+
+REDUCIBLE_COLOUR_BLOCKS = {
+    "identity-and-swap": skeleton("ab", np.eye(2, dtype=int).tolist(), [[0, 1], [1, 0]]),
+    "cycle-and-square": skeleton([f"v{i}" for i in range(80)], *(m.tolist() for m in cycle_and_square())),
+}
+
+
+class TestRootsFromTheSharedVector:
+    """A larger component's roots come from the Perron vector of its colour sum."""
+
+    @pytest.mark.parametrize("skel", REDUCIBLE_COLOUR_BLOCKS.values(), ids=REDUCIBLE_COLOUR_BLOCKS.keys())
+    def test_reducible_colour_block(self, skel):
+        decomp = decompose(skel)
+        assert decomp.count == 1 and not all(decomp.irreducible[0])
+        x = decomp.vectors[0]
+        assert x.min() > 0 and not x.flags.writeable
+        for a, rho, (lo, hi) in zip(skel.as_arrays(), decomp.radii[0], decomp.brackets[0]):
+            assert rho == pytest.approx(spectral_radius(a), rel=1e-12, abs=0)
+            assert lo <= rho <= hi and hi - lo <= 1e-9 * hi
+
+    def test_badly_scaled_shared_vector_is_refined(self):
+        # One plain inverse-iteration step left the colour sum's bracket
+        # 7e-8 wide here; the step scaled by the vector certifies it.
+        w, square = cycle_and_square()
+        results = common_pf_eigenvector([w, w + square])
+        expected = (math.sqrt(3), 3 + math.sqrt(3))
+        for res, root in zip(results, expected):
+            assert res.radius == pytest.approx(root, rel=1e-12, abs=0)
+            lo, hi = res.bracket
+            assert lo <= res.radius <= hi and hi - lo <= 1e-9 * hi
+
+    def test_uncertified_bracket_names_component_colour_and_bracket(self, monkeypatch):
+        # A vector that is not the Perron vector of the first colour's block.
+        skel = product_skeleton()
+        original = spectral._perron_block
+
+        def skewed(block):
+            rho, x, bracket = original(block)
+            x = x.copy()
+            x[0] *= 1.001
+            return rho, x, bracket
+
+        monkeypatch.setattr(spectral, "_perron_block", skewed)
+        named = r"^component 0 \(vertices \[0, 1, .*\]\), colour 0: Collatz-Wielandt bracket \[\S+, \S+\]"
+        with pytest.raises(EigenConsistencyError, match=named):
+            decompose(skel)
+
+    def test_library_pass_solves_once(self, monkeypatch):
+        skel = cycle_product_skeleton(1)
+        eig_calls = count_eig(monkeypatch)
+        dyn = normalize_dynamics(skel)
+        diagram = phase_diagram(skel, dyn)
+        critical = diagram.critical_betas
+        for beta in (*critical, critical[0] + 1.0):
+            extreme_states_at(skel, dyn, beta, diagram=diagram)
+        assert eig_calls == [(54, 54)]
 
 
 class TestCommonPF:
@@ -235,10 +307,11 @@ class TestAnalysisRoute:
             component_perron(skel, decomp, 0)
 
     def test_phase_diagram_certifies_each_block_once(self, monkeypatch):
-        # The product skeleton is one 54-vertex component: one eigensolve per
-        # colour block in decompose and one for the shared vector. Flags and
-        # roots are never derived again outside decompose, and a dynamics
-        # normalised on this very skeleton brings decompose's two along.
+        # The product skeleton is one 54-vertex component: decompose solves
+        # its colour sum once, for the shared vector and every colour's root.
+        # Flags, roots and the vector are never derived again outside
+        # decompose, and a dynamics normalised on this very skeleton brings
+        # that analysis along, so phase_diagram solves nothing.
         skel = product_skeleton()
         dyn = normalize_dynamics(skel)
         twin_dyn = normalize_dynamics(product_skeleton())
@@ -266,7 +339,7 @@ class TestAnalysisRoute:
                 if getattr(module, "__name__", "").startswith("kgraphkms") and getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counting)
         eig_calls = count_eig(monkeypatch)
-        for d, decompositions, eigs in ((dyn, 0, 1), (twin_dyn, 1, 3), (replace(dyn, analysis=None), 1, 3)):
+        for d, decompositions, eigs in ((dyn, 0, 0), (twin_dyn, 1, 1), (replace(dyn, analysis=None), 1, 1)):
             decomposed.clear()
             eig_calls.clear()
             phase_diagram(skel, d)
@@ -324,6 +397,38 @@ class TestExtension:
             assert min(ext.y, default=0.0) >= -1e-12
             assert max(ext.per_colour_residuals) <= 1e-8
         assert checked >= 5
+
+
+EXTENSION_PINS = json.loads((DATA / "golden" / "extension.json").read_text())
+EXTENSION_INPUTS = {**data_skeletons(), "chain12": chain(12, 0), "product-skeleton": product_skeleton()}
+
+
+def hexed(value):
+    """A float as ``float.hex``, tuples as lists of the same, anything else as is."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return [hexed(t) for t in value]
+    return value
+
+
+class TestExtensionPins:
+    @pytest.mark.parametrize("name", EXTENSION_INPUTS)
+    def test_every_component_bit_for_bit(self, name):
+        # Recorded by the extension code that solved each colour's system
+        # with a fresh matrix and took the exchange identity over ordered
+        # pairs, on the same analysis: every result, field and float, or the
+        # error, of every component.
+        skel = EXTENSION_INPUTS[name]
+        got = []
+        for comp in decompose(skel).components:
+            try:
+                ext = extend_eigenvector(skel, comp)
+            except ValueError as exc:
+                got.append({"error": str(exc)})
+                continue
+            got.append({f.name: hexed(getattr(ext, f.name)) for f in fields(ext)})
+        assert got == EXTENSION_PINS[name]
 
 
 class TestQuickExit:

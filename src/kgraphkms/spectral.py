@@ -2,10 +2,11 @@
 
 Spectral radii are computed per strongly connected block by one dense
 eigensolve, certified by a Collatz–Wielandt bracket, so reducible matrices
-are handled exactly as the maximum over their diagonal blocks. The
-extension step takes the common Perron vector of a hereditary component's
-colour blocks, certified against the roots its analysis already holds, and
-solves a dense linear system per colour to continue it across the
+are handled exactly as the maximum over their diagonal blocks. The colour
+blocks of one component share a Perron vector, which one eigensolve of
+their sum gives together with every block's root. The extension step
+takes a hereditary component's vector and roots from its analysis and
+solves a dense linear system per colour to continue the vector across the
 components that feed from it; a truncated path-weight series is kept
 alongside as an independent cross-check.
 """

@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
-from kgraphkms import Skeleton, degree_power, validate_skeleton
+from kgraphkms import Skeleton, degree_power, parse_input, restrict, split_isolated, validate_skeleton
 from kgraphkms.skeleton import (
     RULE_COMMUTE,
     RULE_DIMENSION,
@@ -15,7 +16,7 @@ from kgraphkms.skeleton import (
     _int_product,
 )
 
-from conftest import EXAMPLE_1, skeleton
+from conftest import DATA, EXAMPLE_1, data_skeletons, skeleton
 
 
 class TestValidate:
@@ -221,3 +222,163 @@ class TestFloatArrays:
 
     def test_empty_skeleton(self):
         assert [a.shape for a in Skeleton.empty(2).as_arrays()] == [(0, 0), (0, 0)]
+
+
+I2 = [[1, 0], [0, 1]]
+
+
+def integer_violation(entry, where=(0, 0, 0)):
+    i, v, w = where
+    return (RULE_INTEGER, f"entry A_{i}({v},{w})={entry!r} is not an integer", where)
+
+
+NOT_INTEGERS = "matrix 0 has entries that are not integers"
+
+# (labels, matrices, violations as (rule, message, where) in report order,
+# constructor ValueError text or None when it accepts).
+SHARED_RULE_CASES = {
+    **{
+        name: ("ab", ([[entry, other], [1, 1]], I2), [integer_violation(entry)], NOT_INTEGERS)
+        for name, entry, other in [
+            ("bool", True, 2),
+            ("numpy-bool", np.bool_(True), 1),
+            ("string", "3", 1),
+            ("none", None, 1),
+            ("fraction", 2.5, 1),
+        ]
+    },
+    "negative-then-fraction": (
+        "ab",
+        ([[-1, 2.5], [1, 1]], I2),
+        [(RULE_NONNEGATIVE, "entry A_0(0,0)=-1 is negative", (0, 0, 0)), integer_violation(2.5, (0, 0, 1))],
+        NOT_INTEGERS,
+    ),
+    "beyond-float": ("ab", ([[2**60 + 1, 2.0], [1, 1]], I2), [], None),
+    "beyond-int64": ("ab", ([[2**64, 1.0], [1, 1]], I2), [], None),
+    "non-square": ("ab", ([[1, 0], [0]], I2), [(RULE_SQUARE, "matrix 0 is not square", (0,))], "matrix 0 is not 2x2"),
+    "wrong-dimension": (
+        "ab",
+        (I2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        [(RULE_DIMENSION, "matrix 1 is 3x3, expected 2x2", (1,))],
+        "matrix 1 is not 2x2",
+    ),
+    "negative": (
+        "ab",
+        ([[-1, 1], [1, 1]], I2),
+        [(RULE_NONNEGATIVE, "entry A_0(0,0)=-1 is negative", (0, 0, 0))],
+        "matrix 0 has negative entries",
+    ),
+    "non-commuting": (
+        "ab",
+        ([[1, 1], [0, 2]], [[1, 2], [0, 2]]),
+        [(RULE_COMMUTE, "A_0 A_1 != A_1 A_0 at entries [(0, 1)]", (0, 1))],
+        "matrices 0 and 1 do not commute",
+    ),
+    "sources-and-sinks": (
+        "ab",
+        ([[1, 0], [0, 0]], [[0, 0], [0, 1]]),
+        [
+            (RULE_NO_SOURCE, "row 1 of A_0 is zero (source)", (0, 1)),
+            (RULE_NO_SINK, "column 1 of A_0 is zero (sink)", (0, 1)),
+            (RULE_NO_SOURCE, "row 0 of A_1 is zero (source)", (1, 0)),
+            (RULE_NO_SINK, "column 0 of A_1 is zero (sink)", (1, 0)),
+        ],
+        None,
+    ),
+    "empty": ((), ((), ()), [], None),
+}
+
+
+class TestSharedRule:
+    """``validate_skeleton`` and the constructor apply one rule to the same input."""
+
+    @pytest.mark.parametrize("case", SHARED_RULE_CASES.values(), ids=SHARED_RULE_CASES.keys())
+    def test_validation_and_constructor_agree(self, case):
+        labels, matrices, violations, error = case
+        report = validate_skeleton(tuple(labels), matrices)
+        assert [(v.rule, v.message, v.where) for v in report.violations] == violations
+        assert report.passed is not violations
+        # Zero rows and columns are reported but tolerated by the constructor.
+        structural = [v for v in violations if v[0] not in (RULE_NO_SOURCE, RULE_NO_SINK)]
+        assert (error is None) is not structural
+        if error is not None:
+            with pytest.raises(ValueError) as raised:
+                Skeleton(tuple(labels), matrices)
+            assert str(raised.value) == error
+            return
+        skel = Skeleton(tuple(labels), matrices)
+        want = tuple(tuple(tuple(int(x) for x in row) for row in m) for m in matrices)
+        assert skel.matrices == want
+        assert all(type(x) is int for m in skel.matrices for row in m for x in row)
+
+    def test_large_entries_come_back_exact(self):
+        for top in (2**60 + 1, 2**64):
+            skel = Skeleton(("a", "b"), ([[top, float(2)], [1, 1]], I2))
+            assert skel.matrices[0] == ((top, 2), (1, 1))
+            assert type(skel.matrices[0][0][1]) is int
+
+
+def digest(skel):
+    return hashlib.sha256(repr(skel).encode()).hexdigest()
+
+
+# sha256 of each ``tests/data`` skeleton's repr.
+DATA_REPR_DIGESTS = {
+    "chain20-b0": "addce2d52c07b10fbc08c53fdbc05966e6cae0a633609283d31ba98e07de2ca2",
+    "chain20-b3": "cb27a7c45328b79048d755a2a4a8ed3ba56409608beaadf12520d00153cfe1d2",
+    "dumbbell3": "e8b22f0fbdf9409a7a4f6ac320dad225ff56db55cdb5629fbe3f569a7350e37f",
+    "example1": "06f32d2f7fbbe8766fbe3c914b1cae79e5aae703d0a01c773c8fbb88a7e68927",
+    "example2": "4cddced4d8dc8745f3c9259f473ad8a6c11b704dfbbbaab86985773785c3c389",
+    "product": "180fc7b13e458b6072ee0acd4944c7aa1d6bdedb2f1bc0fbf644e81a98fd5255",
+}
+
+BIG_PAIR_REPR = (
+    "Skeleton(vertex_labels=('u', 'v', 'w'), matrices=("
+    "((1099511627779, 1099511627779, 0), (0, 1099511627779, 1099511627779), (0, 0, 1099511627779)), "
+    "((1649267441672, 2748779069455, 1099511627783), (0, 1649267441672, 2748779069455), (0, 0, 1649267441672))))"
+)
+
+# Entries 2**70 and 2**65 need object storage; the rest of each matrix is small.
+WIDE = Skeleton(("a", "b", "c"), ([[3, 1, 0], [0, 2**70, 0], [0, 0, 2]], [[3, 1, 0], [0, 2**70, 0], [0, 0, 2**65]]))
+
+
+class TestValueSemantics:
+    """Equality, hash and repr depend only on the labels and entry values."""
+
+    def test_data_skeletons(self):
+        skeletons = data_skeletons()
+        assert sorted(skeletons) == sorted(DATA_REPR_DIGESTS)
+        for stem, skel in skeletons.items():
+            doc = parse_input((DATA / f"{stem}.json").read_text())
+            assert digest(skel) == DATA_REPR_DIGESTS[stem]
+            assert hash(skel) == hash((tuple(doc.vertices), doc.matrices))
+            assert skel == Skeleton(doc.vertices, doc.matrices)
+            assert all(skel != other for name, other in skeletons.items() if name != stem)
+
+    def test_big_commuting_pair(self):
+        a, b = TestExactCommutation().pair()
+        skel = Skeleton(("u", "v", "w"), (a, b))
+        assert repr(skel) == BIG_PAIR_REPR
+        assert hash(skel) == hash((("u", "v", "w"), (a, b)))
+        assert skel == Skeleton(("u", "v", "w"), (a, b)) != Skeleton(("u", "v", "w"), (b, a))
+
+    def test_empty(self):
+        assert repr(Skeleton.empty(2)) == "Skeleton(vertex_labels=(), matrices=((), ()))"
+        assert hash(Skeleton.empty(2)) == hash(((), ((), ())))
+        assert Skeleton.empty(2) == Skeleton.empty(2) != Skeleton.empty(1)
+
+    def test_restrictions_of_wide_storage_equal_fresh_skeletons(self, monkeypatch):
+        built = []
+        original = Skeleton.__post_init__
+        monkeypatch.setattr(Skeleton, "__post_init__", lambda self, *a: built.append(1) or original(self, *a))
+        # {b} is hereditary: only b itself reaches it. Splitting the rest
+        # gives the pieces {a} and {c}.
+        rest = restrict(WIDE, {1})
+        pieces = split_isolated(rest)
+        assert built == []
+        assert [p.vertex_labels for p in pieces] == [("a",), ("c",)]
+        for sub in (rest, *pieces):
+            fresh = Skeleton(sub.vertex_labels, sub.matrices)
+            assert sub == fresh and hash(sub) == hash(fresh) and repr(sub) == repr(fresh)
+        assert pieces[0] == Skeleton(("a",), ([[3]], [[3]]))
+        assert hash(pieces[1]) == hash((("c",), (((2,),), ((2**65,),))))

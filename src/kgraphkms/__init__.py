@@ -15,7 +15,6 @@ from .components import (
     check_assumptions,
     decompose,
     hereditary_closure,
-    reaches,
     restrict,
     split_isolated,
 )
@@ -50,7 +49,7 @@ from .engine import (
     verify_states,
 )
 from .formats import InputDocument, ParseError, emit_report, input_to_json, parse_input
-from .skeleton import Skeleton, ValidationReport, degree_power, validate_skeleton
+from .skeleton import Skeleton, ValidationReport, validate_skeleton
 from .spectral import (
     EigenConsistencyError,
     ExtensionResult,

@@ -319,6 +319,8 @@ def _cmd_fuzz(args) -> int:
         raise ValueError(f"--count must be at least 0, got {args.count}")
     lo, hi = _bundle_range("--loops", args.loops)
     blo, bhi = _bundle_range("--bridges", args.bridges)
+    if bhi < 1 and not args.zero_wv:
+        raise ValueError(f"--bridges must allow a nonempty bundle (hi >= 1) without --zero-wv, got {args.bridges!r}")
     bounds = DumbbellBounds(
         loop_lo=lo,
         loop_hi=hi,

@@ -192,11 +192,6 @@ def adopt_analysis(skel: Skeleton, decomp: ComponentDecomposition) -> None:
         memo.setdefault(id(skel), (skel, decomp))
 
 
-def reaches(skel: Skeleton, v: int, w: int) -> bool:
-    """Whether some path has range ``v`` and source ``w`` (v == w counts)."""
-    return bool(analysis_of(skel).reach[v, w])
-
-
 def colour_reachability(skel: Skeleton, colour: int) -> np.ndarray:
     """Single-colour closure: paths of length >= 1 entirely in one colour."""
     return transitive_closure(skel.colour_support(colour))

@@ -3,21 +3,20 @@
 A rank-k skeleton is a list of k square nonnegative-integer matrices over a
 single labeled vertex set. Entry ``A_i(v, w)`` counts the colour-i edges
 with range ``v`` and source ``w``, and the matrices must commute pairwise
-for the coloured graph to underlie a k-graph. Entries are kept as exact
-Python integers; floating point only enters downstream in the spectral
-layer.
+for the coloured graph to underlie a k-graph. Each matrix is stored as a
+read-only integer array: ``int64``, or an ``object`` array of exact Python
+integers when some entry does not fit. Floating point only enters
+downstream in the spectral layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property, reduce
+from itertools import chain, combinations
 from typing import Sequence
 
 import numpy as np
-
-IntMatrix = tuple[tuple[int, ...], ...]
 
 RULE_LABELS = "labels-distinct"
 RULE_COLOURS = "colour-count"
@@ -57,37 +56,74 @@ def _integer(x) -> int | None:
     return None
 
 
-def _int_matmul(a: IntMatrix, b: IntMatrix) -> np.ndarray:
-    """Exact product of two square integer matrices as an integer array.
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
-    Every partial sum of an entry is bounded by ``n max|a| max|b|``. Below
-    ``2**53`` all of them are exact float64 integers whatever the summation
-    order, so the product runs on BLAS and is read back as ``int64``; below
-    ``2**62`` it is taken in ``int64``, and otherwise in Python integers in
-    an object array.
+
+def _entries(i: int, m, n: int) -> np.ndarray | list[Violation]:
+    """Candidate matrix ``i`` on ``n`` vertices as its stored array, or its violations.
+
+    The matrix must be ``n x n`` with nonnegative entries that are ints,
+    numpy integers or integral floats, never bools. Entry types are checked
+    before an array is built, because numpy's dtype inference would take
+    ``True`` for 1 and round ``2**60 + 1`` next to a float. Bad entries are
+    reported in row-major order.
     """
-    n = len(a)
-    peak_a, peak_b = (max(1, max(map(abs, chain.from_iterable(m)), default=0)) for m in (a, b))
-    bound = n * peak_a * peak_b
-    dtype = float if bound < 2**53 else np.int64 if bound < 2**62 else object
-    product = np.array(a, dtype=dtype).reshape(n, n) @ np.array(b, dtype=dtype).reshape(n, n)
+    rows = list(m)
+    if any(len(row) != len(rows) if hasattr(row, "__len__") else True for row in rows):
+        return [Violation(RULE_SQUARE, f"matrix {i} is not square", (i,))]
+    if len(rows) != n:
+        return [Violation(RULE_DIMENSION, f"matrix {i} is {len(rows)}x{len(rows)}, expected {n}x{n}", (i,))]
+    flat = list(chain.from_iterable(rows))
+    values, odd = flat, set()
+    if not set(map(type, flat)) <= {int}:
+        values = [_integer(x) for x in flat]
+        odd = {p for p, x in enumerate(values) if x is None}
+        values = [0 if x is None else x for x in values]
+    try:
+        arr = np.array(values, dtype=np.int64).reshape(n, n)
+    except OverflowError:
+        arr = np.array(values, dtype=object).reshape(n, n)
+    if not odd and not (arr.size and arr.min() < 0):
+        return _read_only(arr)
+    bad = []
+    for p in sorted(odd.union(np.flatnonzero(arr < 0).tolist())):
+        v, w = divmod(p, n)
+        if p in odd:
+            bad.append(Violation(RULE_INTEGER, f"entry A_{i}({v},{w})={flat[p]!r} is not an integer", (i, v, w)))
+        else:
+            bad.append(Violation(RULE_NONNEGATIVE, f"entry A_{i}({v},{w})={values[p]} is negative", (i, v, w)))
+    return bad
+
+
+def _exact_dtype(a: np.ndarray, b: np.ndarray) -> type:
+    """Narrowest dtype in which ``a @ b`` and ``b @ a`` are exact, for square integer arrays.
+
+    Every partial sum of an entry of either product is bounded by
+    ``n max|a| max|b|``, which is taken in Python integers. Below ``2**53``
+    all of them are exact float64 integers whatever the summation order, so
+    the products run on BLAS; below ``2**62`` they are taken in ``int64``,
+    and otherwise in Python integers in an object array.
+    """
+    peak_a, peak_b = (max(1, int(m.max()), -int(m.min())) if m.size else 1 for m in (a, b))
+    bound = len(a) * peak_a * peak_b
+    return float if bound < 2**53 else np.int64 if bound < 2**62 else object
+
+
+def _int_matmul(a: np.ndarray, b: np.ndarray, dtype: type | None = None) -> np.ndarray:
+    """Exact product of two square integer arrays, taken in ``dtype`` (default ``_exact_dtype``)."""
+    dtype = dtype or _exact_dtype(a, b)
+    product = a.astype(dtype) @ b.astype(dtype)
     return product.astype(np.int64) if dtype is float else product
 
 
-def _int_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return tuple(map(tuple, _int_matmul(a, b).tolist()))
+def _commutator_support(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean mask of the entries where ``AB`` and ``BA`` differ."""
+    dtype = _exact_dtype(a, b)
+    return _int_matmul(a, b, dtype) != _int_matmul(b, a, dtype)
 
 
-def _commutator_support(a: IntMatrix, b: IntMatrix) -> np.ndarray:
-    """Entries ``(v, w)``, in row-major order, where ``AB`` and ``BA`` differ."""
-    return np.argwhere(_int_matmul(a, b) != _int_matmul(b, a))
-
-
-def _identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-@dataclass(frozen=True)
 class Skeleton:
     """Immutable skeleton: distinct vertex labels plus k commuting matrices.
 
@@ -95,33 +131,55 @@ class Skeleton:
     dimension, nonnegative integer entries, exact pairwise commutation).
     Zero rows or columns are tolerated structurally so that quotients of
     ill-connected graphs remain representable; ``validate_skeleton`` reports
-    them against the full no-source/no-sink contract.
+    them against the full no-source/no-sink contract. Equality, hashing and
+    ``repr`` depend on the labels and entry values only, not on how the
+    entries are stored.
     """
 
     vertex_labels: tuple[str, ...]
-    matrices: tuple[IntMatrix, ...]
+    _arrays: tuple[np.ndarray, ...]
 
-    def __post_init__(self):
-        labels = tuple(str(x) for x in self.vertex_labels)
-        mats = tuple(tuple(tuple(map(_integer, row)) for row in m) for m in self.matrices)
-        object.__setattr__(self, "vertex_labels", labels)
-        object.__setattr__(self, "matrices", mats)
+    def __init__(self, vertex_labels: Sequence[str], matrices) -> None:
+        self.__post_init__(vertex_labels, matrices)
+
+    def __post_init__(self, vertex_labels: Sequence[str], matrices) -> None:
+        """Check the candidate and store it; every construction runs through here."""
+        labels = tuple(str(x) for x in vertex_labels)
         if len(set(labels)) != len(labels):
             raise ValueError("vertex labels must be distinct")
-        if not mats:
+        if not matrices:
             raise ValueError("need at least one colour matrix")
         n = len(labels)
-        for i, m in enumerate(mats):
-            if len(m) != n or any(len(row) != n for row in m):
-                raise ValueError(f"matrix {i} is not {n}x{n}")
-            if any(x is None for row in m for x in row):
-                raise ValueError(f"matrix {i} has entries that are not integers")
-            if any(x < 0 for row in m for x in row):
+        arrays = []
+        for i, m in enumerate(matrices):
+            arr = _entries(i, m, n)
+            if isinstance(arr, list):
+                rules = {v.rule for v in arr}
+                if rules & {RULE_SQUARE, RULE_DIMENSION}:
+                    raise ValueError(f"matrix {i} is not {n}x{n}")
+                if RULE_INTEGER in rules:
+                    raise ValueError(f"matrix {i} has entries that are not integers")
                 raise ValueError(f"matrix {i} has negative entries")
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                if _commutator_support(mats[i], mats[j]).size:
-                    raise ValueError(f"matrices {i} and {j} do not commute")
+            arrays.append(arr)
+        for i, j in combinations(range(len(arrays)), 2):
+            if _commutator_support(arrays[i], arrays[j]).any():
+                raise ValueError(f"matrices {i} and {j} do not commute")
+        object.__setattr__(self, "vertex_labels", labels)
+        object.__setattr__(self, "_arrays", tuple(arrays))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertex_labels, self.matrices) == (other.vertex_labels, other.matrices)
+
+    def __hash__(self):
+        return hash((self.vertex_labels, self.matrices))
+
+    def __repr__(self):
+        return f"Skeleton(vertex_labels={self.vertex_labels!r}, matrices={self.matrices!r})"
 
     @classmethod
     def empty(cls, k: int) -> "Skeleton":
@@ -139,11 +197,15 @@ class Skeleton:
         has no edges to or from the rest at all.
         """
         sub = object.__new__(Skeleton)
+        idx = np.asarray(keep, dtype=np.intp)
         object.__setattr__(sub, "vertex_labels", tuple(self.vertex_labels[v] for v in keep))
-        object.__setattr__(
-            sub, "matrices", tuple(tuple(tuple(m[v][w] for w in keep) for v in keep) for m in self.matrices)
-        )
+        object.__setattr__(sub, "_arrays", tuple(_read_only(a.take(idx, 0).take(idx, 1)) for a in self._arrays))
         return sub
+
+    @cached_property
+    def matrices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The colour matrices as nested tuples of Python ints, built on first use."""
+        return tuple(tuple(map(tuple, a.tolist())) for a in self._arrays)
 
     @property
     def n(self) -> int:
@@ -151,17 +213,14 @@ class Skeleton:
 
     @property
     def k(self) -> int:
-        return len(self.matrices)
+        return len(self._arrays)
 
     def index_of(self, label: str) -> int:
         return self.vertex_labels.index(label)
 
     @cached_property
     def _float_arrays(self) -> tuple[np.ndarray, ...]:
-        arrays = tuple(np.array(m, dtype=float).reshape(self.n, self.n) for m in self.matrices)
-        for arr in arrays:
-            arr.flags.writeable = False
-        return arrays
+        return tuple(_read_only(a.astype(float)) for a in self._arrays)
 
     def as_arrays(self) -> tuple[np.ndarray, ...]:
         """Read-only float copies for the numeric layer, built once per skeleton."""
@@ -169,10 +228,7 @@ class Skeleton:
 
     def union_support(self) -> np.ndarray:
         """Boolean matrix with True where any colour has an edge."""
-        out = np.zeros((self.n, self.n), dtype=bool)
-        for arr in self.as_arrays():
-            out |= arr > 0
-        return out
+        return reduce(np.maximum, self.as_arrays()) > 0
 
     def colour_support(self, i: int) -> np.ndarray:
         """Boolean matrix with True where colour ``i`` has an edge."""
@@ -181,7 +237,7 @@ class Skeleton:
     @property
     def has_sources(self) -> bool:
         """Whether some colour has an all-zero row (a colour-i source)."""
-        return any(not any(row) for m in self.matrices for row in m)
+        return not np.concatenate(self._arrays).any(axis=1).all()
 
 
 def validate_skeleton(vertex_labels: Sequence[str], matrices) -> ValidationReport:
@@ -202,82 +258,22 @@ def validate_skeleton(vertex_labels: Sequence[str], matrices) -> ValidationRepor
         violations.append(Violation(RULE_COLOURS, "at least one colour matrix required"))
         return ValidationReport(False, tuple(violations))
 
-    grids: list[list[list[int]] | None] = []
-    for i, m in enumerate(matrices):
-        rows = list(m)
-        row_lens = [len(r) if hasattr(r, "__len__") else -1 for r in rows]
-        if any(l != len(rows) for l in row_lens):
-            violations.append(Violation(RULE_SQUARE, f"matrix {i} is not square", (i,)))
-            grids.append(None)
-            continue
-        if len(rows) != n:
-            violations.append(
-                Violation(RULE_DIMENSION, f"matrix {i} is {len(rows)}x{len(rows)}, expected {n}x{n}", (i,))
-            )
-            grids.append(None)
-            continue
-        grid: list[list[int]] = []
-        ok = True
-        for v, row in enumerate(rows):
-            out_row = []
-            for w, raw in enumerate(row):
-                x = _integer(raw)
-                if x is None:
-                    violations.append(
-                        Violation(RULE_INTEGER, f"entry A_{i}({v},{w})={raw!r} is not an integer", (i, v, w))
-                    )
-                    ok = False
-                    continue
-                if x < 0:
-                    violations.append(
-                        Violation(RULE_NONNEGATIVE, f"entry A_{i}({v},{w})={x} is negative", (i, v, w))
-                    )
-                    ok = False
-                out_row.append(x)
-            grid.append(out_row)
-        grids.append(grid if ok else None)
-
-    clean = [g for g in grids if g is not None]
-    if len(clean) == len(grids) and n > 0:
-        for i in range(len(clean)):
-            for j in range(i + 1, len(clean)):
-                bad = _commutator_support(clean[i], clean[j]).tolist()
-                if bad:
-                    violations.append(
-                        Violation(
-                            RULE_COMMUTE,
-                            f"A_{i} A_{j} != A_{j} A_{i} at entries {[tuple(e) for e in bad]}",
-                            (i, j),
-                        )
-                    )
-        for i, m in enumerate(clean):
-            for v in range(n):
-                if not any(m[v]):
-                    violations.append(
-                        Violation(RULE_NO_SOURCE, f"row {v} of A_{i} is zero (source)", (i, v))
-                    )
-                if not any(m[u][v] for u in range(n)):
-                    violations.append(
-                        Violation(RULE_NO_SINK, f"column {v} of A_{i} is zero (sink)", (i, v))
-                    )
+    arrays = [_entries(i, m, n) for i, m in enumerate(matrices)]
+    entry_faults = [v for arr in arrays if isinstance(arr, list) for v in arr]
+    violations += entry_faults
+    if n > 0 and not entry_faults:
+        for i, j in combinations(range(len(arrays)), 2):
+            bad = np.argwhere(_commutator_support(arrays[i], arrays[j])).tolist()
+            if bad:
+                violations.append(
+                    Violation(RULE_COMMUTE, f"A_{i} A_{j} != A_{j} A_{i} at entries {[tuple(e) for e in bad]}", (i, j))
+                )
+        zero = np.array(arrays) == 0
+        sources, sinks = zero.all(axis=2), zero.all(axis=1)
+        for i, v in np.argwhere(sources | sinks).tolist():
+            if sources[i, v]:
+                violations.append(Violation(RULE_NO_SOURCE, f"row {v} of A_{i} is zero (source)", (i, v)))
+            if sinks[i, v]:
+                violations.append(Violation(RULE_NO_SINK, f"column {v} of A_{i} is zero (sink)", (i, v)))
 
     return ValidationReport(not violations, tuple(violations))
-
-
-def degree_power(skel: Skeleton, powers: Sequence[int]) -> IntMatrix:
-    """Exact integer product of the colour matrices raised to ``powers``.
-
-    The empty product (all powers zero) is the identity. Arbitrary-precision
-    integers make the computation exact for any exponent vector, and the
-    result is order-independent because the matrices commute.
-    """
-    if len(powers) != skel.k:
-        raise ValueError(f"expected {skel.k} exponents, got {len(powers)}")
-    exps = [int(p) for p in powers]
-    if any(p < 0 for p in exps):
-        raise ValueError("exponents must be nonnegative")
-    result = _identity(skel.n)
-    for mat, p in zip(skel.matrices, exps):
-        for _ in range(p):
-            result = _int_product(result, mat)
-    return result

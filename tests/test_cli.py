@@ -241,6 +241,19 @@ class TestCommands:
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
 
+    def test_fuzz_rejects_empty_bridges_up_front(self, capsys, monkeypatch):
+        # Without --zero-wv every bridge bundle must be nonempty, so 0:0 can
+        # never give a sample; the command must say so before sampling.
+        monkeypatch.setattr("kgraphkms.cli.fuzz_ordering", lambda *a: pytest.fail("sampling started"))
+        code, out, err = run(capsys, "fuzz", "--seed", "1", "--count", "5", "--bridges=0:0")
+        assert (code, out) == (1, "")
+        assert err == "error: --bridges must allow a nonempty bundle (hi >= 1) without --zero-wv, got '0:0'\n"
+
+    def test_fuzz_empty_bridges_run_with_zero_wv(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--seed", "1", "--count", "5", "--bridges=0:0", "--zero-wv")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["fuzz"]["samples"] == 5
+
     def test_fuzz_releases_each_sample_analysis(self, capsys, monkeypatch):
         # The analyses alive while a sample is decomposed: as many as the
         # samples so far if the command kept them, a handful if not.

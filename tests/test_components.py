@@ -16,7 +16,6 @@ from kgraphkms import (
     hereditary_closure,
     normalize_dynamics,
     phase_diagram,
-    reaches,
     restrict,
     split_isolated,
 )
@@ -198,18 +197,20 @@ def test_derived_data_match_their_definitions(skel):
 
 class TestReaches:
     def test_reflexive(self):
-        assert reaches(EXAMPLE_1, 1, 1)
+        assert decompose(EXAMPLE_1).reach[1, 1]
 
     def test_example1_direction(self):
         u, v, w = 0, 1, 2
-        assert reaches(EXAMPLE_1, u, w)
-        assert not reaches(EXAMPLE_1, w, u)
-        assert reaches(EXAMPLE_1, u, v)
-        assert not reaches(EXAMPLE_1, v, w)
+        reach = decompose(EXAMPLE_1).reach
+        assert reach[u, w]
+        assert not reach[w, u]
+        assert reach[u, v]
+        assert not reach[v, w]
 
     def test_disjoint_loops_do_not_cross(self):
-        assert not reaches(TWO_LOOPS, 0, 1)
-        assert not reaches(TWO_LOOPS, 1, 0)
+        reach = decompose(TWO_LOOPS).reach
+        assert not reach[0, 1]
+        assert not reach[1, 0]
 
 
 class TestHereditaryClosure:

@@ -1,10 +1,11 @@
 import hashlib
 import random
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
-from kgraphkms import Skeleton, degree_power, parse_input, restrict, split_isolated, validate_skeleton
+from kgraphkms import Skeleton, parse_input, restrict, split_isolated, validate_skeleton
 from kgraphkms.skeleton import (
     RULE_COMMUTE,
     RULE_DIMENSION,
@@ -13,7 +14,7 @@ from kgraphkms.skeleton import (
     RULE_NO_SINK,
     RULE_NO_SOURCE,
     RULE_SQUARE,
-    _int_product,
+    _int_matmul,
 )
 
 from conftest import DATA, EXAMPLE_1, data_skeletons, skeleton
@@ -92,53 +93,19 @@ class TestValidate:
                     assert sum(m[v][w] for v in range(skel.n)) >= 1
 
 
-class TestDegreePower:
-    def test_zero_vector_gives_identity(self):
-        out = degree_power(EXAMPLE_1, (0, 0))
-        assert out == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-    def test_scalar_product(self):
-        skel = skeleton("v", [[2]], [[3]])
-        assert degree_power(skel, (2, 1)) == ((12,),)
-
-    def test_order_independence_example1(self):
-        a1, a2 = EXAMPLE_1.matrices
-        assert _int_product(a1, a2) == _int_product(a2, a1)
-        assert degree_power(EXAMPLE_1, (1, 1)) == _int_product(a1, a2)
-
-    def test_order_independence_random_dumbbells(self):
-        # Random commuting two-vertex families: powers taken colour 1 first
-        # must equal powers taken colour 2 first.
-        rng = random.Random(7)
-        for _ in range(25):
-            m1, n1, p1 = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 4)
-            delta = n1 - m1
-            m2 = rng.randint(1, 5)
-            n2 = m2 + delta if m2 + delta >= 1 else m2
-            p2 = p1 if n2 - m2 == delta else 0
-            if (n2 - m2) * p1 != (n1 - m1) * p2:
-                continue
-            skel = skeleton("vw", [[m1, p1], [0, n1]], [[m2, p2], [0, n2]])
-            e1, e2 = rng.randint(0, 3), rng.randint(0, 3)
-            forward = degree_power(skel, (e1, e2))
-            swapped = skeleton("vw", skel.matrices[1], skel.matrices[0])
-            assert degree_power(swapped, (e2, e1)) == forward
-
-    def test_large_powers_exact(self):
-        skel = skeleton("v", [[7]], [[11]])
-        out = degree_power(skel, (30, 20))
-        assert out == ((7**30 * 11**20,),)
-
-    def test_bad_exponents(self):
-        with pytest.raises(ValueError):
-            degree_power(EXAMPLE_1, (1,))
-        with pytest.raises(ValueError):
-            degree_power(EXAMPLE_1, (1, -1))
-
-
 def reference_product(a, b):
     n = len(a)
     return tuple(tuple(sum(a[i][l] * b[l][j] for l in range(n)) for j in range(n)) for i in range(n))
+
+
+def int_product(a, b):
+    """``_int_matmul`` on square integer tuples, in the storage a skeleton gives them, as nested tuples."""
+    arrays = []
+    for m in (a, b):
+        flat = [x for row in m for x in row]
+        fits = all(-(2**63) <= x < 2**63 for x in flat)
+        arrays.append(np.array(flat, dtype=np.int64 if fits else object).reshape(len(m), len(m)))
+    return tuple(map(tuple, _int_matmul(*arrays).tolist()))
 
 
 class TestExactCommutation:
@@ -171,7 +138,7 @@ class TestExactCommutation:
         bad = [(v, w) for v in range(3) for w in range(3) if ab[v][w] != ba[v][w]]
         assert bad == [(0, 1)] and violation.message.endswith(f"at entries {bad}")
 
-    def test_int_product_matches_reference(self):
+    def test_int_matmul_matches_reference(self):
         rng = random.Random(11)
         for trial in range(60):
             n = rng.randint(0, 5)
@@ -179,14 +146,14 @@ class TestExactCommutation:
             a, b = (
                 tuple(tuple(rng.randint(-top, top) for _ in range(n)) for _ in range(n)) for _ in range(2)
             )
-            out = _int_product(a, b)
+            out = int_product(a, b)
             assert out == reference_product(a, b)
             assert all(type(x) is int for row in out for x in row)
-        assert _int_product((), ()) == ()
+        assert int_product((), ()) == ()
 
     @pytest.mark.parametrize("limit", [2**53, 2**62])
     @pytest.mark.parametrize("side", [-1, 1])
-    def test_int_product_exact_on_both_sides_of_each_path_limit(self, limit, side):
+    def test_int_matmul_exact_on_both_sides_of_each_path_limit(self, limit, side):
         # n max|a| max|b| just below or just above the limit. Row 0 of a and
         # column 0 of b hold the odd peaks, so product entry (0, 0) is that
         # bound itself: above 2**53 it is odd and no float64, so only the
@@ -204,10 +171,16 @@ class TestExactCommutation:
             )
 
         a, b = matrix(peak_a, lambda v, w: v == 0), matrix(peak_b, lambda v, w: w == 0)
-        out = _int_product(a, b)
+        out = int_product(a, b)
         assert out == reference_product(a, b)
         assert out[0][0] == n * peak_a * peak_b
         assert all(type(x) is int for row in out for x in row)
+
+    def test_int64_operands_whose_bound_passes_2_64(self):
+        # n max|a| max|b| is about 3 * 2**80: taken in int64 it would wrap
+        # round to a small value and pick the float64 path.
+        a = np.full((3, 3), 2**40 + 1, dtype=np.int64)
+        assert _int_matmul(a, a).tolist() == [[3 * (2**40 + 1) ** 2] * 3] * 3
 
 
 class TestFloatArrays:
@@ -222,6 +195,25 @@ class TestFloatArrays:
 
     def test_empty_skeleton(self):
         assert [a.shape for a in Skeleton.empty(2).as_arrays()] == [(0, 0), (0, 0)]
+
+
+class TestStorage:
+    def test_int64_unless_an_entry_does_not_fit(self):
+        skel = Skeleton(("a", "b"), ([[2**63, 1], [1, 1]], [[2**63 - 1, 0], [0, 2**63 - 1]]))
+        assert [a.dtype for a in skel._arrays] == [np.dtype(object), np.dtype(np.int64)]
+        rest = restrict(WIDE, {1})
+        assert [a.dtype for a in rest._arrays] == [np.dtype(object)] * 2  # inherited, although 2**65 now fits
+        for arr in (*skel._arrays, *rest._arrays):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
+
+    def test_matrices_view_is_built_once(self):
+        skel = skeleton("ab", [[1, 1], [0, 2]], [[1, 1], [0, 2]])
+        assert skel.matrices is skel.matrices == (((1, 1), (0, 2)), ((1, 1), (0, 2)))
+
+    def test_assignment_is_refused(self):
+        with pytest.raises(FrozenInstanceError):
+            EXAMPLE_1.vertex_labels = ("x", "y", "z")
 
 
 I2 = [[1, 0], [0, 1]]

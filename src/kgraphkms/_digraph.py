@@ -74,7 +74,9 @@ def transitive_closure(adj: np.ndarray) -> np.ndarray:
     """Closure under paths of length >= 1, by repeated boolean squaring.
 
     The squares are float64 products, so they run on BLAS. They are exact:
-    each entry counts intermediate vertices, at most n < 2**53.
+    each entry counts intermediate vertices, at most n < 2**53. The graph
+    analysis closes condensations only, whose vertices are strongly
+    connected components, and indexes the result back by component label.
     """
     reach = adj.astype(bool)
     if reach.shape[0] == 0:

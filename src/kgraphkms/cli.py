@@ -70,10 +70,6 @@ def _validation_section(report) -> dict:
     }
 
 
-def _build_graph(doc: InputDocument) -> Skeleton:
-    return Skeleton(doc.vertices, doc.matrices)
-
-
 def _build_dynamics(skel: Skeleton, doc: InputDocument) -> Dynamics:
     if doc.dynamics_type == "preferred":
         return normalize_dynamics(skel, "preferred", doc.rationally_independent)
@@ -165,19 +161,18 @@ def _phase_section(skel: Skeleton, dyn: Dynamics, diagram, tol: float) -> dict:
 
 
 def _prepare(args) -> tuple[dict, InputDocument, Skeleton | None, int]:
-    """Parse, validate and build; shared entry for the graph subcommands."""
+    """Parse, validate and build; shared entry for the graph subcommands.
+
+    The skeleton is the one validation built, present unless a violation
+    makes the input no skeleton at all.
+    """
     doc = parse_input(_read_input(args.input))
     report = _common_sections(doc, args.tol)
     validation = validate_skeleton(doc.vertices, doc.matrices)
     report["validation"] = _validation_section(validation)
-    if not validation.passed:
-        try:
-            skel = _build_graph(doc)
-        except ValueError:
-            skel = None
-        code = EXIT_OK if args.allow_violations and skel is not None else EXIT_VIOLATION
-        return report, doc, skel, code
-    return report, doc, _build_graph(doc), EXIT_OK
+    skel = validation.skeleton
+    code = EXIT_OK if validation.passed or (args.allow_violations and skel is not None) else EXIT_VIOLATION
+    return report, doc, skel, code
 
 
 def _cmd_validate(args) -> int:

@@ -19,12 +19,13 @@ import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._digraph import irreducible, succ_lists, tarjan_sccs, transitive_closure
-from .skeleton import Skeleton
+from ._digraph import succ_lists, tarjan_sccs, transitive_closure
+from .skeleton import Skeleton, _read_only
 from .spectral import _family_perron
 
 # The shared Perron vector of every single-vertex component.
@@ -44,7 +45,13 @@ class ComponentDecomposition:
     ``vectors[c]`` (read-only) is the unit-sum Perron vector that the
     colour blocks of component ``c`` share, in the order of its vertices,
     and ``brackets[c][i]`` the Collatz–Wielandt bracket of its colour-``i``
-    block there, which contains ``radii[c][i]``.
+    block there, which contains ``radii[c][i]``. ``colour_sccs[i, v]``
+    (read-only) labels the strongly connected component of vertex ``v`` in
+    colour ``i`` alone, and ``colour_closures[i]`` is the closure of that
+    colour's condensation over those labels: ``colour_closures[i][a, b]``
+    says whether a path of length at least 1 in colour ``i`` has its range
+    among the vertices labelled ``a`` and its source among those labelled
+    ``b``.
     """
 
     components: tuple[tuple[int, ...], ...]
@@ -53,10 +60,17 @@ class ComponentDecomposition:
     reach: np.ndarray = field(compare=False, repr=False)
     vectors: tuple[np.ndarray, ...] = field(compare=False, repr=False)
     brackets: tuple[tuple[tuple[float, float], ...], ...] = field(compare=False, repr=False)
+    colour_sccs: np.ndarray = field(compare=False, repr=False)
+    colour_closures: tuple[np.ndarray, ...] = field(compare=False, repr=False)
 
     @property
     def count(self) -> int:
         return len(self.components)
+
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        """Each vertex's component index."""
+        return _label_vertices(self.components, self.reach.shape[0])
 
     @property
     def trivial(self) -> tuple[bool, ...]:
@@ -90,7 +104,21 @@ class ComponentDecomposition:
 
     def relation(self, x: np.ndarray) -> np.ndarray:
         """[c, d] is True when ``x`` links some vertex of c to some vertex of d."""
-        return _component_relation(self.components, x)
+        return _condensation(self._labels, self.count, x)
+
+    def colour_reach(self, colour: int) -> np.ndarray:
+        """``[c, d]``: a path of length at least 1 in the one colour runs from component d into c.
+
+        Read off that colour's condensation closure at the colour components
+        of the kept vertices, each mapped to the component holding it.
+        """
+        kept, inverse = np.unique(self.colour_sccs[colour], return_inverse=True)
+        owner = np.empty(len(kept), dtype=np.intp)
+        owner[inverse] = self._labels
+        rows, cols = np.nonzero(self.colour_closures[colour][np.ix_(kept, kept)])
+        out = np.zeros((self.count, self.count), dtype=bool)
+        out[owner[rows], owner[cols]] = True
+        return out
 
     def sliced(self, keep: Sequence[int]) -> "ComponentDecomposition":
         """The decomposition of the sub-skeleton induced on ``keep``.
@@ -101,8 +129,9 @@ class ComponentDecomposition:
         would make ``w`` a path source into a hereditary set, hence dropped,
         and a piece has no edges to the rest at all. So reachability among
         kept vertices, and with it every kept component and the per-colour
-        single-colour reachability, is unchanged, and each kept colour block
-        is the same matrix, so flags, radii, vectors and brackets are
+        single-colour reachability, is unchanged: the kept vertices keep
+        their colour labels into the same colour closures. Each kept colour
+        block is the same matrix, so flags, radii, vectors and brackets are
         bit-identical. The Kahn
         order survives too: a kept component's predecessors in the order
         constraints are all kept, so dropped components never change which
@@ -111,24 +140,32 @@ class ComponentDecomposition:
         """
         pos = {int(v): i for i, v in enumerate(keep)}
         kept = [c for c, comp in enumerate(self.components) if int(comp[0]) in pos]
-        reach = self.reach[np.ix_(keep, keep)]
-        reach.flags.writeable = False
         return ComponentDecomposition(
             components=tuple(tuple(pos[int(v)] for v in self.components[c]) for c in kept),
             irreducible=tuple(self.irreducible[c] for c in kept),
             radii=tuple(self.radii[c] for c in kept),
-            reach=reach,
+            reach=_read_only(self.reach[np.ix_(keep, keep)]),
             vectors=tuple(self.vectors[c] for c in kept),
             brackets=tuple(self.brackets[c] for c in kept),
+            colour_sccs=_read_only(self.colour_sccs[:, keep]),
+            colour_closures=self.colour_closures,
         )
 
 
-def _component_relation(components, x: np.ndarray) -> np.ndarray:
-    """The boolean product ``C^T x C`` with ``C`` the vertex-to-component membership."""
-    member = np.zeros((x.shape[0], len(components)), dtype=np.int64)
-    for c, comp in enumerate(components):
-        member[list(comp), c] = 1
-    return (member.T @ x.astype(np.int64) @ member) > 0
+def _label_vertices(sccs, n: int) -> np.ndarray:
+    """Each of ``n`` vertices' index in the list of vertex sets ``sccs``, which partitions them."""
+    labels = np.empty(n, dtype=np.intp)
+    if sccs:
+        labels[np.concatenate(sccs)] = np.repeat(np.arange(len(sccs)), [len(s) for s in sccs])
+    return labels
+
+
+def _condensation(labels: np.ndarray, count: int, x: np.ndarray) -> np.ndarray:
+    """``[a, b]``: ``x`` links some vertex labelled ``a`` to some vertex labelled ``b``."""
+    rows, cols = np.nonzero(x)
+    out = np.zeros((count, count), dtype=bool)
+    out[labels[rows], labels[cols]] = True
+    return out
 
 
 @dataclass(frozen=True)
@@ -192,11 +229,6 @@ def adopt_analysis(skel: Skeleton, decomp: ComponentDecomposition) -> None:
         memo.setdefault(id(skel), (skel, decomp))
 
 
-def colour_reachability(skel: Skeleton, colour: int) -> np.ndarray:
-    """Single-colour closure: paths of length >= 1 entirely in one colour."""
-    return transitive_closure(skel.colour_support(colour))
-
-
 def hereditary_closure(skel: Skeleton, vertices: Iterable[int]) -> frozenset[int]:
     """Smallest hereditary superset: add every source of a path into the set."""
     seeds = sorted(set(int(v) for v in vertices))
@@ -217,16 +249,22 @@ def decompose(skel: Skeleton) -> ComponentDecomposition:
     Components come out topologically sorted so that every colour matrix is
     block upper triangular under the induced vertex order; ties are broken
     by the smallest original vertex index. Per-component flags, Perron
-    vectors, per-colour Perron roots and brackets, and the vertex
-    reachability matrix are attached.
+    vectors, per-colour Perron roots and brackets, the vertex reachability
+    matrix and each colour's components and condensation closure are
+    attached. Every closure is taken over a condensation, never over the
+    vertices, and indexed back by label.
     """
     adj = skel.union_support()
     comps = [tuple(c) for c in tarjan_sccs(succ_lists(adj))]
+    labels = _label_vertices(comps, skel.n)
+    # The condensation's diagonal marks the components that hold an edge.
+    before = _condensation(labels, len(comps), adj)
+    reach = transitive_closure(before)[np.ix_(labels, labels)]
+    np.fill_diagonal(reach, True)
 
     # Order constraint: if a vertex of C_a receives an edge from one of C_b,
     # then a must come before b. Kahn's algorithm over those constraints,
     # smallest original vertex first among the ready components.
-    before = _component_relation(comps, adj)
     np.fill_diagonal(before, False)
     indeg = before.sum(axis=0).tolist()
     ready = [(comps[c][0], c) for c in range(len(comps)) if indeg[c] == 0]
@@ -241,40 +279,53 @@ def decompose(skel: Skeleton) -> ComponentDecomposition:
                 heapq.heappush(ready, (comps[d][0], d))
     components = tuple(comps[c] for c in order)
 
-    reach = transitive_closure(adj)
-    np.fill_diagonal(reach, True)
-    reach.flags.writeable = False
+    # Colour components refine the components, so component C is
+    # irreducible in colour i exactly when all of C carries one colour-i
+    # label whose colour component holds an edge (a loop when |C| = 1).
     arrays = skel.as_arrays()
+    firsts = [comp[0] for comp in components]
+    owner = np.argsort(order)[labels]
+    colour_sccs, colour_closures, flags = [], [], []
+    for a in arrays:
+        support = a > 0
+        sccs = tarjan_sccs(succ_lists(support))
+        colour_labels = _label_vertices(sccs, skel.n)
+        closure = _read_only(transitive_closure(_condensation(colour_labels, len(sccs), support)))
+        first = colour_labels[firsts]
+        one_label = np.ones(len(components), dtype=bool)
+        one_label[owner[colour_labels != first[owner]]] = False
+        flags.append((one_label & closure.diagonal()[first]).tolist())
+        colour_sccs.append(colour_labels)
+        colour_closures.append(closure)
+
     spectra = [_block_spectra(arrays, c, comp) for c, comp in enumerate(components)]
     return ComponentDecomposition(
         components=components,
-        irreducible=tuple(s[0] for s in spectra),
+        irreducible=tuple(zip(*flags)),
         radii=tuple(s[1] for s in spectra),
-        reach=reach,
-        vectors=tuple(s[2] for s in spectra),
-        brackets=tuple(s[3] for s in spectra),
+        reach=_read_only(reach),
+        vectors=tuple(s[0] for s in spectra),
+        brackets=tuple(s[2] for s in spectra),
+        colour_sccs=_read_only(np.array(colour_sccs, dtype=np.intp)),
+        colour_closures=tuple(colour_closures),
     )
 
 
 def _block_spectra(arrays, c: int, comp: tuple[int, ...]):
-    """Per-colour flags and roots, shared Perron vector and per-colour brackets of one component.
+    """Shared Perron vector, per-colour roots and per-colour brackets of one component.
 
-    A single vertex is irreducible in a colour exactly when it has a loop
-    there, and its Perron root is the loop count: the same flag and float
-    that ``irreducible`` and ``spectral_radius`` return on the 1x1 block,
-    with the vector (1,) and the root as its bracket. A larger block takes
-    one Tarjan run per colour for the flags and one certified eigensolve of
-    the colour sum for the vector and every colour's root
+    A single vertex's Perron root is its loop count, the float that
+    ``spectral_radius`` returns on the 1x1 block, with the vector (1,) and
+    the root as its bracket. A larger block takes one certified Noda
+    iteration on the colour sum for the vector and every colour's root
     (``_family_perron``).
     """
     if len(comp) == 1:
         v = comp[0]
         radii = tuple(float(a[v, v]) for a in arrays)
-        return tuple(bool(a[v, v] > 0) for a in arrays), radii, _UNIT, tuple(zip(radii, radii))
+        return _UNIT, radii, tuple(zip(radii, radii))
     block = np.ix_(comp, comp)
-    mats = [a[block] for a in arrays]
-    x, radii, brackets = _family_perron(mats, f"component {c} (vertices {list(comp)})")
-    return tuple(irreducible(m > 0) for m in mats), radii, x, brackets
+    return _family_perron([a[block] for a in arrays], f"component {c} (vertices {list(comp)})")
 
 
 def _weak_pieces(skel: Skeleton) -> list[list[int]]:
@@ -311,7 +362,7 @@ def check_assumptions(skel: Skeleton) -> AssumptionReport:
     # single-colour path, into which. Reachability between components is
     # then colour-independent whenever a3 holds.
     bridges = [decomp.relation(skel.colour_support(i)) for i in range(skel.k)]
-    supports = [decomp.relation(colour_reachability(skel, i)) for i in range(skel.k)]
+    supports = [decomp.colour_reach(i) for i in range(skel.k)]
     a3_offenders = []
     reach_offenders = []
     for c in range(decomp.count):

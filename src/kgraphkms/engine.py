@@ -361,10 +361,17 @@ def _frame(sub: Skeleton, pos: dict[str, int]) -> list[int]:
 
 
 def _certify(skel: Skeleton, dyn: Dynamics, beta: float, rows: np.ndarray, context) -> None:
-    """Raise unless every row passes ``verify_state``; ``context(j)`` names row j."""
-    for j, check in enumerate(verify_states(skel, dyn, beta, rows)):
-        if not check.passed:
-            raise EigenConsistencyError(f"{context(j)}: constructed state fails verification: {check}")
+    """Raise unless every row passes ``verify_state``; ``context(j)`` names row j.
+
+    Decided on the margin arrays alone: a ``StateCheck`` is built only for
+    the first failing row, to name it.
+    """
+    columns = _state_margins(skel, dyn, beta, rows, STATE_TOL)
+    failing = np.flatnonzero(~columns[0])
+    if failing.size:
+        j = int(failing[0])
+        check = StateCheck(*(c[j].item() for c in columns))
+        raise EigenConsistencyError(f"{context(j)}: constructed state fails verification: {check}")
 
 
 def psi_state(skel: Skeleton, dyn: Dynamics, component: Iterable[int], depth: int = 0) -> ExtremeState:
@@ -691,6 +698,11 @@ def verify_states(skel: Skeleton, dyn: Dynamics, beta: float, rows, tol: float =
         return ()
     if m.ndim != 2 or m.shape[1] != skel.n:
         raise ValueError(f"states have shape {m.shape}, expected (s, {skel.n})")
+    return tuple(map(StateCheck, *(c.tolist() for c in _state_margins(skel, dyn, beta, m, tol))))
+
+
+def _state_margins(skel: Skeleton, dyn: Dynamics, beta: float, m: np.ndarray, tol: float):
+    """The ``StateCheck`` fields of every row of the (s x n) float matrix ``m``, as arrays."""
     l1_error = np.abs(m.sum(axis=1) - 1.0)
     min_entry = colour_violation = product_violation = np.zeros(len(m))
     if skel.n:
@@ -701,8 +713,7 @@ def verify_states(skel: Skeleton, dyn: Dynamics, beta: float, rows, tol: float =
             gap = gap - math.exp(-beta * r) * (gap @ a.T)
         product_violation = (-gap).max(axis=1)
     passed = (l1_error <= tol) & (min_entry >= -tol) & (colour_violation <= tol) & (product_violation <= tol)
-    columns = (passed, l1_error, min_entry, colour_violation, product_violation)
-    return tuple(map(StateCheck, *(c.tolist() for c in columns)))
+    return passed, l1_error, min_entry, colour_violation, product_violation
 
 
 def factors_through(skel: Skeleton, dyn: Dynamics, beta: float, m, tol: float = STATE_TOL) -> bool:

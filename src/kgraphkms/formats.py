@@ -14,7 +14,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Any
+
+import numpy as np
 
 RATIONAL_MAX_DENOMINATOR = 10**6
 # A true rational stored in a float is off by at most a few ulps; convergents
@@ -70,13 +73,16 @@ def parse_input(text: str) -> InputDocument:
         raise ParseError("field 'k': expected a positive integer")
     if len(matrices) != k:
         raise ParseError(f"field 'matrices': got {len(matrices)} grids, expected k={k}")
-    for i, m in enumerate(matrices):
-        for v, row in enumerate(m if isinstance(m, list) else ()):
-            for w, x in enumerate(row if isinstance(row, list) else ()):
-                if not _finite(x):
-                    raise ParseError(
-                        f"field 'matrices': entry A_{i}({v},{w}) is infinite, NaN or beyond the float range"
-                    )
+    rows = [row for m in matrices if isinstance(m, list) for row in m if isinstance(row, list)]
+    if not _all_finite(list(chain.from_iterable(rows))):
+        # Walk entry by entry only to name the first bad one.
+        for i, m in enumerate(matrices):
+            for v, row in enumerate(m if isinstance(m, list) else ()):
+                for w, x in enumerate(row if isinstance(row, list) else ()):
+                    if not _finite(x):
+                        raise ParseError(
+                            f"field 'matrices': entry A_{i}({v},{w}) is infinite, NaN or beyond the float range"
+                        )
 
     dynamics = raw.get("dynamics", {"type": "preferred"})
     if "dynamics" not in raw:
@@ -122,6 +128,18 @@ def parse_input(text: str) -> InputDocument:
         rationally_independent=independent,
         warnings=tuple(warnings),
     )
+
+
+def _all_finite(entries: list) -> bool:
+    """True when every entry is a finite float, in one pass in C; False also when some entry is no number.
+
+    False only sends the caller to ``_finite``, entry by entry, which lets
+    anything that is not a number through.
+    """
+    try:
+        return bool(np.isfinite(np.array(entries, dtype=float)).all())
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _finite(x) -> bool:

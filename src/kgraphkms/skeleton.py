@@ -11,7 +11,7 @@ downstream in the spectral layer.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property, reduce
 from itertools import chain, combinations
 from typing import Sequence
@@ -38,8 +38,16 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Every violation found, and the skeleton when the constructor accepts the candidate.
+
+    ``skeleton`` is built from the arrays the checks produced, so no check
+    runs twice; it is present exactly when every violation is a zero row
+    or column, which skeletons tolerate.
+    """
+
     passed: bool
     violations: tuple[Violation, ...]
+    skeleton: Skeleton | None = field(default=None, compare=False, repr=False)
 
     def rules(self) -> set[str]:
         return {v.rule for v in self.violations}
@@ -196,11 +204,18 @@ class Skeleton:
         A[K, K] B[K, K]``, and likewise for ``BA``. A weakly connected piece
         has no edges to or from the rest at all.
         """
-        sub = object.__new__(Skeleton)
         idx = np.asarray(keep, dtype=np.intp)
-        object.__setattr__(sub, "vertex_labels", tuple(self.vertex_labels[v] for v in keep))
-        object.__setattr__(sub, "_arrays", tuple(_read_only(a.take(idx, 0).take(idx, 1)) for a in self._arrays))
-        return sub
+        return Skeleton._stored(
+            tuple(self.vertex_labels[v] for v in keep), [_read_only(a.take(idx, 0).take(idx, 1)) for a in self._arrays]
+        )
+
+    @classmethod
+    def _stored(cls, labels: tuple[str, ...], arrays) -> "Skeleton":
+        """A skeleton on labels and read-only arrays that are known to pass every check."""
+        skel = object.__new__(cls)
+        object.__setattr__(skel, "vertex_labels", labels)
+        object.__setattr__(skel, "_arrays", tuple(arrays))
+        return skel
 
     @cached_property
     def matrices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -245,11 +260,12 @@ def validate_skeleton(vertex_labels: Sequence[str], matrices) -> ValidationRepor
 
     Shape, integrality, sign, exact commutation and the no-source/no-sink
     requirements are all reported as violations rather than exceptions; a
-    passing report guarantees ``Skeleton(vertex_labels, matrices)`` succeeds.
-    An empty vertex set is a valid degenerate skeleton.
+    passing report guarantees ``Skeleton(vertex_labels, matrices)`` succeeds,
+    and carries that skeleton. An empty vertex set is a valid degenerate
+    skeleton.
     """
     violations: list[Violation] = []
-    labels = [str(x) for x in vertex_labels]
+    labels = tuple(str(x) for x in vertex_labels)
     n = len(labels)
     if len(set(labels)) != n:
         dupes = sorted({x for x in labels if labels.count(x) > 1})
@@ -276,4 +292,5 @@ def validate_skeleton(vertex_labels: Sequence[str], matrices) -> ValidationRepor
             if sinks[i, v]:
                 violations.append(Violation(RULE_NO_SINK, f"column {v} of A_{i} is zero (sink)", (i, v)))
 
-    return ValidationReport(not violations, tuple(violations))
+    tolerated = all(v.rule in (RULE_NO_SOURCE, RULE_NO_SINK) for v in violations)
+    return ValidationReport(not violations, tuple(violations), Skeleton._stored(labels, arrays) if tolerated else None)

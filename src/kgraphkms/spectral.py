@@ -1,14 +1,15 @@
 """Perron roots and eigenvector machinery for commuting nonnegative matrices.
 
-Spectral radii are computed per strongly connected block by one dense
-eigensolve, certified by a Collatz–Wielandt bracket, so reducible matrices
-are handled exactly as the maximum over their diagonal blocks. The colour
-blocks of one component share a Perron vector, which one eigensolve of
-their sum gives together with every block's root. The extension step
-takes a hereditary component's vector and roots from its analysis and
-solves a dense linear system per colour to continue the vector across the
-components that feed from it; a truncated path-weight series is kept
-alongside as an independent cross-check.
+Spectral radii are computed per strongly connected block by Noda's shifted
+inverse iteration, whose every iterate is a strictly positive vector and so
+carries a Collatz–Wielandt bracket that certifies the root; reducible
+matrices are handled exactly as the maximum over their diagonal blocks. No
+dense eigensolve runs. The colour blocks of one component share a Perron
+vector, which one iteration on their sum gives together with every block's
+root. The extension step takes a hereditary component's vector and roots
+from its analysis and solves a dense linear system per colour to continue
+the vector across the components that feed from it; a truncated path-weight
+series is kept alongside as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from ._digraph import irreducible, succ_lists, tarjan_sccs
 
 SOLVE_RESIDUAL_TOL = 1e-10
 RADIUS_BAND_RTOL = 1e-9
+# Noda iteration converges quadratically on irreducible blocks; a block that
+# needs this many steps raises instead.
+NODA_MAX_STEPS = 100
 
 STATUS_NOT_MET = "hypothesis-not-met"
 STATUS_HOLDS = "conclusion-holds"
@@ -124,56 +128,54 @@ def _certified(bracket: tuple[float, float]) -> bool:
 def _perron_block(block: np.ndarray) -> tuple[float, np.ndarray, tuple[float, float]]:
     """Certified Perron root and direction of an irreducible nonnegative block.
 
-    One dense eigensolve gives the eigenvalue with the largest real part
-    and its eigenvector, scaled to unit sum. The vector must be strictly
-    positive and its Collatz–Wielandt bracket at most ``RADIUS_BAND_RTOL``
-    wide, relative; if not, up to two steps of inverse iteration at the
-    computed root refine the vector (small entries of a badly scaled Perron
-    vector carry large relative error), each checked again. The root is the
-    eigenvalue clamped into the bracket. Returns (radius, unit-sum vector,
-    bracket) or raises ``EigenConsistencyError``.
+    Noda iteration (T. Noda, Numer. Math. 17, 1971) from the unit-sum
+    constant vector. Each step shifts by the current Collatz–Wielandt upper
+    bound ``hi > rho``, where ``hi I - B`` is a nonsingular M-matrix with a
+    positive inverse, and solves the similar system ``D^-1 (hi I - B) D z =
+    1`` with ``D = diag(x)``: the next vector ``D z``, scaled to unit sum, is
+    strictly positive, and the entries of ``z`` are all of one size, so the
+    solve resolves each entry to the same relative accuracy however widely
+    they spread. Every iterate's bracket is a certificate; the iteration
+    stops at a zero-width bracket or at the first step that does not narrow
+    it, and ``NODA_MAX_STEPS`` steps without stopping raise
+    ``EigenConsistencyError``. The root is ``sum(Bx)`` clamped into the
+    bracket, which must be at most ``RADIUS_BAND_RTOL`` wide, relative.
+    Returns (radius, unit-sum vector, bracket).
     """
     d = block.shape[0]
     if d == 1:
         rho = float(block[0, 0])
         return rho, np.ones(1), (rho, rho)
-    values, vectors = np.linalg.eig(block)
-    top = int(np.argmax(values.real))
-    rho = float(values[top].real)
-    x = vectors[:, top].real
-    x = x / x.sum()
+    x = np.full(d, 1.0 / d)
     bracket = _collatz_wielandt(block, x)
-    for _ in range(2):
-        if _certified(bracket):
+    steps = 0
+    while bracket[0] < bracket[1]:
+        if steps == NODA_MAX_STEPS:
+            raise EigenConsistencyError(
+                f"Perron root of a {d}x{d} block not settled after {steps} Noda steps: "
+                f"Collatz-Wielandt bracket [{bracket[0]!r}, {bracket[1]!r}]"
+            )
+        steps += 1
+        with np.errstate(all="ignore"):
+            shifted = block * (-x / x[:, None])
+            shifted.flat[:: d + 1] += bracket[1]
+            try:
+                z = np.linalg.solve(shifted, np.ones(d))
+            except np.linalg.LinAlgError:
+                break  # exactly singular: the bound is the root
+            y = x * z
+            y /= y.sum()
+            narrower = _collatz_wielandt(block, y)  # (-inf, inf) unless y > 0
+        if not narrower[1] - narrower[0] < bracket[1] - bracket[0]:
             break
-        x = _inverse_step(block, rho, x)
-        bracket = _collatz_wielandt(block, x)
+        x, bracket = y, narrower
     if not _certified(bracket):
         raise EigenConsistencyError(
-            f"Perron root {rho!r} of a {d}x{d} block not certified: Collatz-Wielandt "
-            f"bracket [{bracket[0]!r}, {bracket[1]!r}] (infinite when the "
-            f"eigenvector is not strictly positive)"
+            f"Perron root of a {d}x{d} block not certified: Collatz-Wielandt "
+            f"bracket [{bracket[0]!r}, {bracket[1]!r}] after {steps} Noda steps"
         )
     lo, hi = bracket
-    return min(max(rho, lo), hi), x, bracket
-
-
-def _inverse_step(block: np.ndarray, rho: float, x: np.ndarray) -> np.ndarray:
-    """One step of inverse iteration at ``rho`` from ``x``, scaled to unit sum.
-
-    When ``x > 0`` the step solves the similar system ``D^-1 (B - rho I) D z
-    = 1`` with ``D = diag(x)`` and returns ``D z``: the entries of ``z`` are
-    all of one size, so the solve resolves each entry of the vector to the
-    same relative accuracy, however widely the entries spread.
-    """
-    scale = x if np.all(x > 0) else np.ones_like(x)
-    try:
-        z = np.linalg.solve(block * scale / scale[:, None] - rho * np.eye(len(x)), x / scale)
-    except np.linalg.LinAlgError:
-        return x  # exactly singular at rho: nothing to refine
-    y = scale * z
-    with np.errstate(all="ignore"):
-        return y / y.sum()
+    return min(max(float((block @ x).sum()), lo), hi), x, bracket
 
 
 def spectral_radius(matrix) -> float:
@@ -195,15 +197,16 @@ def _family_perron(
 ) -> tuple[np.ndarray, tuple[float, ...], tuple[tuple[float, float], ...]]:
     """Shared Perron vector of commuting blocks with an irreducible sum, and each block's root.
 
-    One certified eigensolve of the sum gives its Perron vector ``x > 0``,
-    scaled to unit sum. The sum is irreducible, so ``x`` spans its Perron
-    eigenspace, and each commuting block maps that eigenspace to itself:
-    ``x`` is an eigenvector of every block, reducible ones included, and a
-    nonnegative matrix with a positive eigenvector has its Perron root as
-    that eigenvalue (Horn–Johnson 8.1.30). Each block's root is therefore
-    ``sum(A x)``, clamped into the block's Collatz–Wielandt bracket at
-    ``x``, which must be at most ``RADIUS_BAND_RTOL`` wide, relative; if not,
-    ``EigenConsistencyError`` names ``owner``, the colour and the bracket.
+    One certified Noda iteration on the sum (``_perron_block``) gives its
+    Perron vector ``x > 0``, scaled to unit sum. The sum is irreducible, so
+    ``x`` spans its Perron eigenspace, and each commuting block maps that
+    eigenspace to itself: ``x`` is an eigenvector of every block, reducible
+    ones included, and a nonnegative matrix with a positive eigenvector has
+    its Perron root as that eigenvalue (Horn–Johnson 8.1.30). Each block's
+    root is therefore ``sum(A x)``, clamped into the block's
+    Collatz–Wielandt bracket at ``x``, which must be at most
+    ``RADIUS_BAND_RTOL`` wide, relative; if not, ``EigenConsistencyError``
+    names ``owner``, the colour and the bracket.
     Returns (read-only vector, roots, brackets).
     """
     total = np.zeros(mats[0].shape)
@@ -456,7 +459,7 @@ def check_spectral_ordering(skel, component: Iterable[int], colour: int) -> Orde
     dominance holds in every colour. Whenever the hypothesis is met the
     conclusion must hold; the verdict records which side failed otherwise.
     """
-    from .components import analysis_of, analysis_scope, colour_reachability, is_hereditary
+    from .components import analysis_of, analysis_scope, is_hereditary
 
     with analysis_scope():
         decomp = analysis_of(skel)
@@ -475,7 +478,7 @@ def check_spectral_ordering(skel, component: Iterable[int], colour: int) -> Orde
         hypothesis_ok = False
         degenerate.append("component under test is not hereditary")
 
-    reach = [decomp.relation(colour_reachability(skel, i)) for i in range(skel.k)]
+    reach = [decomp.colour_reach(i) for i in range(skel.k)]
     missing = [
         (c, i) for c in range(decomp.count) if c != d_idx for i in range(skel.k) if not reach[i][c, d_idx]
     ]

@@ -1,12 +1,19 @@
 import importlib.util
+import os
 import sys
 from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from kgraphkms import Skeleton, normalize_dynamics, parse_input
+from kgraphkms import Skeleton, normalize_dynamics, parse_input, spectral
+
+# CI runs the derandomised profile (HYPOTHESIS_PROFILE=ci): every run draws
+# the same examples, so a failing one reproduces locally with that setting.
+settings.register_profile("ci", derandomize=True, database=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 DATA = Path(__file__).parent / "data"
 
@@ -89,6 +96,41 @@ def count_eig(monkeypatch) -> list:
     original = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or original(a))
     return calls
+
+
+def count_perron(monkeypatch) -> list:
+    """Record the shape of every block ``spectral._perron_block`` certifies for the rest of the test."""
+    calls = []
+    original = spectral._perron_block
+    monkeypatch.setattr(spectral, "_perron_block", lambda block: calls.append(block.shape) or original(block))
+    return calls
+
+
+def weighted_cycle(weights) -> np.ndarray:
+    """The float cycle with ``a[(i + 1) % n, i] = weights[i]``."""
+    n = len(weights)
+    a = np.zeros((n, n))
+    for i, w in enumerate(weights):
+        a[(i + 1) % n, i] = w
+    return a
+
+
+def cycle_and_square():
+    """An 80-cycle ``W`` with weights 3 (40 times) then 1 (40 times), and ``W²``.
+
+    ``W`` is irreducible with root ``sqrt(3)``; ``W²`` splits into two
+    40-cycles, so it is reducible, with root 3. Their sum's Perron vector
+    spans ``3**20``.
+    """
+    w = weighted_cycle([3] * 40 + [1] * 40).astype(int)
+    return w, w @ w
+
+
+# One component each, whose colour blocks are not all irreducible.
+REDUCIBLE_COLOUR_BLOCKS = {
+    "identity-and-swap": skeleton("ab", np.eye(2, dtype=int).tolist(), [[0, 1], [1, 0]]),
+    "cycle-and-square": skeleton([f"v{i}" for i in range(80)], *(m.tolist() for m in cycle_and_square())),
+}
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import kgraphkms.skeleton as skeleton_module
 from kgraphkms import ParseError, components, parse_input, input_to_json, emit_report
 from kgraphkms.cli import main
 from kgraphkms.formats import format_number
@@ -186,6 +187,25 @@ class TestCommands:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "command", [["validate"], ["components"], ["spectra"], ["phase"], ["kms", "--beta", "1.3"]], ids=lambda c: c[0]
+    )
+    @pytest.mark.parametrize("stem", ["example1", "product", "source"])
+    def test_commutation_products_run_once(self, capsys, monkeypatch, tmp_path, command, stem):
+        # Validation hands its checked arrays on, so the skeleton is not
+        # checked again: one exact product pair for the one colour pair.
+        path = DATA / f"{stem}.json"
+        if stem == "source":
+            # Vertex b is a source; skeletons tolerate it, validation does not.
+            path = tmp_path / "source.json"
+            path.write_text(json.dumps({"vertices": ["a", "b"], "matrices": [[[2, 1], [0, 0]], [[2, 1], [0, 0]]]}))
+        calls = []
+        original = skeleton_module._commutator_support
+        monkeypatch.setattr(skeleton_module, "_commutator_support", lambda a, b: calls.append(a.shape) or original(a, b))
+        code, _, _ = run(capsys, command[0], str(path), *command[1:], "--allow-violations")
+        assert code == 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("entry", [2.5, "3", True], ids=repr)
     def test_non_integer_entry_is_never_computed_on(self, capsys, tmp_path, entry):
         doc = tmp_path / "bad.json"
@@ -323,6 +343,20 @@ class TestNonFiniteInput:
         assert code == 1
         assert out == ""
         assert "input error" in err and "A_0(0,0)" in err
+
+    @pytest.mark.parametrize(
+        "entry", ["1e400", "Infinity", "-Infinity", "NaN", pytest.param("-1" + "0" * 400, id="-10**400")]
+    )
+    def test_message_names_the_first_bad_entry(self, entry):
+        # Entries that are no number are left to skeleton validation.
+        text = '{"vertices": ["a", "b"], "matrices": [[[1, "x"], [null, 3]], [[4, 5], [%s, NaN]]]}' % entry
+        with pytest.raises(ParseError) as raised:
+            parse_input(text)
+        assert str(raised.value) == "field 'matrices': entry A_1(1,0) is infinite, NaN or beyond the float range"
+
+    def test_entries_that_are_no_number_pass_the_parser(self):
+        doc = parse_input('{"vertices": ["a"], "matrices": [[["1e400"]], [[null]], [[[1, 1e400]]], [[{}]]]}')
+        assert doc.matrices == ((("1e400",),), ((None,),), (([1, float("inf")],),), (({},),))
 
     @pytest.mark.parametrize("entry", ["1e400", "Infinity", "NaN"])
     def test_non_finite_dynamics_entry_is_a_parse_error(self, entry):

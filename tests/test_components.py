@@ -10,6 +10,7 @@ from kgraphkms import (
     Skeleton,
     _digraph,
     check_assumptions,
+    check_spectral_ordering,
     components,
     decompose,
     extreme_states_at,
@@ -19,12 +20,12 @@ from kgraphkms import (
     restrict,
     split_isolated,
 )
-from kgraphkms.components import analysis_of, analysis_scope, colour_reachability, is_hereditary
+from kgraphkms.components import analysis_of, analysis_scope, is_hereditary
 from kgraphkms.dumbbell import make_dumbbell3, sample_commuting3
 from kgraphkms.skeleton import RULE_COMMUTE, validate_skeleton
 from kgraphkms.spectral import spectral_radius
 
-from conftest import EXAMPLE_1, EXAMPLE_2, NO_BRIDGE_COUNTEREXAMPLE, chain, data_skeletons, skeleton
+from conftest import EXAMPLE_1, EXAMPLE_2, NO_BRIDGE_COUNTEREXAMPLE, chain, data_skeletons, product_skeleton, skeleton
 
 TWO_LOOPS = skeleton("ab", [[2, 0], [0, 3]], [[2, 0], [0, 3]])
 
@@ -359,8 +360,10 @@ class TestColourReachability:
             report = check_assumptions(skel)
             if not report.all_pass:
                 continue
-            closures = [colour_reachability(skel, i) for i in range(skel.k)]
+            closures = [_digraph.transitive_closure(skel.colour_support(i)) for i in range(skel.k)]
             assert np.array_equal(closures[0], closures[1])
+            decomp = decompose(skel)
+            assert np.array_equal(decomp.colour_reach(0), decomp.colour_reach(1))
 
 
 def assert_inherited(sub):
@@ -385,6 +388,8 @@ def assert_inherited(sub):
     assert got.trivial == want.trivial
     assert got.irreducible == want.irreducible
     assert np.array_equal(got.reach, want.reach)
+    for i in range(sub.k):
+        assert np.array_equal(got.colour_reach(i), want.colour_reach(i))
 
 
 def assert_restrictions_inherit(skel):
@@ -438,11 +443,8 @@ class TestAnalysisInheritance:
             with pytest.raises(ValueError):
                 decomp.reach[0, 0] = False
 
-    def test_closure_count_on_chain12(self, monkeypatch):
-        # One closure for the analysis normalize_dynamics makes, which
-        # phase_diagram reuses, and one per colour for its assumption check;
-        # every piece inherits the rest.
-        skel = chain(12, 0)
+    @staticmethod
+    def count_closures(monkeypatch) -> list:
         calls = []
         original = _digraph.transitive_closure
 
@@ -453,8 +455,29 @@ class TestAnalysisInheritance:
         for module in list(sys.modules.values()):
             if getattr(module, "__name__", "").startswith("kgraphkms") and getattr(module, "transitive_closure", None) is original:
                 monkeypatch.setattr(module, "transitive_closure", counting)
+        return calls
+
+    def test_closure_count_on_chain12(self, monkeypatch):
+        # The analysis normalize_dynamics makes closes the union condensation
+        # and each colour's; phase_diagram reuses it, its assumption check
+        # reads the colour closures off it, and every piece inherits the rest.
+        skel = chain(12, 0)
+        calls = self.count_closures(monkeypatch)
         phase_diagram(skel, normalize_dynamics(skel))
         assert len(calls) <= 1 + skel.k
+
+    def test_closures_run_on_condensations(self, monkeypatch):
+        # The 54-vertex product skeleton is one component, strongly
+        # connected in each colour: every closure is of a 1x1 condensation.
+        skel = product_skeleton()
+        calls = self.count_closures(monkeypatch)
+        with analysis_scope():
+            decompose(skel)
+            assert calls == [(1, 1)] * (1 + skel.k)
+            analysis_of(skel)
+            check_assumptions(skel)
+            check_spectral_ordering(skel, range(skel.n), 0)
+        assert calls == [(1, 1)] * (1 + skel.k) * 2
 
     def test_no_analysis_outlives_a_call(self, monkeypatch):
         # Only the dynamics carries an analysis past a call, and only for the

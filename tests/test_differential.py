@@ -1,0 +1,151 @@
+"""The graph analysis against independent numpy references, on generated graph families.
+
+Reach and colour reach come from closures of condensations and the flags
+from one Tarjan run per colour; the references square the vertex supports
+(``_digraph.transitive_closure``) and run Tarjan on each colour block.
+Perron roots come from Noda iteration; the reference is a dense
+eigensolve per block.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kgraphkms import Skeleton, _digraph, decompose
+from kgraphkms.components import analysis_of, analysis_scope, hereditary_closure, restrict
+from kgraphkms.dumbbell import make_dumbbell3, sample_commuting3
+
+from conftest import REDUCIBLE_COLOUR_BLOCKS, chain
+
+
+def labelled(*matrices) -> Skeleton:
+    return Skeleton(tuple(f"x{v}" for v in range(len(matrices[0]))), tuple(np.asarray(m).tolist() for m in matrices))
+
+
+def square(draw, size: int, top: int) -> np.ndarray:
+    cells = draw(st.lists(st.integers(0, top), min_size=size * size, max_size=size * size))
+    return np.array(cells, dtype=np.int64).reshape(size, size)
+
+
+@st.composite
+def chains(draw):
+    return chain(draw(st.integers(1, 12)), draw(st.integers(0, 7)))
+
+
+@st.composite
+def cycle_products(draw):
+    """Colours ``X + Y`` and ``XY + X + 2Y`` for ``X = A (x) I``, ``Y = I (x) B``: they commute."""
+    length = draw(st.integers(1, 6))
+    cycle = np.zeros((length, length), dtype=np.int64)
+    for i, w in enumerate(draw(st.lists(st.integers(1, 3), min_size=length, max_size=length))):
+        cycle[(i + 1) % length, i] = w
+    block = square(draw, draw(st.integers(1, 3)), 2)
+    x = np.kron(cycle, np.eye(len(block), dtype=np.int64))
+    y = np.kron(np.eye(length, dtype=np.int64), block)
+    return labelled(x + y, x @ y + x + 2 * y)
+
+
+@st.composite
+def block_chains(draw):
+    """Colours ``M`` and ``M²`` for a block upper-triangular ``M``: polynomials in one matrix commute.
+
+    The diagonal blocks are mostly strongly connected, so components have
+    several vertices. Some are weighted cycles, which ``M²`` splits (a
+    2-cycle squares to two loops), so colour blocks can be reducible.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    n = sum(sizes)
+    m = np.zeros((n, n), dtype=np.int64)
+    start = 0
+    for size in sizes:
+        if draw(st.booleans()):
+            diagonal = np.roll(np.diag(draw(st.lists(st.integers(1, 3), min_size=size, max_size=size))), 1, axis=0)
+        else:
+            diagonal = square(draw, size, 2)
+        m[start : start + size, start : start + size] = diagonal
+        m[:start, start : start + size] = square(draw, max(start, size), 1)[:start, :size]
+        start += size
+    return labelled(m, m @ m)
+
+
+@st.composite
+def dumbbells(draw):
+    return make_dumbbell3(sample_commuting3(draw(st.integers(0, 10**6)), 1)[0])
+
+
+GRAPHS = st.one_of(
+    chains(), cycle_products(), block_chains(), dumbbells(), st.sampled_from(list(REDUCIBLE_COLOUR_BLOCKS.values()))
+)
+
+
+def relation_reference(decomp, x: np.ndarray) -> np.ndarray:
+    """``[c, d]``: ``x`` links a vertex of component c to one of d, as the product ``C^T x C``."""
+    member = np.zeros((x.shape[0], decomp.count))
+    for c, comp in enumerate(decomp.components):
+        member[list(comp), c] = 1
+    return member.T @ x.astype(float) @ member > 0
+
+
+@given(GRAPHS)
+@settings(max_examples=80, deadline=None)
+def test_reach_is_the_dense_closure_of_the_union_support(skel):
+    want = _digraph.transitive_closure(skel.union_support()) | np.eye(skel.n, dtype=bool)
+    assert np.array_equal(decompose(skel).reach, want)
+
+
+@given(GRAPHS)
+@settings(max_examples=80, deadline=None)
+def test_flags_match_tarjan_on_each_colour_block(skel):
+    decomp = decompose(skel)
+    for c, comp in enumerate(decomp.components):
+        for i in range(skel.k):
+            assert decomp.irreducible[c][i] is _digraph.irreducible(skel.colour_support(i)[np.ix_(comp, comp)])
+
+
+@given(GRAPHS)
+@settings(max_examples=80, deadline=None)
+def test_colour_reach_is_the_squared_colour_closure(skel):
+    decomp = decompose(skel)
+    for i in range(skel.k):
+        want = relation_reference(decomp, _digraph.transitive_closure(skel.colour_support(i)))
+        assert np.array_equal(decomp.colour_reach(i), want)
+
+
+@given(GRAPHS, st.data())
+@settings(max_examples=60, deadline=None)
+def test_restrictions_inherit_reach_and_colour_reach(skel, data):
+    # A restriction slices its parent's analysis; it must agree with the
+    # references on the restricted skeleton itself.
+    with analysis_scope():
+        decomp = analysis_of(skel)
+        comp = data.draw(st.sampled_from(decomp.components))
+        sub = restrict(skel, hereditary_closure(skel, comp))
+        if not sub.n:
+            return
+        got = analysis_of(sub)
+    assert np.array_equal(got.reach, _digraph.transitive_closure(sub.union_support()) | np.eye(sub.n, dtype=bool))
+    for i in range(sub.k):
+        want = relation_reference(got, _digraph.transitive_closure(sub.colour_support(i)))
+        assert np.array_equal(got.colour_reach(i), want)
+
+
+@given(GRAPHS)
+@settings(max_examples=80, deadline=None)
+def test_roots_match_a_dense_eigensolve_per_block(skel):
+    # The reference block is the colour block under the diagonal similarity
+    # by the component's Perron vector: the same eigenvalues, and with rows
+    # of one size even where the vector spans 3**20, so the eigensolver's
+    # normwise error is small relative to every entry.
+    decomp = decompose(skel)
+    for c, comp in enumerate(decomp.components):
+        x = decomp.vectors[c]
+        for i, a in enumerate(skel.as_arrays()):
+            block = a[np.ix_(comp, comp)]
+            rho, (lo, hi) = decomp.radii[c][i], decomp.brackets[c][i]
+            if len(comp) == 1:
+                assert rho == lo == hi == block[0, 0]
+                continue
+            want = float(np.abs(np.linalg.eigvals(block * x / x[:, None])).max())
+            assert rho == pytest.approx(want, rel=1e-12, abs=0)
+            assert lo <= rho <= hi and hi - lo <= 1e-9 * hi

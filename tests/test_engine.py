@@ -20,11 +20,11 @@ from kgraphkms import (
     verify_state,
     verify_states,
 )
-from kgraphkms import components
+from kgraphkms import components, engine
 from kgraphkms.components import check_assumptions, decompose
 from kgraphkms.dumbbell import make_dumbbell3, sample_commuting3
-from kgraphkms.engine import KIND_COMPONENT, KIND_POINT_MASS
-from kgraphkms.spectral import SOLVE_RESIDUAL_TOL
+from kgraphkms.engine import KIND_COMPONENT, KIND_POINT_MASS, StateCheck
+from kgraphkms.spectral import SOLVE_RESIDUAL_TOL, EigenConsistencyError
 
 from conftest import chain, product_skeleton, skeleton, state_set
 from test_golden import FLOAT_RTOL
@@ -327,6 +327,26 @@ class TestBatchVerification:
                 assert check.passed == single.passed == valid
                 for field in ("l1_error", "min_entry", "colour_violation", "product_violation"):
                     assert abs(getattr(check, field) - getattr(single, field)) <= 1e-12
+
+    @pytest.mark.parametrize("name,skel", GRAPHS, ids=[n for n, _ in GRAPHS])
+    def test_certification_builds_a_check_only_for_the_first_failure(self, name, skel, monkeypatch):
+        # Certification decides on the margin arrays and names the first
+        # failing row with the check verify_states reports for it.
+        dyn = normalize_dynamics(skel)
+        cases = [(*batch, verify_states(skel, dyn, *batch[:2])) for batch in self.batches(skel, dyn)]
+        built = []
+        monkeypatch.setattr(engine, "StateCheck", lambda *fields: built.append(fields) or StateCheck(*fields))
+        for beta, rows, valid, checks in cases:
+            built.clear()
+            if valid:
+                engine._certify(skel, dyn, beta, rows, str)
+                assert built == []
+                continue
+            first = next(j for j, check in enumerate(checks) if not check.passed)
+            with pytest.raises(EigenConsistencyError) as raised:
+                engine._certify(skel, dyn, beta, rows, lambda j: f"row {j}")
+            assert str(raised.value) == f"row {first}: constructed state fails verification: {checks[first]}"
+            assert len(built) == 1
 
     def test_shapes(self, ex1, ex1_dyn):
         assert verify_states(ex1, ex1_dyn, 1.5, []) == ()

@@ -40,12 +40,16 @@ from conftest import (
     EXAMPLE_1,
     EXAMPLE_2,
     NO_BRIDGE_COUNTEREXAMPLE,
+    REDUCIBLE_COLOUR_BLOCKS,
     chain,
     count_eig,
+    count_perron,
+    cycle_and_square,
     cycle_product_skeleton,
     data_skeletons,
     product_skeleton,
     skeleton,
+    weighted_cycle,
 )
 
 
@@ -87,35 +91,42 @@ class TestSpectralRadius:
         assert spectral_radius([[2, 7], [0, 5]]) == pytest.approx(5.0, abs=1e-12)
 
 
-def weighted_cycle(weights) -> np.ndarray:
-    n = len(weights)
-    a = np.zeros((n, n))
-    for i, w in enumerate(weights):
-        a[(i + 1) % n, i] = w
-    return a
-
-
 class TestCertifiedPerronRoot:
     def test_long_weighted_cycle(self, monkeypatch):
         # Every eigenvalue of a weighted cycle has modulus equal to the
-        # geometric mean of its weights, so no power iteration converges
-        # on it quickly; one certified eigensolve gets the root exactly.
+        # geometric mean of its weights, so no power iteration converges on
+        # this imprimitive block quickly; one certified Noda iteration gets
+        # the root exactly, and no dense eigensolve runs.
         rng = random.Random(300)
         weights = [rng.randint(1, 3) for _ in range(300)]
         expected = math.exp(sum(math.log(w) for w in weights) / len(weights))
-        eig_calls = count_eig(monkeypatch)
+        perron_calls, eig_calls = count_perron(monkeypatch), count_eig(monkeypatch)
         rho = spectral_radius(weighted_cycle(weights))
-        assert eig_calls == [(300, 300)]
+        assert perron_calls == [(300, 300)] and eig_calls == []
         assert rho == pytest.approx(expected, rel=1e-12, abs=0)
+        _, x, (lo, hi) = _perron_block(weighted_cycle(weights))
+        assert x.min() > 0 and lo <= rho <= hi and hi - lo <= 1e-12 * hi
 
-    def test_badly_scaled_perron_vector_is_refined(self):
-        # The Perron vector spans 3**20 here, so the eigensolver's small
-        # entries are too rough for a 1e-9 bracket until refined.
+    def test_badly_scaled_perron_vector_is_resolved(self):
+        # The Perron vector spans 3**20 here; the solves scaled by the
+        # current vector resolve its smallest entries to full relative
+        # accuracy, so the bracket closes to rounding level.
         block = weighted_cycle([3] * 40 + [1] * 40)
         rho, x, (lo, hi) = _perron_block(block)
         assert rho == pytest.approx(math.sqrt(3), rel=1e-12, abs=0)
-        assert x.min() > 0 and x.sum() == pytest.approx(1.0)
-        assert lo <= rho <= hi and hi - lo <= 1e-9 * hi
+        assert x.min() > 0 and x.sum() == pytest.approx(1.0) and x.max() / x.min() > 3**19
+        assert lo <= rho <= hi and hi - lo <= 1e-12 * hi
+
+    def test_exact_start_vector_needs_no_solve(self, monkeypatch):
+        # Every row of a regular block sums to its root, so the constant
+        # start vector is the Perron vector and its bracket has zero width.
+        solves = []
+        original = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or original(a, b))
+        block = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        rho, x, bracket = _perron_block(block)
+        assert solves == [] and bracket == (3.0, 3.0) and rho == 3.0
+        assert x.tolist() == [1 / 3] * 3
 
     def test_product_skeleton_radii(self):
         # X = A (x) I and Y = I (x) B commute, so X + Y and XY + X + 2Y have
@@ -131,26 +142,29 @@ class TestCertifiedPerronRoot:
         for res, root in zip(common_pf_eigenvector(colours), expected):
             assert res.radius == pytest.approx(root, rel=1e-12, abs=0)
 
+    def test_reducible_block_with_a_positive_vector_is_certified(self):
+        # Only irreducible blocks reach _perron_block from the analysis, but
+        # the iteration needs no irreducibility to certify what it returns:
+        # the upper bound halves its distance to 1 at each step, and every
+        # bracket, taken at a positive vector, contains the root 1.
+        rho, x, (lo, hi) = _perron_block(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert x.min() > 0 and lo <= 1.0 <= hi and hi - lo <= 1e-15
+        assert lo <= rho <= hi
+
     def test_reducible_block_raises(self):
-        with pytest.raises(EigenConsistencyError, match="bracket"):
-            _perron_block(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        # A nilpotent block has root 0: the lower bound stays 0 while the
+        # upper bound shrinks geometrically, so no bracket is ever narrow
+        # relative to itself and the step cap ends the iteration.
+        with pytest.raises(EigenConsistencyError, match=r"2x2 block .* 100 Noda steps: .*bracket \[0\.0, "):
+            _perron_block(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-
-def cycle_and_square():
-    """An 80-cycle ``W`` with weights 3 (40 times) then 1 (40 times), and ``W²``.
-
-    ``W`` is irreducible with root ``sqrt(3)``; ``W²`` splits into two
-    40-cycles, so it is reducible, with root 3. Their sum's Perron vector
-    spans ``3**20``.
-    """
-    w = weighted_cycle([3] * 40 + [1] * 40).astype(int)
-    return w, w @ w
-
-
-REDUCIBLE_COLOUR_BLOCKS = {
-    "identity-and-swap": skeleton("ab", np.eye(2, dtype=int).tolist(), [[0, 1], [1, 0]]),
-    "cycle-and-square": skeleton([f"v{i}" for i in range(80)], *(m.tolist() for m in cycle_and_square())),
-}
+    def test_step_cap_raises_naming_size_steps_and_bracket(self, monkeypatch):
+        monkeypatch.setattr(spectral, "NODA_MAX_STEPS", 2)
+        block = product_skeleton().as_arrays()[0]
+        with pytest.raises(EigenConsistencyError, match=r"^Perron root of a 54x54 block not settled after 2 Noda steps: Collatz-Wielandt bracket \[\S+, \S+\]$"):
+            _perron_block(block)
+        monkeypatch.setattr(spectral, "NODA_MAX_STEPS", 100)
+        assert _perron_block(block)[0] == pytest.approx(6 ** (1 / 3) + 1 + 2 ** (1 / 3), rel=1e-12, abs=0)
 
 
 class TestRootsFromTheSharedVector:
@@ -166,9 +180,9 @@ class TestRootsFromTheSharedVector:
             assert rho == pytest.approx(spectral_radius(a), rel=1e-12, abs=0)
             assert lo <= rho <= hi and hi - lo <= 1e-9 * hi
 
-    def test_badly_scaled_shared_vector_is_refined(self):
-        # One plain inverse-iteration step left the colour sum's bracket
-        # 7e-8 wide here; the step scaled by the vector certifies it.
+    def test_badly_scaled_shared_vector_is_resolved(self):
+        # The colour sum's Perron vector spans 3**20; the scaled solves
+        # certify every colour's root at it.
         w, square = cycle_and_square()
         results = common_pf_eigenvector([w, w + square])
         expected = (math.sqrt(3), 3 + math.sqrt(3))
@@ -194,14 +208,16 @@ class TestRootsFromTheSharedVector:
             decompose(skel)
 
     def test_library_pass_solves_once(self, monkeypatch):
+        # One Perron computation for the one 54-vertex component, and no
+        # dense eigensolve, in the whole pass.
         skel = cycle_product_skeleton(1)
-        eig_calls = count_eig(monkeypatch)
+        perron_calls, eig_calls = count_perron(monkeypatch), count_eig(monkeypatch)
         dyn = normalize_dynamics(skel)
         diagram = phase_diagram(skel, dyn)
         critical = diagram.critical_betas
         for beta in (*critical, critical[0] + 1.0):
             extreme_states_at(skel, dyn, beta, diagram=diagram)
-        assert eig_calls == [(54, 54)]
+        assert perron_calls == [(54, 54)] and eig_calls == []
 
 
 class TestCommonPF:
@@ -307,8 +323,9 @@ class TestAnalysisRoute:
             component_perron(skel, decomp, 0)
 
     def test_phase_diagram_certifies_each_block_once(self, monkeypatch):
-        # The product skeleton is one 54-vertex component: decompose solves
-        # its colour sum once, for the shared vector and every colour's root.
+        # The product skeleton is one 54-vertex component: decompose runs one
+        # Perron computation on its colour sum, for the shared vector and
+        # every colour's root, and no dense eigensolve runs.
         # Flags, roots and the vector are never derived again outside
         # decompose, and a dynamics normalised on this very skeleton brings
         # that analysis along, so phase_diagram solves nothing.
@@ -338,14 +355,14 @@ class TestAnalysisRoute:
             for module in list(sys.modules.values()):
                 if getattr(module, "__name__", "").startswith("kgraphkms") and getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counting)
-        eig_calls = count_eig(monkeypatch)
-        for d, decompositions, eigs in ((dyn, 0, 0), (twin_dyn, 1, 1), (replace(dyn, analysis=None), 1, 1)):
+        perron_calls, eig_calls = count_perron(monkeypatch), count_eig(monkeypatch)
+        for d, decompositions, perrons in ((dyn, 0, 0), (twin_dyn, 1, 1), (replace(dyn, analysis=None), 1, 1)):
             decomposed.clear()
-            eig_calls.clear()
+            perron_calls.clear()
             phase_diagram(skel, d)
             assert decomposed == [skel] * decompositions
-            assert eig_calls == [(54, 54)] * eigs
-        assert outside == []
+            assert perron_calls == [(54, 54)] * perrons
+        assert outside == [] and eig_calls == []
 
 
 class TestExtension:

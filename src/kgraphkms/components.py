@@ -109,16 +109,9 @@ class ComponentDecomposition:
     def colour_reach(self, colour: int) -> np.ndarray:
         """``[c, d]``: a path of length at least 1 in the one colour runs from component d into c.
 
-        Read off that colour's condensation closure at the colour components
-        of the kept vertices, each mapped to the component holding it.
+        That colour's condensation closure, indexed back by colour label.
         """
-        kept, inverse = np.unique(self.colour_sccs[colour], return_inverse=True)
-        owner = np.empty(len(kept), dtype=np.intp)
-        owner[inverse] = self._labels
-        rows, cols = np.nonzero(self.colour_closures[colour][np.ix_(kept, kept)])
-        out = np.zeros((self.count, self.count), dtype=bool)
-        out[owner[rows], owner[cols]] = True
-        return out
+        return self.relation(_indexed(self.colour_closures[colour], self.colour_sccs[colour]))
 
     def sliced(self, keep: Sequence[int]) -> "ComponentDecomposition":
         """The decomposition of the sub-skeleton induced on ``keep``.
@@ -154,10 +147,16 @@ class ComponentDecomposition:
 
 def _label_vertices(sccs, n: int) -> np.ndarray:
     """Each of ``n`` vertices' index in the list of vertex sets ``sccs``, which partitions them."""
-    labels = np.empty(n, dtype=np.intp)
-    if sccs:
-        labels[np.concatenate(sccs)] = np.repeat(np.arange(len(sccs)), [len(s) for s in sccs])
-    return labels
+    labels = [0] * n
+    for a, scc in enumerate(sccs):
+        for v in scc:
+            labels[v] = a
+    return np.array(labels, dtype=np.intp)
+
+
+def _indexed(closure: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``closure[labels[v], labels[w]]`` for every pair of vertices ``v``, ``w``."""
+    return closure.take(labels, 0).take(labels, 1)
 
 
 def _condensation(labels: np.ndarray, count: int, x: np.ndarray) -> np.ndarray:
@@ -254,12 +253,8 @@ def decompose(skel: Skeleton) -> ComponentDecomposition:
     attached. Every closure is taken over a condensation, never over the
     vertices, and indexed back by label.
     """
-    adj = skel.union_support()
-    comps = [tuple(c) for c in tarjan_sccs(succ_lists(adj))]
-    labels = _label_vertices(comps, skel.n)
-    # The condensation's diagonal marks the components that hold an edge.
-    before = _condensation(labels, len(comps), adj)
-    reach = transitive_closure(before)[np.ix_(labels, labels)]
+    comps, labels, before, closure = _condensed(skel.union_support())
+    reach = _indexed(closure, labels)
     np.fill_diagonal(reach, True)
 
     # Order constraint: if a vertex of C_a receives an edge from one of C_b,
@@ -280,23 +275,17 @@ def decompose(skel: Skeleton) -> ComponentDecomposition:
     components = tuple(comps[c] for c in order)
 
     # Colour components refine the components, so component C is
-    # irreducible in colour i exactly when all of C carries one colour-i
-    # label whose colour component holds an edge (a loop when |C| = 1).
+    # irreducible in colour i exactly when C is itself a colour-i component
+    # holding an edge (a loop when |C| = 1).
     arrays = skel.as_arrays()
-    firsts = [comp[0] for comp in components]
-    owner = np.argsort(order)[labels]
     colour_sccs, colour_closures, flags = [], [], []
     for a in arrays:
-        support = a > 0
-        sccs = tarjan_sccs(succ_lists(support))
-        colour_labels = _label_vertices(sccs, skel.n)
-        closure = _read_only(transitive_closure(_condensation(colour_labels, len(sccs), support)))
-        first = colour_labels[firsts]
-        one_label = np.ones(len(components), dtype=bool)
-        one_label[owner[colour_labels != first[owner]]] = False
-        flags.append((one_label & closure.diagonal()[first]).tolist())
+        sccs, colour_labels, _, colour_closure = _condensed(a > 0)
+        index = dict(zip(sccs, range(len(sccs))))
+        cyclic = colour_closure.diagonal().tolist()
+        flags.append([comp in index and cyclic[index[comp]] for comp in components])
         colour_sccs.append(colour_labels)
-        colour_closures.append(closure)
+        colour_closures.append(_read_only(colour_closure))
 
     spectra = [_block_spectra(arrays, c, comp) for c, comp in enumerate(components)]
     return ComponentDecomposition(
@@ -309,6 +298,19 @@ def decompose(skel: Skeleton) -> ComponentDecomposition:
         colour_sccs=_read_only(np.array(colour_sccs, dtype=np.intp)),
         colour_closures=tuple(colour_closures),
     )
+
+
+def _condensed(support: np.ndarray):
+    """Strongly connected components of a boolean support and its condensation.
+
+    Returns the components as sorted tuples, each vertex's component
+    label, the condensation over those labels (its diagonal marks the
+    components that hold an edge) and the condensation's closure.
+    """
+    sccs = [tuple(scc) for scc in tarjan_sccs(succ_lists(support))]
+    labels = _label_vertices(sccs, len(support))
+    condensation = _condensation(labels, len(sccs), support)
+    return sccs, labels, condensation, transitive_closure(condensation)
 
 
 def _block_spectra(arrays, c: int, comp: tuple[int, ...]):

@@ -107,7 +107,7 @@ class ComponentDecomposition:
         return _condensation(self._labels, self.count, x)
 
     def colour_reach(self, colour: int) -> np.ndarray:
-        """``[c, d]``: a path of length at least 1 in the one colour runs from component d into c.
+        """``[c, d]``: a path of length at least 1 in colour ``colour`` runs from component d into c.
 
         That colour's condensation closure, indexed back by colour label.
         """

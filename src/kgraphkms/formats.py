@@ -131,10 +131,10 @@ def parse_input(text: str) -> InputDocument:
 
 
 def _all_finite(entries: list) -> bool:
-    """True when every entry is a finite float, in one pass in C; False also when some entry is no number.
+    """Whether every entry converts to a finite float, decided in one pass in C.
 
-    False only sends the caller to ``_finite``, entry by entry, which lets
-    anything that is not a number through.
+    Also False when some entry is no number, which ``_finite`` lets
+    through: False only sends the caller to check entry by entry.
     """
     try:
         return bool(np.isfinite(np.array(entries, dtype=float)).all())

@@ -9,7 +9,9 @@ def tarjan_sccs(succ: list[list[int]]) -> list[list[int]]:
     """Strongly connected components of a digraph given as successor lists.
 
     Iterative Tarjan; each component is returned as a sorted list of node
-    indices. Output order is by discovery, callers re-order as needed.
+    indices. Output order is by discovery, callers re-order as needed. The
+    explicit call stack holds each open node with an iterator over its
+    successors, which resumes where the descent into a child left it.
     """
     n = len(succ)
     index = [-1] * n
@@ -22,39 +24,38 @@ def tarjan_sccs(succ: list[list[int]]) -> list[list[int]]:
     for root in range(n):
         if index[root] != -1:
             continue
-        # Explicit call stack of (node, iterator position).
-        work = [(root, 0)]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
-            node, pos = work.pop()
-            if pos == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            recurse = False
-            for i in range(pos, len(succ[node])):
-                child = succ[node][i]
+            node, children = work[-1]
+            for child in children:
                 if index[child] == -1:
-                    work.append((node, i + 1))
-                    work.append((child, 0))
-                    recurse = True
+                    index[child] = lowlink[child] = counter
+                    counter += 1
+                    stack.append(child)
+                    on_stack[child] = True
+                    work.append((child, iter(succ[child])))
                     break
-                if on_stack[child]:
-                    lowlink[node] = min(lowlink[node], index[child])
-            if recurse:
-                continue
-            if lowlink[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                components.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if on_stack[child] and index[child] < lowlink[node]:
+                    lowlink[node] = index[child]
+            else:
+                work.pop()
+                low = lowlink[node]
+                if low == index[node]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == node:
+                            break
+                    components.append(sorted(comp))
+                elif low < lowlink[work[-1][0]]:
+                    # Not a component root, so its parent is still open.
+                    lowlink[work[-1][0]] = low
     return components
 
 

@@ -125,11 +125,10 @@ class ComponentDecomposition:
         single-colour reachability, is unchanged: the kept vertices keep
         their colour labels into the same colour closures. Each kept colour
         block is the same matrix, so flags, radii, vectors and brackets are
-        bit-identical. The Kahn
-        order survives too: a kept component's predecessors in the order
-        constraints are all kept, so dropped components never change which
-        kept ones are ready, and the smallest-vertex tie-break is preserved
-        by the monotone relabelling.
+        bit-identical. The Kahn order survives too: a kept component's
+        predecessors in the order constraints are all kept, so dropped
+        components never change which kept ones are ready, and the
+        smallest-vertex tie-break is preserved by the monotone relabelling.
         """
         pos = {int(v): i for i, v in enumerate(keep)}
         kept = [c for c, comp in enumerate(self.components) if int(comp[0]) in pos]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kgraphkms import Skeleton
-from kgraphkms._digraph import succ_lists, transitive_closure
+from kgraphkms._digraph import succ_lists, tarjan_sccs, transitive_closure
 
 from conftest import EXAMPLE_1, EXAMPLE_2, NO_BRIDGE_COUNTEREXAMPLE, chain, data_skeletons, product_skeleton, skeleton
 
@@ -45,6 +45,50 @@ class TestTransitiveClosure:
         got = transitive_closure(adj)
         got[1, 0] = True
         assert not adj[1, 0]
+
+
+def recursive_tarjan(succ: list[list[int]]) -> list[list[int]]:
+    """Reference: Tarjan's algorithm as usually written, by recursion."""
+    index, lowlink, stack, components = {}, {}, [], []
+
+    def visit(v):
+        index[v] = lowlink[v] = len(index)
+        stack.append(v)
+        for w in succ[v]:
+            if w not in index:
+                visit(w)
+                lowlink[v] = min(lowlink[v], lowlink[w])
+            elif w in stack:
+                lowlink[v] = min(lowlink[v], index[w])
+        if lowlink[v] == index[v]:
+            comp = []
+            while not comp or comp[-1] != v:
+                comp.append(stack.pop())
+            components.append(sorted(comp))
+
+    for v in range(len(succ)):
+        if v not in index:
+            visit(v)
+    return components
+
+
+class TestTarjan:
+    def test_matches_the_recursive_algorithm(self):
+        for adj in random_digraphs():
+            succ = succ_lists(adj)
+            assert tarjan_sccs(succ) == recursive_tarjan(succ)
+
+    def test_components_are_mutual_reachability_classes_in_reverse_topological_order(self):
+        for adj in random_digraphs():
+            comps = tarjan_sccs(succ_lists(adj))
+            reach = int64_closure(adj) | np.eye(len(adj), dtype=bool)
+            assert sorted(v for comp in comps for v in comp) == list(range(len(adj)))
+            for i, comp in enumerate(comps):
+                assert comp == sorted(comp)
+                assert np.flatnonzero(reach[comp[0]] & reach[:, comp[0]]).tolist() == comp
+                # A component reaches only components found before it.
+                later = [v for other in comps[i + 1 :] for v in other]
+                assert not reach[np.ix_(comp, later)].any()
 
 
 class TestSuccessorLists:

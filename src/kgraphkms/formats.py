@@ -17,8 +17,6 @@ from fractions import Fraction
 from itertools import chain
 from typing import Any
 
-import numpy as np
-
 RATIONAL_MAX_DENOMINATOR = 10**6
 # A true rational stored in a float is off by at most a few ulps; convergents
 # of irrationals with denominator near 1e6 sit around 1e-13 away, so the snap
@@ -74,7 +72,7 @@ def parse_input(text: str) -> InputDocument:
     if len(matrices) != k:
         raise ParseError(f"field 'matrices': got {len(matrices)} grids, expected k={k}")
     rows = [row for m in matrices if isinstance(m, list) for row in m if isinstance(row, list)]
-    if not _all_finite(list(chain.from_iterable(rows))):
+    if not _all_finite(chain.from_iterable(rows)):
         # Walk entry by entry only to name the first bad one.
         for i, m in enumerate(matrices):
             for v, row in enumerate(m if isinstance(m, list) else ()):
@@ -130,14 +128,16 @@ def parse_input(text: str) -> InputDocument:
     )
 
 
-def _all_finite(entries: list) -> bool:
-    """Whether every entry converts to a finite float, decided in one pass in C.
+def _all_finite(entries) -> bool:
+    """Whether every entry is a finite number, decided in one pass in C.
 
-    Also False when some entry is no number, which ``_finite`` lets
-    through: False only sends the caller to check entry by entry.
+    The exact sum ``math.fsum`` is finite exactly when every entry is and
+    the total fits a float. It raises on an entry that is no number, which
+    ``_finite`` lets through, and on an overflowing total: False only sends
+    the caller to check entry by entry.
     """
     try:
-        return bool(np.isfinite(np.array(entries, dtype=float)).all())
+        return math.isfinite(math.fsum(entries))
     except (TypeError, ValueError, OverflowError):
         return False
 

@@ -107,7 +107,7 @@ class TestCertifiedPerronRoot:
         _, x, (lo, hi) = _perron_block(weighted_cycle(weights))
         assert x.min() > 0 and lo <= rho <= hi and hi - lo <= 1e-12 * hi
 
-    def test_badly_scaled_perron_vector_is_resolved(self):
+    def test_badly_scaled_perron_vector_is_refined(self):
         # The Perron vector spans 3**20 here; the solves scaled by the
         # current vector resolve its smallest entries to full relative
         # accuracy, so the bracket closes to rounding level.
@@ -180,7 +180,7 @@ class TestRootsFromTheSharedVector:
             assert rho == pytest.approx(spectral_radius(a), rel=1e-12, abs=0)
             assert lo <= rho <= hi and hi - lo <= 1e-9 * hi
 
-    def test_badly_scaled_shared_vector_is_resolved(self):
+    def test_badly_scaled_shared_vector_is_refined(self):
         # The colour sum's Perron vector spans 3**20; the scaled solves
         # certify every colour's root at it.
         w, square = cycle_and_square()

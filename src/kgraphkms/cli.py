@@ -14,7 +14,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .components import analysis_of, analysis_scope, check_assumptions
+from .components import analysed, analysis_of, check_assumptions
 from .dumbbell import (
     Dumbbell2Params,
     DumbbellBounds,
@@ -184,6 +184,7 @@ def _cmd_validate(args) -> int:
 def _cmd_components(args) -> int:
     report, _, skel, code = _prepare(args)
     if skel is not None:
+        skel = analysed(skel)  # one analysis for both sections
         report["components"] = _components_section(skel)
         assumptions = check_assumptions(skel)
         report["assumptions"] = asdict(assumptions)
@@ -210,6 +211,7 @@ def _prepare_solve(args) -> tuple[dict, Skeleton | None, Dynamics | None, int]:
     report, doc, skel, code = _prepare(args)
     if skel is None or (code and not args.allow_violations):
         return report, None, None, code
+    skel = analysed(skel)  # one analysis for every later step
     dyn = _build_dynamics(skel, doc)
     report["dynamics"] = _dynamics_section(dyn)
     assumptions = check_assumptions(skel)
@@ -355,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--format", choices=("json", "text"), default="json")
         cmd.add_argument("--tol", type=float, default=STATE_TOL)
         cmd.add_argument("--allow-violations", action="store_true")
-        # Every step of the command shares one analysis of the input graph.
-        cmd.set_defaults(func=analysis_scope()(func))
+        cmd.set_defaults(func=func)
         return cmd
 
     graph_command("validate", "check the input against every skeleton invariant", _cmd_validate)

@@ -5,19 +5,17 @@ component order stored here makes every colour matrix block upper
 triangular, hereditary vertex sets are the ones closed under taking path
 sources, and the assumption report gates the temperature-sweep engine.
 
-The decomposition is the one graph analysis the engine needs. Inside an
-``analysis_scope`` it is computed at most once per skeleton, and the
-sub-skeletons built by ``restrict`` and ``split_isolated`` inherit a slice
-of their parent's instead of being analysed again. ``adopt_analysis``
-registers one known from elsewhere, such as a phase piece's or the one a
-dynamics was normalised with.
+The decomposition is the one graph analysis the engine needs. Each entry
+point wraps the caller's skeleton once with ``analysed``, a twin that
+carries its decomposition, and the sub-skeletons that ``restrict`` and
+``split_isolated`` build carry a slice of their parent's instead of being
+analysed again. A skeleton built by ``Skeleton(...)`` never carries one,
+so no analysis outlives the call that made it.
 """
 
 from __future__ import annotations
 
 import heapq
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -191,40 +189,21 @@ class AssumptionReport:
     all_pass: bool
 
 
-# Analyses of one top-level call, keyed by skeleton identity; each entry
-# holds its skeleton so the identity cannot be reused while the scope lives.
-_ANALYSES: ContextVar[dict | None] = ContextVar("kgraphkms_analyses", default=None)
-
-
-@contextmanager
-def analysis_scope():
-    """Share decompositions for the duration of one call; nested scopes join the outer."""
-    if _ANALYSES.get() is not None:
-        yield
-        return
-    token = _ANALYSES.set({})
-    try:
-        yield
-    finally:
-        _ANALYSES.reset(token)
-
-
 def analysis_of(skel: Skeleton) -> ComponentDecomposition:
-    """The skeleton's decomposition, computed at most once per open scope."""
-    memo = _ANALYSES.get()
-    if memo is None:
-        return decompose(skel)
-    entry = memo.get(id(skel))
-    if entry is None:
-        entry = memo[id(skel)] = (skel, decompose(skel))
-    return entry[1]
+    """The decomposition ``skel`` carries, or else a fresh one."""
+    if skel._analysis is not None:
+        return skel._analysis
+    return decompose(skel)
 
 
-def adopt_analysis(skel: Skeleton, decomp: ComponentDecomposition) -> None:
-    """Register a decomposition already known for ``skel`` in the open scope, if any."""
-    memo = _ANALYSES.get()
-    if memo is not None:
-        memo.setdefault(id(skel), (skel, decomp))
+def analysed(skel: Skeleton, decomp: ComponentDecomposition | None = None) -> Skeleton:
+    """``skel`` if it carries its decomposition, else a twin carrying ``decomp`` or a fresh one.
+
+    ``decomp``, when given, must be ``skel``'s own decomposition.
+    """
+    if skel._analysis is not None:
+        return skel
+    return skel._twin(decompose(skel) if decomp is None else decomp)
 
 
 def hereditary_closure(skel: Skeleton, vertices: Iterable[int]) -> frozenset[int]:
@@ -346,7 +325,8 @@ def check_assumptions(skel: Skeleton) -> AssumptionReport:
         return AssumptionReport(
             True, (), True, (), True, (), True, (), True, (), True
         )
-    decomp = analysis_of(skel)
+    skel = analysed(skel)
+    decomp = skel._analysis
 
     trivial_idx = tuple(c for c, t in enumerate(decomp.trivial) if t)
     pieces = _weak_pieces(skel)
@@ -398,18 +378,6 @@ def check_assumptions(skel: Skeleton) -> AssumptionReport:
     )
 
 
-def _sub_skeleton(skel: Skeleton, keep: list[int]) -> Skeleton:
-    """Skeleton induced on ``keep``; inside a scope it inherits the parent's sliced analysis.
-
-    ``keep`` is the complement of a hereditary set or a weakly connected
-    piece, so the induced matrices commute without a fresh proof.
-    """
-    sub = skel._induced(keep)
-    if _ANALYSES.get() is not None:
-        adopt_analysis(sub, analysis_of(skel).sliced(keep))
-    return sub
-
-
 def restrict(skel: Skeleton, hereditary_set: Iterable[int]) -> Skeleton:
     """Remove a hereditary vertex set, keeping the induced skeleton.
 
@@ -418,6 +386,8 @@ def restrict(skel: Skeleton, hereditary_set: Iterable[int]) -> Skeleton:
     satisfies the standing assumptions the result has no zero rows or
     columns; otherwise sources may appear and are left to the caller's
     flags rather than treated as fatal. Removing nothing returns ``skel``.
+    The result carries the slice of ``skel``'s analysis on the kept
+    vertices, and its matrices commute without a fresh proof.
     """
     removed = frozenset(int(v) for v in hereditary_set)
     bad = removed - set(range(skel.n))
@@ -425,16 +395,22 @@ def restrict(skel: Skeleton, hereditary_set: Iterable[int]) -> Skeleton:
         raise ValueError(f"unknown vertex indices {sorted(bad)}")
     if not removed:
         return skel
+    skel = analysed(skel)
     if not is_hereditary(skel, removed):
         raise ValueError("removal set is not hereditary")
-    return _sub_skeleton(skel, [v for v in range(skel.n) if v not in removed])
+    keep = [v for v in range(skel.n) if v not in removed]
+    return skel._induced(keep, skel._analysis.sliced(keep))
 
 
 def split_isolated(skel: Skeleton) -> list[Skeleton]:
-    """Split into weakly connected pieces; a connected skeleton maps to itself."""
+    """Split into weakly connected pieces; a connected skeleton maps to itself.
+
+    Each piece of a disconnected skeleton carries the slice of its analysis.
+    """
     if skel.n == 0:
         return []
-    pieces = _weak_pieces(skel)
+    carried = analysed(skel)
+    pieces = _weak_pieces(carried)
     if len(pieces) == 1:
         return [skel]
-    return [_sub_skeleton(skel, piece) for piece in pieces]
+    return [carried._induced(piece, carried._analysis.sliced(piece)) for piece in pieces]

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .components import analysis_scope
+from .components import analysed
 from .skeleton import Skeleton
 from .spectral import STATUS_CONTRADICTION, STATUS_HOLDS, check_spectral_ordering
 
@@ -360,9 +360,8 @@ def fuzz_ordering(seed: int, count: int, bounds: DumbbellBounds | None = None) -
     met = holds = not_met = 0
     contradictions = []
     for params in samples:
-        skel = make_dumbbell3(params)
-        with analysis_scope():
-            verdicts = [check_spectral_ordering(skel, (2,), colour) for colour in range(2)]
+        skel = analysed(make_dumbbell3(params))
+        verdicts = [check_spectral_ordering(skel, (2,), colour) for colour in range(2)]
         statuses = [v.status for v in verdicts]
         if any(s == STATUS_CONTRADICTION for s in statuses):
             contradictions.append((params, ";".join(statuses)))

@@ -20,9 +20,8 @@ import numpy as np
 from .components import (
     AssumptionReport,
     ComponentDecomposition,
-    adopt_analysis,
+    analysed,
     analysis_of,
-    analysis_scope,
     check_assumptions,
     hereditary_closure,
     restrict,
@@ -134,8 +133,8 @@ class PhasePiece:
     """One node of the removal recursion: a sub-skeleton and its critical data.
 
     ``vertices`` are the piece's vertex indices in the skeleton the diagram
-    was asked about, and ``analysis`` is the piece's decomposition, which
-    later evaluations of the diagram reuse.
+    was asked about. ``skeleton`` carries its decomposition, which later
+    evaluations of the diagram reuse.
     """
 
     skeleton: Skeleton
@@ -147,7 +146,6 @@ class PhasePiece:
     depth: int
     sources_present: bool
     warnings: tuple[str, ...]
-    analysis: ComponentDecomposition = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -247,10 +245,10 @@ def normalize_dynamics(
     )
 
 
-def _adopt_dynamics_analysis(skel: Skeleton, dyn: Dynamics) -> None:
-    """Register the analysis carried by ``dyn`` in the open scope if it is ``skel``'s own."""
-    if dyn.analysis is not None and dyn.analysis[0] is skel:
-        adopt_analysis(skel, dyn.analysis[1])
+def _analysed(skel: Skeleton, dyn: Dynamics) -> Skeleton:
+    """``skel`` carrying its analysis, the one ``dyn`` holds if ``dyn`` was normalised on ``skel`` itself."""
+    own = dyn.analysis is not None and dyn.analysis[0] is skel
+    return analysed(skel, dyn.analysis[1] if own else None)
 
 
 def _log_radii(decomp: ComponentDecomposition, k: int) -> list[float]:
@@ -312,10 +310,9 @@ def removal_set(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False) -
     minus that union, is itself hereditary; removing it keeps exactly the
     minimal critical components critical and makes each of them hereditary.
     """
-    with analysis_scope():
-        _adopt_dynamics_analysis(skel, dyn)
-        _require_assumptions(skel, allow_violations)
-        return _removal_set(skel, dyn)
+    skel = _analysed(skel, dyn)
+    _require_assumptions(skel, allow_violations)
+    return _removal_set(skel, dyn)
 
 
 def _require_assumptions(skel: Skeleton, allow_violations: bool) -> None:
@@ -488,11 +485,10 @@ def kms1_extremes(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False)
     contributes its extension state, and the quotient with all critical
     components dropped contributes one lifted point-mass state per vertex.
     """
-    with analysis_scope():
-        _adopt_dynamics_analysis(skel, dyn)
-        _require_assumptions(skel, allow_violations)
-        pos = {label: v for v, label in enumerate(skel.vertex_labels)}
-        states, _, _ = _kms1_parts(skel, dyn, 0, pos, 1.0)
+    skel = _analysed(skel, dyn)
+    _require_assumptions(skel, allow_violations)
+    pos = {label: v for v, label in enumerate(skel.vertex_labels)}
+    states, _, _ = _kms1_parts(skel, dyn, 0, pos, 1.0)
     return states
 
 
@@ -529,10 +525,9 @@ def phase_diagram(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False)
     Assumptions are checked once, here: every piece of a passing graph
     passes too, since restriction keeps its components' analysis intact.
     """
-    with analysis_scope():
-        _adopt_dynamics_analysis(skel, dyn)
-        _require_assumptions(skel, allow_violations)
-        return _assemble(skel, dyn, _removal_pieces(skel, dyn))
+    skel = _analysed(skel, dyn)
+    _require_assumptions(skel, allow_violations)
+    return _assemble(skel, dyn, _removal_pieces(skel, dyn))
 
 
 def _removal_pieces(skel: Skeleton, dyn: Dynamics) -> list[PhasePiece]:
@@ -555,7 +550,6 @@ def _removal_pieces(skel: Skeleton, dyn: Dynamics) -> list[PhasePiece]:
                 depth=depth,
                 sources_present=sub.has_sources,
                 warnings=crit.warnings,
-                analysis=analysis_of(sub),
             )
         )
         for nxt in split_isolated(quotient):
@@ -647,20 +641,17 @@ def extreme_states_at(
     """
     if beta <= 0:
         raise ValueError("inverse temperature must be positive")
-    with analysis_scope():
-        _adopt_dynamics_analysis(skel, dyn)
-        diag = diagram if diagram is not None else phase_diagram(skel, dyn, allow_violations)
-        for b, states in zip(diag.critical_betas, diag.critical_points):
-            if abs(beta - b) <= CRITICAL_RTOL * max(1.0, b):
-                return states
-        if beta < diag.terminal_beta:
-            return ()
-        out: list[ExtremeState] = []
-        for p in diag.pieces:
-            if p.beta_crit < beta < p.beta_start:
-                adopt_analysis(p.skeleton, p.analysis)
-                out += supercritical_extremes(p.skeleton, dyn, beta, p.depth, frame=p.vertices, size=skel.n)
-        return tuple(out)
+    diag = diagram if diagram is not None else phase_diagram(skel, dyn, allow_violations)
+    for b, states in zip(diag.critical_betas, diag.critical_points):
+        if abs(beta - b) <= CRITICAL_RTOL * max(1.0, b):
+            return states
+    if beta < diag.terminal_beta:
+        return ()
+    out: list[ExtremeState] = []
+    for p in diag.pieces:
+        if p.beta_crit < beta < p.beta_start:
+            out += supercritical_extremes(p.skeleton, dyn, beta, p.depth, frame=p.vertices, size=skel.n)
+    return tuple(out)
 
 
 def _growth(beta: float, r: float) -> float:

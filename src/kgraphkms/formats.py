@@ -43,7 +43,8 @@ def parse_input(text: str) -> InputDocument:
     """Parse and structurally check an input document.
 
     Shape errors in the matrices are left to skeleton validation; this
-    layer only enforces the document schema. A missing rational-independence
+    layer only enforces the document schema, never coercing: a bool is no
+    number, and only a bool is a flag. A missing rational-independence
     attestation defaults to true with a recorded warning.
     """
     try:
@@ -67,7 +68,7 @@ def parse_input(text: str) -> InputDocument:
         raise ParseError("field 'matrices': expected a nonempty list of integer grids")
     if k is None:
         k = len(matrices)
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise ParseError("field 'k': expected a positive integer")
     if len(matrices) != k:
         raise ParseError(f"field 'matrices': got {len(matrices)} grids, expected k={k}")
@@ -97,19 +98,19 @@ def parse_input(text: str) -> InputDocument:
         if not isinstance(raw_r, list) or len(raw_r) != k:
             raise ParseError(f"field 'dynamics.r': expected a list of {k} positive reals")
         try:
-            r = tuple(float(t) for t in raw_r)
-        except (TypeError, ValueError, OverflowError) as exc:
+            r = tuple(float(t) if type(t) in (int, float) else math.nan for t in raw_r)
+        except OverflowError as exc:
             raise ParseError("field 'dynamics.r': entries must be finite numbers") from exc
         if not all(map(math.isfinite, r)):
             raise ParseError("field 'dynamics.r': entries must be finite numbers")
         if any(t <= 0 for t in r):
             raise ParseError("field 'dynamics.r': entries must be strictly positive")
-        normalize = bool(dynamics.get("normalize", True))
+        normalize = _flag(dynamics, "normalize", "dynamics.normalize")
     else:
         raise ParseError(f"field 'dynamics.type': unknown type {dtype!r}")
 
     if "rationally_independent" in raw:
-        independent = bool(raw["rationally_independent"])
+        independent = _flag(raw, "rationally_independent", "rationally_independent")
     else:
         independent = True
         warnings.append(
@@ -126,6 +127,14 @@ def parse_input(text: str) -> InputDocument:
         rationally_independent=independent,
         warnings=tuple(warnings),
     )
+
+
+def _flag(fields: dict, key: str, name: str) -> bool:
+    """``fields[key]``, true when absent, which must be a JSON boolean; ``name`` is the field in messages."""
+    value = fields.get(key, True)
+    if not isinstance(value, bool):
+        raise ParseError(f"field {name!r}: expected true or false, got {value!r}")
+    return value
 
 
 def _all_finite(entries) -> bool:

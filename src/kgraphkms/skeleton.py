@@ -14,9 +14,12 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property, reduce
 from itertools import chain, combinations
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .components import ComponentDecomposition
 
 RULE_LABELS = "labels-distinct"
 RULE_COLOURS = "colour-count"
@@ -72,14 +75,15 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def _entries(i: int, m, n: int) -> np.ndarray | list[Violation]:
     """Candidate matrix ``i`` on ``n`` vertices as its stored array, or its violations.
 
-    The matrix must be ``n x n`` with nonnegative entries that are ints,
-    numpy integers or integral floats, never bools. Entry types are checked
+    The matrix must be an ``n x n`` grid with nonnegative entries that are
+    ints, numpy integers or integral floats, never bools; anything that is
+    no sequence of equally long rows is not square. Entry types are checked
     before an array is built, because numpy's dtype inference would take
     ``True`` for 1 and round ``2**60 + 1`` next to a float. Bad entries are
     reported in row-major order.
     """
-    rows = list(m)
-    if any(len(row) != len(rows) if hasattr(row, "__len__") else True for row in rows):
+    rows = list(m) if hasattr(m, "__iter__") else None
+    if rows is None or any(len(row) != len(rows) if hasattr(row, "__len__") else True for row in rows):
         return [Violation(RULE_SQUARE, f"matrix {i} is not square", (i,))]
     if len(rows) != n:
         return [Violation(RULE_DIMENSION, f"matrix {i} is {len(rows)}x{len(rows)}, expected {n}x{n}", (i,))]
@@ -142,10 +146,14 @@ class Skeleton:
     them against the full no-source/no-sink contract. Equality, hashing and
     ``repr`` depend on the labels and entry values only, not on how the
     entries are stored.
+
+    ``_analysis``, set at construction only, is None unless the library
+    built the skeleton to carry its decomposition (``components.analysed``).
     """
 
     vertex_labels: tuple[str, ...]
     _arrays: tuple[np.ndarray, ...]
+    _analysis: ComponentDecomposition | None
 
     def __init__(self, vertex_labels: Sequence[str], matrices) -> None:
         self.__post_init__(vertex_labels, matrices)
@@ -174,6 +182,7 @@ class Skeleton:
                 raise ValueError(f"matrices {i} and {j} do not commute")
         object.__setattr__(self, "vertex_labels", labels)
         object.__setattr__(self, "_arrays", tuple(arrays))
+        object.__setattr__(self, "_analysis", None)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -193,8 +202,8 @@ class Skeleton:
     def empty(cls, k: int) -> "Skeleton":
         return cls((), ((),) * k)
 
-    def _induced(self, keep: Sequence[int]) -> "Skeleton":
-        """Sub-skeleton on the sorted vertices ``keep``, without re-running the checks.
+    def _induced(self, keep: Sequence[int], analysis: ComponentDecomposition) -> "Skeleton":
+        """Sub-skeleton on the sorted vertices ``keep`` carrying ``analysis``, without re-running the checks.
 
         Only for ``keep`` the complement of a hereditary set ``H`` or a weakly
         connected piece. Labels, shape and signs are inherited, and so is
@@ -205,17 +214,23 @@ class Skeleton:
         has no edges to or from the rest at all.
         """
         idx = np.asarray(keep, dtype=np.intp)
-        return Skeleton._stored(
-            tuple(self.vertex_labels[v] for v in keep), [_read_only(a.take(idx, 0).take(idx, 1)) for a in self._arrays]
-        )
+        arrays = [_read_only(a.take(idx, 0).take(idx, 1)) for a in self._arrays]
+        return Skeleton._stored(tuple(self.vertex_labels[v] for v in keep), arrays, analysis)
 
     @classmethod
-    def _stored(cls, labels: tuple[str, ...], arrays) -> "Skeleton":
+    def _stored(cls, labels: tuple[str, ...], arrays, analysis: ComponentDecomposition | None) -> "Skeleton":
         """A skeleton on labels and read-only arrays that are known to pass every check."""
         skel = object.__new__(cls)
         object.__setattr__(skel, "vertex_labels", labels)
         object.__setattr__(skel, "_arrays", tuple(arrays))
+        object.__setattr__(skel, "_analysis", analysis)
         return skel
+
+    def _twin(self, analysis: ComponentDecomposition) -> "Skeleton":
+        """The same labels, arrays and cached views, as a new skeleton carrying ``analysis``."""
+        twin = object.__new__(type(self))
+        vars(twin).update(vars(self), _analysis=analysis)
+        return twin
 
     @cached_property
     def matrices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -293,4 +308,5 @@ def validate_skeleton(vertex_labels: Sequence[str], matrices) -> ValidationRepor
                 violations.append(Violation(RULE_NO_SINK, f"column {v} of A_{i} is zero (sink)", (i, v)))
 
     tolerated = all(v.rule in (RULE_NO_SOURCE, RULE_NO_SINK) for v in violations)
-    return ValidationReport(not violations, tuple(violations), Skeleton._stored(labels, arrays) if tolerated else None)
+    skel = Skeleton._stored(labels, arrays, None) if tolerated else None
+    return ValidationReport(not violations, tuple(violations), skel)

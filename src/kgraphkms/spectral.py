@@ -15,6 +15,7 @@ series is kept alongside as an independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -251,7 +252,10 @@ def common_pf_eigenvector(family: Sequence, tol: float = 1e-9) -> list[PFResult]
     for i, m in enumerate(mats):
         if not irreducible(m > 0):
             raise ValueError(f"family member {i} is not irreducible")
-    _check_commuting(mats)
+    if len(mats[0]) > 1:  # 1x1 matrices always commute
+        for i, j in combinations(range(len(mats)), 2):
+            if not np.allclose(mats[i] @ mats[j], mats[j] @ mats[i], rtol=0, atol=1e-9):
+                raise ValueError(f"family members {i} and {j} do not commute")
     x, roots, brackets = _family_perron(mats, "family")
     for i, (m, rho) in enumerate(zip(mats, roots)):
         own = spectral_radius(m)
@@ -268,26 +272,17 @@ def component_perron(skel, decomp, c: int) -> list[PFResult]:
 
     ``decomp`` is ``skel``'s decomposition, which holds the component's
     irreducibility flags, shared Perron vector, roots and brackets, so no
-    eigensolve runs here; the flags, the float commutation and the eigen
-    residuals are checked as the public route checks them.
+    eigensolve runs here; the flags and the eigen residuals are checked as
+    the public route checks them. The blocks need no commutation check:
+    they are diagonal blocks of the skeleton's exactly commuting, block
+    triangular matrices.
     """
     for i, flag in enumerate(decomp.irreducible[c]):
         if not flag:
             raise ValueError(f"family member {i} is not irreducible")
     block = np.ix_(decomp.components[c], decomp.components[c])
     mats = [a[block] for a in skel.as_arrays()]
-    _check_commuting(mats)
     return _pf_results(mats, decomp.vectors[c], decomp.radii[c], decomp.brackets[c])
-
-
-def _check_commuting(mats: list[np.ndarray]) -> None:
-    """Raise ``ValueError`` unless the float blocks commute within ``1e-9``; 1x1 blocks always do."""
-    if mats[0].shape == (1, 1):
-        return
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if not np.allclose(mats[i] @ mats[j], mats[j] @ mats[i], rtol=0, atol=1e-9):
-                raise ValueError(f"family members {i} and {j} do not commute")
 
 
 def _pf_results(mats, x: np.ndarray, roots, brackets, tol: float = 1e-9) -> list[PFResult]:
@@ -316,10 +311,11 @@ def _partition_for(skel, component: Iterable[int]):
     and each colour's Perron root over the feeder block: F is a union of
     components, so that root is the largest of their roots.
     """
-    from .components import analysis_of, is_hereditary
+    from .components import analysed, is_hereditary
 
     d = sorted(set(int(v) for v in component))
-    decomp = analysis_of(skel)
+    skel = analysed(skel)
+    decomp = skel._analysis
     if tuple(d) not in decomp.components:
         raise ValueError(f"{d} is not a strongly connected component")
     if not is_hereditary(skel, d):
@@ -459,15 +455,15 @@ def check_spectral_ordering(skel, component: Iterable[int], colour: int) -> Orde
     dominance holds in every colour. Whenever the hypothesis is met the
     conclusion must hold; the verdict records which side failed otherwise.
     """
-    from .components import analysis_of, analysis_scope, is_hereditary
+    from .components import analysed, is_hereditary
 
-    with analysis_scope():
-        decomp = analysis_of(skel)
-        d = tuple(sorted(set(int(v) for v in component)))
-        if d not in decomp.components:
-            raise ValueError(f"{sorted(d)} is not a strongly connected component")
-        d_idx = decomp.components.index(d)
-        hereditary = is_hereditary(skel, d)
+    skel = analysed(skel)
+    decomp = skel._analysis
+    d = tuple(sorted(set(int(v) for v in component)))
+    if d not in decomp.components:
+        raise ValueError(f"{sorted(d)} is not a strongly connected component")
+    d_idx = decomp.components.index(d)
+    hereditary = is_hereditary(skel, d)
     degenerate: list[str] = []
 
     hypothesis_ok = True

@@ -14,6 +14,7 @@ from kgraphkms.formats import format_number
 DATA = Path(__file__).parent / "data"
 EX1 = str(DATA / "example1.json")
 EX2 = str(DATA / "example2.json")
+EXPLICIT = {"type": "explicit", "r": [1]}
 
 
 def run(capsys, *argv):
@@ -58,6 +59,32 @@ class TestParse:
             parse_input(json.dumps({**base, "dynamics": {"type": "explicit", "r": [1.0, 2.0]}}))
         with pytest.raises(ParseError, match="dynamics.type"):
             parse_input(json.dumps({**base, "dynamics": {"type": "weird"}}))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"rationally_independent": "false"}, "'rationally_independent': expected true or false, got 'false'"),
+            ({"rationally_independent": 0}, "'rationally_independent': expected true or false, got 0"),
+            ({"dynamics": {**EXPLICIT, "normalize": "no"}}, "'dynamics.normalize': expected true or false, got 'no'"),
+            ({"dynamics": {**EXPLICIT, "normalize": None}}, "'dynamics.normalize': expected true or false, got None"),
+            ({"k": True}, "'k': expected a positive integer"),
+            ({"k": 1.0}, "'k': expected a positive integer"),
+            ({"dynamics": {**EXPLICIT, "r": [True]}}, "'dynamics.r': entries must be finite numbers"),
+            ({"dynamics": {**EXPLICIT, "r": ["1.5"]}}, "'dynamics.r': entries must be finite numbers"),
+        ],
+        ids=["independent-str", "independent-int", "normalize-str", "normalize-null"]
+        + ["k-bool", "k-float", "r-bool", "r-str"],
+    )
+    def test_values_are_not_coerced(self, fields, message):
+        with pytest.raises(ParseError) as raised:
+            parse_input(json.dumps({"vertices": ["a"], "matrices": [[[2]]], **fields}))
+        assert str(raised.value) == "field " + message
+
+    def test_booleans_are_read_as_given(self):
+        text = {"vertices": ["a"], "matrices": [[[2]]], "rationally_independent": False}
+        text["dynamics"] = {"type": "explicit", "r": [1], "normalize": False}
+        doc = parse_input(json.dumps(text))
+        assert doc.rationally_independent is False and doc.normalize is False and doc.r == (1.0,)
 
     def test_round_trip_byte_stable(self):
         text = Path(EX1).read_text()
@@ -215,6 +242,23 @@ class TestCommands:
         assert code == 2
         assert "phase" not in report
         assert report["validation"]["violations"][0]["rule"] == "entry-integer"
+
+    @pytest.mark.parametrize("command", ["validate", "components", "spectra", "phase", "kms"])
+    def test_matrix_that_is_no_grid_is_a_violation(self, capsys, tmp_path, command):
+        doc = tmp_path / "grid.json"
+        doc.write_text('{"vertices": ["a"], "matrices": [5]}')
+        extra = ["--beta", "1"] if command == "kms" else []
+        code, out, err = run(capsys, command, str(doc), *extra)
+        assert code == 2 and err == ""
+        violations = json.loads(out)["validation"]["violations"]
+        assert violations == [{"rule": "matrix-square", "message": "matrix 0 is not square", "where": [0]}]
+
+    def test_flag_that_is_no_boolean_exits_1(self, capsys, tmp_path):
+        doc = tmp_path / "flag.json"
+        doc.write_text('{"vertices": ["a"], "matrices": [[[2]]], "rationally_independent": "false"}')
+        code, out, err = run(capsys, "phase", str(doc))
+        assert code == 1 and out == ""
+        assert err == "input error: field 'rationally_independent': expected true or false, got 'false'\n"
 
     def test_dumbbell_emits_parseable_document(self, capsys):
         code, out, _ = run(

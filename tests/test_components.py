@@ -20,7 +20,7 @@ from kgraphkms import (
     restrict,
     split_isolated,
 )
-from kgraphkms.components import analysis_of, analysis_scope, is_hereditary
+from kgraphkms.components import analysed, analysis_of, is_hereditary
 from kgraphkms.dumbbell import make_dumbbell3, sample_commuting3
 from kgraphkms.skeleton import RULE_COMMUTE, validate_skeleton
 from kgraphkms.spectral import spectral_radius
@@ -396,18 +396,20 @@ def assert_restrictions_inherit(skel):
     """Check every restriction, every split piece and every phase piece of ``skel``.
 
     Phase pieces are only checked where assumption a2 holds, since without
-    it the dynamics of some piece may be undefined.
+    it the dynamics of some piece may be undefined. Each of them carries its
+    analysis, so ``assert_inherited`` checks the inherited one.
     """
-    with analysis_scope():
-        decomp = analysis_of(skel)
-        subs = [restrict(skel, hereditary_closure(skel, comp)) for comp in decomp.components]
-        subs += [piece for sub in subs for piece in split_isolated(sub)]
-        if check_assumptions(skel).a2_irreducible_and_rho_gt_1:
-            diag = phase_diagram(skel, normalize_dynamics(skel), allow_violations=True)
-            subs += [p.skeleton for p in diag.pieces]
-        for sub in subs:
-            if sub.n:
-                assert_inherited(sub)
+    skel = analysed(skel)
+    decomp = analysis_of(skel)
+    subs = [restrict(skel, hereditary_closure(skel, comp)) for comp in decomp.components]
+    subs += [piece for sub in subs for piece in split_isolated(sub)]
+    if check_assumptions(skel).a2_irreducible_and_rho_gt_1:
+        diag = phase_diagram(skel, normalize_dynamics(skel), allow_violations=True)
+        subs += [p.skeleton for p in diag.pieces]
+    for sub in subs:
+        if sub.n:
+            assert sub._analysis is not None
+            assert_inherited(sub)
 
 
 ANALYSIS_FIXTURES = [EXAMPLE_1, EXAMPLE_2, FIG2, TWO_LOOPS, NO_BRIDGE_COUNTEREXAMPLE]
@@ -471,12 +473,11 @@ class TestAnalysisInheritance:
         # connected in each colour: every closure is of a 1x1 condensation.
         skel = product_skeleton()
         calls = self.count_closures(monkeypatch)
-        with analysis_scope():
-            decompose(skel)
-            assert calls == [(1, 1)] * (1 + skel.k)
-            analysis_of(skel)
-            check_assumptions(skel)
-            check_spectral_ordering(skel, range(skel.n), 0)
+        decompose(skel)
+        assert calls == [(1, 1)] * (1 + skel.k)
+        skel = analysed(skel)
+        check_assumptions(skel)
+        check_spectral_ordering(skel, range(skel.n), 0)
         assert calls == [(1, 1)] * (1 + skel.k) * 2
 
     def test_no_analysis_outlives_a_call(self, monkeypatch):

@@ -4,7 +4,8 @@ Reach and colour reach come from closures of condensations and the flags
 from one Tarjan run per colour; the references square the vertex supports
 (``_digraph.transitive_closure``) and run Tarjan on each colour block.
 Perron roots come from Noda iteration; the reference is a dense
-eigensolve per block.
+eigensolve per block. Each component's colour blocks commute exactly, in
+Python integers.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgraphkms import Skeleton, _digraph, decompose
-from kgraphkms.components import analysis_of, analysis_scope, hereditary_closure, restrict
+from kgraphkms.components import analysed, analysis_of, hereditary_closure, restrict
 from kgraphkms.dumbbell import make_dumbbell3, sample_commuting3
 
 from conftest import REDUCIBLE_COLOUR_BLOCKS, chain
@@ -117,17 +118,31 @@ def test_colour_reach_is_the_squared_colour_closure(skel):
 def test_restrictions_inherit_reach_and_colour_reach(skel, data):
     # A restriction slices its parent's analysis; it must agree with the
     # references on the restricted skeleton itself.
-    with analysis_scope():
-        decomp = analysis_of(skel)
-        comp = data.draw(st.sampled_from(decomp.components))
-        sub = restrict(skel, hereditary_closure(skel, comp))
-        if not sub.n:
-            return
-        got = analysis_of(sub)
+    skel = analysed(skel)
+    decomp = analysis_of(skel)
+    comp = data.draw(st.sampled_from(decomp.components))
+    sub = restrict(skel, hereditary_closure(skel, comp))
+    if not sub.n:
+        return
+    got = analysis_of(sub)
     assert np.array_equal(got.reach, _digraph.transitive_closure(sub.union_support()) | np.eye(sub.n, dtype=bool))
     for i in range(sub.k):
         want = relation_reference(got, _digraph.transitive_closure(sub.colour_support(i)))
         assert np.array_equal(got.colour_reach(i), want)
+
+
+@given(GRAPHS)
+@settings(max_examples=80, deadline=None)
+def test_component_colour_blocks_commute_exactly(skel):
+    # spectral.component_perron relies on this instead of a float check:
+    # commuting block upper-triangular matrices have commuting diagonal blocks.
+    decomp = decompose(skel)
+    exact = [np.array(m, dtype=object).reshape(skel.n, skel.n) for m in skel.matrices]
+    for comp in decomp.components:
+        blocks = [a[np.ix_(comp, comp)] for a in exact]
+        for i in range(skel.k):
+            for j in range(i + 1, skel.k):
+                assert np.array_equal(blocks[i] @ blocks[j], blocks[j] @ blocks[i])
 
 
 @given(GRAPHS)

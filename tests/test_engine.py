@@ -375,8 +375,8 @@ class TestDiagramAnalyses:
         diagram = phase_diagram(skel, normalize_dynamics(skel))
         for piece in diagram.pieces:
             fresh = decompose(piece.skeleton)
-            assert piece.analysis == fresh
-            assert np.array_equal(piece.analysis.reach, fresh.reach)
+            assert piece.skeleton._analysis == fresh
+            assert np.array_equal(piece.skeleton._analysis.reach, fresh.reach)
             assert "analysis" not in repr(piece)
 
 

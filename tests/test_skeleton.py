@@ -229,6 +229,7 @@ SHARED_RULE_CASES = {
     "beyond-float": ("ab", ([[2**60 + 1, 2.0], [1, 1]], I2), [], None),
     "beyond-int64": ("ab", ([[2**64, 1.0], [1, 1]], I2), [], None),
     "non-square": ("ab", ([[1, 0], [0]], I2), [(RULE_SQUARE, "matrix 0 is not square", (0,))], "matrix 0 is not 2x2"),
+    "not-a-grid": ("a", (5,), [(RULE_SQUARE, "matrix 0 is not square", (0,))], "matrix 0 is not 1x1"),
     "wrong-dimension": (
         "ab",
         (I2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),

@@ -98,6 +98,7 @@ def parse_input(text: str) -> InputDocument:
         if not isinstance(raw_r, list) or len(raw_r) != k:
             raise ParseError(f"field 'dynamics.r': expected a list of {k} positive reals")
         try:
+            # Anything but an int or a float, a bool included, fails the finiteness check.
             r = tuple(float(t) if type(t) in (int, float) else math.nan for t in raw_r)
         except OverflowError as exc:
             raise ParseError("field 'dynamics.r': entries must be finite numbers") from exc

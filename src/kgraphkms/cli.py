@@ -221,10 +221,17 @@ def _prepare_solve(args) -> tuple[dict, Skeleton | None, Dynamics | None, int]:
     return report, skel, dyn, code
 
 
+def _diagram(report: dict, skel: Skeleton, dyn: Dynamics):
+    """The phase diagram, with every piece's degenerate-criticality warnings added to the report's, once each."""
+    diagram = phase_diagram(skel, dyn, allow_violations=True)
+    report["warnings"] = list(dict.fromkeys(report["warnings"] + [w for p in diagram.pieces for w in p.warnings]))
+    return diagram
+
+
 def _cmd_kms(args) -> int:
     report, skel, dyn, code = _prepare_solve(args)
     if skel is not None:
-        diagram = phase_diagram(skel, dyn, allow_violations=True)
+        diagram = _diagram(report, skel, dyn)
         states = extreme_states_at(skel, dyn, args.beta, diagram=diagram)
         # A --beta that matches a critical value gets that value's states.
         beta = states[0].beta if states else args.beta
@@ -240,7 +247,7 @@ def _cmd_kms(args) -> int:
 def _cmd_phase(args) -> int:
     report, skel, dyn, code = _prepare_solve(args)
     if skel is not None:
-        diagram = phase_diagram(skel, dyn, allow_violations=True)
+        diagram = _diagram(report, skel, dyn)
         report["phase"] = _phase_section(skel, dyn, diagram, args.tol)
     print(emit_report(report, args.format))
     return code

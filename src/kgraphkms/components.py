@@ -24,7 +24,7 @@ import numpy as np
 
 from ._digraph import succ_lists, tarjan_sccs, transitive_closure
 from .skeleton import Skeleton, _read_only
-from .spectral import _family_perron
+from .spectral import _exceeds, _family_perron
 
 # The shared Perron vector of every single-vertex component.
 _UNIT = np.ones(1)
@@ -336,7 +336,7 @@ def check_assumptions(skel: Skeleton) -> AssumptionReport:
         (c, i)
         for c in range(decomp.count)
         for i in range(skel.k)
-        if not decomp.irreducible[c][i] or decomp.radii[c][i] <= 1.0 + 1e-9
+        if not decomp.irreducible[c][i] or not _exceeds(decomp.radii[c][i], 1.0)
     ]
 
     # Per colour: which components have a direct bridge, and which have a

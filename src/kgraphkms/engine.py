@@ -28,9 +28,8 @@ from .components import (
     split_isolated,
 )
 from .skeleton import Skeleton
-from .spectral import SOLVE_RESIDUAL_TOL, EigenConsistencyError, extend_eigenvector
+from .spectral import SOLVE_RESIDUAL_TOL, EigenConsistencyError, _exceeds, _ties, extend_eigenvector
 
-CRITICAL_RTOL = 1e-9
 STATE_TOL = 1e-9
 
 KIND_COMPONENT = "component"
@@ -190,7 +189,7 @@ def normalize_dynamics(
     if isinstance(r, str):
         if r != "preferred":
             raise ValueError(f"unknown dynamics keyword {r!r}")
-        if any(lr <= CRITICAL_RTOL for lr in log_radii):
+        if not all(_exceeds(lr, 0.0) for lr in log_radii):
             raise ValueError(
                 "preferred dynamics undefined: some global Perron root is <= 1"
             )
@@ -221,7 +220,7 @@ def normalize_dynamics(
         if rescale:
             r_vec = scaled
         else:
-            if abs(factor - 1.0) > CRITICAL_RTOL:
+            if not _ties(factor, 1.0):
                 raise ValueError(
                     f"dynamics not normalised (max ln(rho)/r = {factor:.12g}); "
                     "pass rescale=True to normalise"
@@ -229,11 +228,7 @@ def normalize_dynamics(
             r_vec = raw
             factor = 1.0
 
-    critical = frozenset(
-        i
-        for i in range(skel.k)
-        if abs(log_radii[i] - r_vec[i]) <= CRITICAL_RTOL * max(1.0, r_vec[i])
-    )
+    critical = frozenset(i for i in range(skel.k) if _ties(log_radii[i], r_vec[i]))
     return Dynamics(
         r=r_vec,
         normalization_factor=factor,
@@ -266,38 +261,38 @@ def critical_components(skel: Skeleton, dyn: Dynamics) -> CriticalityReport:
     """Label every component with the colours in which it is critical.
 
     A component is critical in colour j when j attains the normalised
-    maximum globally, the component's colour-j Perron root equals
-    ``exp(r_j)``, and its colour-j block is irreducible. Near-ties within a
-    few orders of the detection tolerance are surfaced as warnings rather
-    than silently classified.
+    maximum globally (``ln rho(A_j)`` ties ``r_j``, as in
+    ``normalize_dynamics``), the component's colour-j log Perron root ties
+    ``r_j``, and its colour-j block is irreducible. Near-ties within a
+    thousand bands are surfaced as warnings, naming the component by its
+    vertex labels, rather than silently classified.
     """
     if skel.n == 0:
         return CriticalityReport((), frozenset(), ())
     decomp = analysis_of(skel)
-    ratios = [lr / r for lr, r in zip(_log_radii(decomp, skel.k), dyn.r)]
-    if abs(max(ratios) - 1.0) > CRITICAL_RTOL:
-        raise ValueError(
-            f"dynamics is not normalised for this skeleton (max ratio {max(ratios):.12g})"
-        )
-    active = frozenset(i for i in range(skel.k) if abs(ratios[i] - 1.0) <= CRITICAL_RTOL)
+    log_radii = _log_radii(decomp, skel.k)
+    top = max(lr / r for lr, r in zip(log_radii, dyn.r))
+    if not _ties(top, 1.0):
+        raise ValueError(f"dynamics is not normalised for this skeleton (max ratio {top:.12g})")
+    active = frozenset(i for i in range(skel.k) if _ties(log_radii[i], dyn.r[i]))
 
     warnings: list[str] = []
     by_component = []
-    for c in range(decomp.count):
+    for c, comp in enumerate(decomp.components):
         cols = set()
         for j in active:
             rho = decomp.radii[c][j]
             if rho <= 0:
                 continue
-            gap = abs(math.log(rho) - dyn.r[j])
-            tol = CRITICAL_RTOL * max(1.0, dyn.r[j])
-            if gap <= tol:
+            log_rho = math.log(rho)
+            if _ties(log_rho, dyn.r[j]):
                 if decomp.irreducible[c][j]:
                     cols.add(j)
-            elif gap <= 1e3 * tol:
+            elif _ties(log_rho, dyn.r[j], bands=1e3):
                 warnings.append(
-                    f"component {c} colour {j}: Perron root within {gap:.2e} of the "
-                    "critical weight; classification is degenerate, tighten input"
+                    f"component {{{', '.join(skel.vertex_labels[v] for v in comp)}}} colour {j}: Perron root "
+                    f"within {abs(log_rho - dyn.r[j]):.2e} of the critical weight; classification is "
+                    "degenerate, tighten input"
                 )
         by_component.append(frozenset(cols))
     return CriticalityReport(tuple(by_component), active, tuple(warnings))
@@ -312,7 +307,8 @@ def removal_set(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False) -
     """
     skel = _analysed(skel, dyn)
     _require_assumptions(skel, allow_violations)
-    return _removal_set(skel, dyn)
+    _, core, closure = _minimal_core(skel, critical_components(skel, dyn))
+    return closure - core
 
 
 def _require_assumptions(skel: Skeleton, allow_violations: bool) -> None:
@@ -323,17 +319,17 @@ def _require_assumptions(skel: Skeleton, allow_violations: bool) -> None:
         raise AssumptionError(report)
 
 
-def _removal_set(skel: Skeleton, dyn: Dynamics) -> frozenset[int]:
+def _minimal_core(skel: Skeleton, crit: CriticalityReport):
+    """The minimal critical components' vertex tuples, the union of their vertices and its hereditary closure."""
     decomp = analysis_of(skel)
     leq = decomp.leq
-    crit_idx = critical_components(skel, dyn).critical_indices()
+    crit_idx = crit.critical_indices()
     # Minimal: no other critical component receives a path from them.
-    minimal = [c for c in crit_idx if not any(d != c and leq[d, c] for d in crit_idx)]
+    minimal = [decomp.components[c] for c in crit_idx if not any(d != c and leq[d, c] for d in crit_idx)]
     if not minimal:
         raise ValueError("no critical components found; is the dynamics normalised?")
-    core = {v for c in minimal for v in decomp.components[c]}
-    closure = hereditary_closure(skel, core)
-    return frozenset(closure - core)
+    core = {v for comp in minimal for v in comp}
+    return minimal, core, hereditary_closure(skel, core)
 
 
 def _embedded(rows, frame, size: int, beta: float, meta) -> list[ExtremeState]:
@@ -382,10 +378,7 @@ def psi_state(skel: Skeleton, dyn: Dynamics, component: Iterable[int], depth: in
     ext = extend_eigenvector(skel, component)
     z = np.array(ext.z)
     m = z / z.sum()
-    factors = all(
-        abs(dyn.r[i] - math.log(ext.component_radii[i])) <= CRITICAL_RTOL * max(1.0, dyn.r[i])
-        for i in range(skel.k)
-    )
+    factors = all(_ties(math.log(rho), r) for rho, r in zip(ext.component_radii, dyn.r))
     anchor = tuple(skel.vertex_labels[v] for v in ext.d)
     _certify(skel, dyn, 1.0, m[None, :], lambda _: f"component state for {anchor}")
     return ExtremeState(
@@ -456,25 +449,28 @@ def _kms1_parts(skel: Skeleton, dyn: Dynamics, depth: int, pos: dict[str, int], 
 
     Returns the extreme states at the critical value, labelled ``beta`` and
     embedded in the skeleton whose labels ``pos`` numbers, the quotient
-    skeleton left after dropping the removal set and the surviving critical
-    components, and the criticality report they came from. The caller has
-    checked the assumptions.
-    """
-    inner = restrict(skel, _removal_set(skel, dyn))
-    inner_decomp = analysis_of(inner)
-    inner_crit = critical_components(inner, dyn)
-    crit_idx = inner_crit.critical_indices()
-    if not crit_idx:
-        raise ValueError("no critical components after removal; inconsistent dynamics")
+    skeleton left after dropping the hereditary closure of the minimal
+    critical components, and the piece's criticality report. The caller
+    has checked the assumptions.
 
-    psi = [psi_state(inner, dyn, inner_decomp.components[c], depth=depth) for c in crit_idx]
+    Criticality is decided once, on ``skel``. Dropping the feeders of the
+    minimal critical components leaves exactly those components critical:
+    every dropped vertex feeds one of them, every other critical component
+    feeds a minimal one and is dropped, and the active colours and the kept
+    components' roots are unchanged.
+    """
+    crit = critical_components(skel, dyn)
+    minimal, core, closure = _minimal_core(skel, crit)
+    inner = restrict(skel, closure - core)
+    at = {label: v for v, label in enumerate(inner.vertex_labels)}
+    psi = [psi_state(inner, dyn, [at[skel.vertex_labels[v]] for v in comp], depth=depth) for comp in minimal]
     meta = [(s.kind, s.anchor, depth, s.factors_through_ck) for s in psi]
     states = _embedded([s.m for s in psi], _frame(inner, pos), len(pos), beta, meta)
-    quotient = restrict(inner, {v for c in crit_idx for v in inner_decomp.components[c]})
+    quotient = restrict(skel, closure)
     if quotient.n:
         rows = _point_masses(quotient, dyn, 1.0)
         states += _embedded(rows, _frame(quotient, pos), len(pos), beta, _point_mass_meta(quotient, depth))
-    return tuple(states), quotient, inner_crit
+    return tuple(states), quotient, crit
 
 
 def kms1_extremes(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False) -> tuple[ExtremeState, ...]:
@@ -563,14 +559,14 @@ def _removal_pieces(skel: Skeleton, dyn: Dynamics) -> list[PhasePiece]:
 def _merged_betas(pieces: Sequence[PhasePiece]) -> dict[float, float]:
     """Map every critical value, and infinity, to the head of its near-tie cluster.
 
-    Values within ``CRITICAL_RTOL * max(1, beta)`` of a larger one are the
-    same critical value computed along different routes; the largest value
-    of such a cluster represents it.
+    Values that a larger one does not exceed (``_exceeds``) are the same
+    critical value computed along different routes; the largest value of
+    such a cluster represents it.
     """
     snap = {math.inf: math.inf}
     head = None
     for b in sorted({p.beta_crit for p in pieces}, reverse=True):
-        if head is None or head - b > CRITICAL_RTOL * max(1.0, head):
+        if head is None or _exceeds(head, b):
             head = b
         snap[b] = head
     return snap
@@ -633,7 +629,7 @@ def extreme_states_at(
 ) -> tuple[ExtremeState, ...]:
     """Extreme states at an arbitrary inverse temperature.
 
-    Values within ``CRITICAL_RTOL`` of a critical value resolve to that
+    Values that tie a critical value (``_ties``) resolve to that
     critical point; otherwise the surviving quotient pieces straddling
     ``beta`` are evaluated supercritically, reusing the analyses that the
     pieces of ``diagram`` carry. Below the terminal value the state set is
@@ -643,7 +639,7 @@ def extreme_states_at(
         raise ValueError("inverse temperature must be positive")
     diag = diagram if diagram is not None else phase_diagram(skel, dyn, allow_violations)
     for b, states in zip(diag.critical_betas, diag.critical_points):
-        if abs(beta - b) <= CRITICAL_RTOL * max(1.0, b):
+        if _ties(beta, b):
             return states
     if beta < diag.terminal_beta:
         return ()

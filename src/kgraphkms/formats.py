@@ -187,8 +187,6 @@ def input_to_json(doc: InputDocument) -> str:
 
 def format_number(x: float) -> str:
     """Exact small rational when one fits, otherwise an approximate decimal."""
-    if isinstance(x, int):
-        return str(x)
     frac = Fraction(x).limit_denominator(RATIONAL_MAX_DENOMINATOR)
     if abs(float(frac) - x) <= RATIONAL_SNAP_RTOL * max(1.0, abs(x)):
         return str(frac)
@@ -204,12 +202,11 @@ def _render_text(value: Any, indent: int, lines: list[str]) -> None:
                 _render_text(item, indent + 1, lines)
             else:
                 lines.append(f"{pad}{key}: {_scalar_text(item)}")
-    elif isinstance(value, (list, tuple, frozenset, set)):
-        items = sorted(value) if isinstance(value, (frozenset, set)) else list(value)
-        if all(not isinstance(x, (dict, list, tuple)) for x in items):
-            lines.append(pad + "[" + ", ".join(_scalar_text(x) for x in items) + "]")
+    elif isinstance(value, (list, tuple)):
+        if all(not isinstance(x, (dict, list, tuple)) for x in value):
+            lines.append(pad + "[" + ", ".join(_scalar_text(x) for x in value) + "]")
         else:
-            for i, item in enumerate(items):
+            for i, item in enumerate(value):
                 lines.append(f"{pad}- [{i}]")
                 _render_text(item, indent + 1, lines)
     else:
@@ -229,7 +226,7 @@ def _scalar_text(x: Any) -> str:
 def emit_report(report: dict, fmt: str = "json") -> str:
     """Serialise a report: canonical JSON or readable text with rationals."""
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True, default=_json_fallback)
+        return json.dumps(report, indent=2, sort_keys=True)
     if fmt == "text":
         lines: list[str] = []
         for section, value in report.items():
@@ -238,11 +235,3 @@ def emit_report(report: dict, fmt: str = "json") -> str:
             lines.append("")
         return "\n".join(lines).rstrip() + "\n"
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def _json_fallback(obj):
-    if isinstance(obj, (frozenset, set)):
-        return sorted(obj)
-    if isinstance(obj, tuple):
-        return list(obj)
-    raise TypeError(f"cannot serialise {type(obj).__name__}")

@@ -245,9 +245,6 @@ class Skeleton:
     def k(self) -> int:
         return len(self._arrays)
 
-    def index_of(self, label: str) -> int:
-        return self.vertex_labels.index(label)
-
     @cached_property
     def _float_arrays(self) -> tuple[np.ndarray, ...]:
         return tuple(_read_only(a.astype(float)) for a in self._arrays)

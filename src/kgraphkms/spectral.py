@@ -9,7 +9,9 @@ vector, which one iteration on their sum gives together with every block's
 root. The extension step takes a hereditary component's vector and roots
 from its analysis and solves a dense linear system per colour to continue
 the vector across the components that feed from it; a truncated path-weight
-series is kept alongside as an independent cross-check.
+series is kept alongside as an independent cross-check. Every comparison of
+Perron roots, log radii and critical values in the package goes through
+``_ties`` and ``_exceeds``, one band of ``RADIUS_BAND_RTOL``.
 """
 
 from __future__ import annotations
@@ -121,7 +123,23 @@ def _collatz_wielandt(matrix: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     return float(ratios.min()), float(ratios.max())
 
 
+def _ties(a: float, b: float, bands: float = 1.0) -> bool:
+    """Whether two Perron roots, log radii or critical values agree within ``bands`` radius bands.
+
+    The band is ``RADIUS_BAND_RTOL`` of the larger magnitude, absolute below
+    1. Plain floats: numpy scalars would slow the ordering fuzz severalfold.
+    """
+    return abs(a - b) <= bands * RADIUS_BAND_RTOL * max(1.0, abs(a), abs(b))
+
+
+def _exceeds(a: float, b: float) -> bool:
+    """Whether ``a`` lies above ``b`` by more than one radius band (see ``_ties``)."""
+    return a - b > RADIUS_BAND_RTOL * max(1.0, abs(a), abs(b))
+
+
 def _certified(bracket: tuple[float, float]) -> bool:
+    # Relative to the bracket's upper end with no absolute floor: the floor
+    # of ``_ties`` would loosen certification for roots below 1.
     lo, hi = bracket
     return bool(np.isfinite(lo) and hi - lo <= RADIUS_BAND_RTOL * abs(hi))
 
@@ -144,9 +162,6 @@ def _perron_block(block: np.ndarray) -> tuple[float, np.ndarray, tuple[float, fl
     Returns (radius, unit-sum vector, bracket).
     """
     d = block.shape[0]
-    if d == 1:
-        rho = float(block[0, 0])
-        return rho, np.ones(1), (rho, rho)
     x = np.full(d, 1.0 / d)
     bracket = _collatz_wielandt(block, x)
     steps = 0
@@ -259,7 +274,7 @@ def common_pf_eigenvector(family: Sequence, tol: float = 1e-9) -> list[PFResult]
     x, roots, brackets = _family_perron(mats, "family")
     for i, (m, rho) in enumerate(zip(mats, roots)):
         own = spectral_radius(m)
-        if abs(rho - own) > RADIUS_BAND_RTOL * max(1.0, own):
+        if not _ties(rho, own):
             raise EigenConsistencyError(
                 f"family not simultaneously diagonalisable at the Perron root: member {i} "
                 f"root {rho!r} at the shared vector, {own!r} on its own"
@@ -287,9 +302,6 @@ def component_perron(skel, decomp, c: int) -> list[PFResult]:
 
 def _pf_results(mats, x: np.ndarray, roots, brackets, tol: float = 1e-9) -> list[PFResult]:
     """One ``PFResult`` per block at the shared vector ``x``, each eigen residual checked."""
-    if mats[0].shape == (1, 1):
-        # Closed form: the vector (1,) is exact, with zero residual.
-        return [PFResult(radius=r, vector=(1.0,), residual=0.0, bracket=b) for r, b in zip(roots, brackets)]
     vector = tuple(float(t) for t in x)
     results = []
     for i, (m, rho, bracket) in enumerate(zip(mats, roots, brackets)):
@@ -353,17 +365,14 @@ def extend_eigenvector(skel, component: Iterable[int], colours: Iterable[int] | 
     x = np.array(pf[0].vector)
     radii = tuple(r.radius for r in pf)
 
-    def dominates(i: int) -> bool:
-        return radii[i] - rho_e[i] > RADIUS_BAND_RTOL * max(1.0, radii[i])
-
     if colours is None:
-        admissible = [i for i in range(skel.k) if dominates(i)]
+        admissible = [i for i in range(skel.k) if _exceeds(radii[i], rho_e[i])]
     else:
         admissible = sorted(set(int(i) for i in colours))
         for i in admissible:
             if i < 0 or i >= skel.k:
                 raise ValueError(f"colour {i} out of range")
-            if not dominates(i):
+            if not _exceeds(radii[i], rho_e[i]):
                 raise ValueError(
                     f"colour {i}: component root {radii[i]:.6g} does not dominate "
                     f"the feeder block root {rho_e[i]:.6g}; system is singular"
@@ -486,11 +495,9 @@ def check_spectral_ordering(skel, component: Iterable[int], colour: int) -> Orde
     for c in range(decomp.count):
         if c == d_idx:
             continue
-        gap = rho_d[colour] - decomp.radii[c][colour]
-        band = RADIUS_BAND_RTOL * max(1.0, rho_d[colour])
-        if gap <= band:
+        if not _exceeds(rho_d[colour], decomp.radii[c][colour]):
             dominant_ok = False
-            if abs(gap) <= band:
+            if _ties(rho_d[colour], decomp.radii[c][colour]):
                 degenerate.append(
                     f"radii nearly tie in colour {colour} between components {c} and {d_idx}; tighten input"
                 )
@@ -502,7 +509,7 @@ def check_spectral_ordering(skel, component: Iterable[int], colour: int) -> Orde
         for c in range(decomp.count)
         if c != d_idx
         for i in range(skel.k)
-        if rho_d[i] - decomp.radii[c][i] <= RADIUS_BAND_RTOL * max(1.0, rho_d[i])
+        if not _exceeds(rho_d[i], decomp.radii[c][i])
     ]
 
     if not reversals:

@@ -185,6 +185,39 @@ class TestCommands:
         assert "ln(4)/ln(5)" in out
         assert "5/11" in out
 
+    def test_critical_value_with_no_integer_logarithms_is_not_symbolic(self, capsys, tmp_path):
+        # The second critical value is ln(phi)/ln(3): x, y carry the golden
+        # ratio phi, which no integer snaps to.
+        doc = tmp_path / "golden.json"
+        doc.write_text(json.dumps({"vertices": ["u", "x", "y"], "matrices": [[[3, 0, 0], [1, 1, 1], [0, 1, 0]]]}))
+        code, out, _ = run(capsys, "phase", str(doc))
+        assert code == 0
+        betas = json.loads(out)["phase"]["critical_betas"]
+        assert [b["symbolic"] for b in betas] == ["1", None]
+        assert betas[1]["value"] == pytest.approx(math.log((1 + math.sqrt(5)) / 2) / math.log(3), rel=1e-12)
+        code, out, _ = run(capsys, "phase", str(doc), "--format", "text")
+        assert code == 0
+        assert [line.strip() for line in out.splitlines() if "symbolic" in line] == ["symbolic: 1", "symbolic: -"]
+
+    # One colour, a's root 10**6 + 1 critical and b's 10**6 within a
+    # thousand bands of it; b feeds a in one orientation and is fed by it in
+    # the other.
+    @pytest.mark.parametrize("matrix", [[[1000001, 1], [0, 1000000]], [[1000001, 0], [1, 1000000]]], ids=["b-feeds-a", "a-feeds-b"])
+    @pytest.mark.parametrize(
+        "command", [["phase"], ["kms", "--beta", "1"], ["phase", "--format", "text"]], ids=["phase", "kms", "text"]
+    )
+    def test_degenerate_criticality_is_reported(self, capsys, tmp_path, matrix, command):
+        doc = tmp_path / "near.json"
+        doc.write_text(json.dumps({"vertices": ["a", "b"], "matrices": [matrix], "rationally_independent": True}))
+        code, out, _ = run(capsys, *command, str(doc))
+        assert code == 0
+        warning = "component {b} colour 0: Perron root within 1.00e-06 of the critical weight"
+        if "text" in command:
+            assert out.count(warning) == 1
+        else:
+            (entry,) = [w for w in json.loads(out)["warnings"] if w.startswith(warning)]
+            assert entry.endswith("classification is degenerate, tighten input")
+
     def test_isolated_graph_refused_without_flag(self, capsys, tmp_path):
         doc = tmp_path / "two.json"
         doc.write_text(

@@ -5,16 +5,19 @@ from one Tarjan run per colour; the references square the vertex supports
 (``_digraph.transitive_closure``) and run Tarjan on each colour block.
 Perron roots come from Noda iteration; the reference is a dense
 eigensolve per block. Each component's colour blocks commute exactly, in
-Python integers.
+Python integers. The criticality decisions of the engine agree with each
+other under explicit dynamics placed at the edge of the radius band.
 """
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgraphkms import Skeleton, _digraph, decompose
-from kgraphkms.components import analysed, analysis_of, hereditary_closure, restrict
+from kgraphkms import Skeleton, _digraph, critical_components, decompose, normalize_dynamics, phase_diagram
+from kgraphkms.components import analysed, analysis_of, check_assumptions, hereditary_closure, restrict
 from kgraphkms.dumbbell import make_dumbbell3, sample_commuting3
 
 from conftest import REDUCIBLE_COLOUR_BLOCKS, chain
@@ -164,3 +167,35 @@ def test_roots_match_a_dense_eigensolve_per_block(skel):
             want = float(np.abs(np.linalg.eigvals(block * x / x[:, None])).max())
             assert rho == pytest.approx(want, rel=1e-12, abs=0)
             assert lo <= rho <= hi and hi - lo <= 1e-9 * hi
+
+
+# Relative offsets of a dynamics entry from its colour's log radius: on it,
+# inside the radius band, and past it by a ratio of 1.2e-9 that still ties
+# a log radius below 1, where the band is absolute.
+R_OFFSETS = (0.0, 5e-10, -5e-10, 1.2e-9, -1.2e-9, 3e-9, 1e-6, 0.5)
+
+
+# Every family has two colours.
+@given(GRAPHS, st.tuples(st.sampled_from(R_OFFSETS), st.sampled_from(R_OFFSETS)))
+@example(labelled([[2]], [[2]]), (0.0, 1.2e-9))
+@settings(max_examples=80, deadline=None)
+def test_criticality_decisions_share_one_rule(skel, offsets):
+    skel = analysed(skel)
+    radii = [analysis_of(skel).global_radius(i) for i in range(skel.k)]
+    if min(radii) <= 0 or max(radii) <= 1:
+        return  # no dynamics normalises
+    r = [math.log(rho) * (1 + e) if rho > 1 else 1.0 for rho, e in zip(radii, offsets)]
+    dyn = normalize_dynamics(skel, r)
+    assert dyn.critical_colours == critical_components(skel, dyn).active_colours
+    if not check_assumptions(skel).all_pass:
+        return
+    # A component state descends to the Cuntz-Krieger quotient exactly when
+    # its component is critical in every colour, on every recursion piece.
+    for piece in phase_diagram(skel, dyn).pieces:
+        sub = piece.skeleton
+        crit = critical_components(sub, normalize_dynamics(sub, dyn.r))
+        at = {label: v for v, label in enumerate(sub.vertex_labels)}
+        for state in piece.critical_states:
+            if state.kind == "component":
+                c = analysis_of(sub).components.index(tuple(sorted(at[label] for label in state.anchor)))
+                assert state.factors_through_ck == (crit.critical_colours_by_component[c] == set(range(skel.k)))

@@ -39,6 +39,10 @@ TOP_CRITICAL = skeleton("vw", [[4, 2], [0, 2]], [[3, 1], [0, 2]])
 # Two components; loops (3,3) at w dominate (2,2) at v.
 BOTTOM_CRITICAL = skeleton("vw", [[2, 1], [0, 3]], [[2, 1], [0, 3]])
 
+# One colour; b's root 10**6 sits within a thousand bands of a's critical
+# 10**6 + 1. b feeds a, so the removal drops b as a feeder of the critical a.
+NEAR_TIE_FEEDER = skeleton("ab", [[1000001, 1], [0, 1000000]])
+
 
 class TestNormalize:
     def test_example1_preferred(self, ex1_dyn):
@@ -150,6 +154,24 @@ class TestCriticality:
     def test_unnormalised_dynamics_rejected(self, ex1, ex2_dyn):
         with pytest.raises(ValueError, match="not normalised"):
             critical_components(ex1, ex2_dyn)
+
+    def test_active_colours_follow_the_shared_rule_below_one(self):
+        # r = (ln 2, ln 2 (1 + 1.2e-9)): colour 1 misses its ratio 1 by
+        # 1.2e-9, but its log radius misses r_1 by 8.3e-10, inside the band
+        # that is absolute below 1. Every decision takes the second view.
+        skel = skeleton("a", [[2]], [[2]])
+        dyn = normalize_dynamics(skel, (1.0, 1 + 1.2e-9))
+        crit = critical_components(skel, dyn)
+        assert dyn.critical_colours == crit.active_colours == {0, 1}
+        assert dyn.preferred
+        assert crit.critical_colours_by_component == ({0, 1},)
+        assert [s.factors_through_ck for s in kms1_extremes(skel, dyn)] == [True]
+
+    def test_near_tie_warns_by_vertex_labels(self):
+        crit = critical_components(NEAR_TIE_FEEDER, normalize_dynamics(NEAR_TIE_FEEDER))
+        assert crit.critical_colours_by_component == ({0}, frozenset())
+        (warning,) = crit.warnings
+        assert warning.startswith("component {b} colour 0: Perron root within 1.00e-06")
 
 
 class TestRemoval:
@@ -539,6 +561,15 @@ class TestPhase:
         # At the middle critical value: the v-piece is critical (1 state),
         # the u-piece is still supercritical (1 state).
         assert [len(s) for s in diag.critical_points] == [3, 2, 1]
+
+    def test_removed_feeder_keeps_its_near_tie_warning(self):
+        # The piece decides criticality once, before b is removed, so its
+        # warnings are those of the piece itself.
+        dyn = normalize_dynamics(NEAR_TIE_FEEDER)
+        diag = phase_diagram(NEAR_TIE_FEEDER, dyn)
+        assert removal_set(NEAR_TIE_FEEDER, dyn) == {1}
+        assert [p.warnings for p in diag.pieces] == [critical_components(NEAR_TIE_FEEDER, dyn).warnings]
+        assert diag.pieces[0].warnings
 
     def test_critical_values_equal_up_to_rounding_merge(self):
         # x and the block {y1, y2} both have Perron root 4 in both colours,

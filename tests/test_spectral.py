@@ -31,7 +31,9 @@ from kgraphkms.spectral import (
     EigenConsistencyError,
     PFResult,
     _collatz_wielandt,
+    _exceeds,
     _perron_block,
+    _ties,
     component_perron,
 )
 
@@ -470,6 +472,20 @@ class TestQuickExit:
         ]
         assert all(a >= b - 1e-15 for a, b in zip(errors, errors[1:]))
         assert errors[-1] < errors[0]
+
+
+class TestRadiusBand:
+    def test_band_is_relative_above_one_and_absolute_below(self):
+        assert _ties(1e6, 1e6 * (1 + 0.9e-9)) and not _ties(1e6, 1e6 * (1 + 1.1e-9))
+        assert _ties(0.5, 0.5 + 0.9e-9) and not _ties(0.5, 0.5 + 1.1e-9)
+        assert _ties(2.0, 2.0 + 1.5e-6, bands=1e3) and not _ties(2.0, 2.0 + 2.5e-6, bands=1e3)
+
+    @pytest.mark.parametrize("a", [0.3, 1.0, 1e6])
+    @pytest.mark.parametrize("gap", [0.0, 0.999e-9, 1.001e-9, 0.1])
+    def test_each_pair_ties_or_one_side_exceeds(self, a, gap):
+        b = a + gap * max(1.0, a)
+        assert [_exceeds(a, b), _ties(a, b), _exceeds(b, a)].count(True) == 1
+        assert _ties(a, b) == _ties(b, a) == (gap < 1e-9)
 
 
 class TestOrdering:

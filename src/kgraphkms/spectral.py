@@ -127,7 +127,7 @@ def _ties(a: float, b: float, bands: float = 1.0) -> bool:
     """Whether two Perron roots, log radii or critical values agree within ``bands`` radius bands.
 
     The band is ``RADIUS_BAND_RTOL`` of the larger magnitude, absolute below
-    1. Plain floats: numpy scalars would slow the ordering fuzz severalfold.
+    1. Plain floats, no numpy: the ordering fuzz runs it thousands of times.
     """
     return abs(a - b) <= bands * RADIUS_BAND_RTOL * max(1.0, abs(a), abs(b))
 

@@ -524,6 +524,32 @@ class TestOrdering:
             verdict = check_spectral_ordering(skel, (1,), colour)
             assert verdict.status == STATUS_HOLDS
 
+    @pytest.mark.parametrize(
+        "colour, tied", [(0, [1]), (1, [1, 2])], ids=["colour-0", "colour-1"]
+    )
+    def test_degenerate_messages_in_order(self, colour, tied):
+        # Vertex order a, b, e, c, f, g is also the component order. a, the
+        # component under test, receives a bridge from b and so is not
+        # hereditary; c has no loop in colour 1; b ties a in both colours and
+        # e ties it in colour 1; f and g beat it clearly in colours 0 and 1.
+        # Only ties in the tested colour are near-tie messages.
+        loops = [(5, 4), (5, 4), (3, 4), (2, 0), (6, 2), (1, 9)]
+        mats = [np.diag([pair[i] for pair in loops]) for i in range(2)]
+        for m in mats:
+            m[0, 1] = 1
+        skel = skeleton("abecfg", *(m.tolist() for m in mats))
+        verdict = check_spectral_ordering(skel, (0,), colour)
+        assert verdict.degenerate == (
+            "a component is not coordinatewise irreducible",
+            "component under test is not hereditary",
+            *(f"radii nearly tie in colour {colour} between components {c} and 0; tighten input" for c in tied),
+        )
+        assert verdict.reversals == (
+            (1, 0, 5.0, 5.0), (1, 1, 4.0, 4.0), (2, 1, 4.0, 4.0), (4, 0, 6.0, 5.0), (5, 1, 9.0, 4.0)
+        )
+        assert verdict.status == STATUS_NOT_MET
+        assert not verdict.dominant_colour_ok and not verdict.hypothesis_met
+
     def test_never_contradicts_on_fuzzed_dumbbells(self):
         for params in sample_commuting3(59, 60):
             skel = make_dumbbell3(params)

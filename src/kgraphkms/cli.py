@@ -38,7 +38,6 @@ from .engine import (
 )
 from .formats import InputDocument, ParseError, emit_report, input_to_json, parse_input
 from .skeleton import Skeleton, validate_skeleton
-from .spectral import component_perron
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -115,12 +114,12 @@ def _components_section(skel: Skeleton) -> dict:
 def _spectra_section(skel: Skeleton) -> dict:
     decomp = analysis_of(skel)
     components = []
-    for c, (comp, radii, irreducible) in enumerate(
-        zip(decomp.components, decomp.radii, decomp.coordinatewise_irreducible)
+    for comp, radii, irreducible, vector in zip(
+        decomp.components, decomp.radii, decomp.coordinatewise_irreducible, decomp.vectors
     ):
         entry = {"vertices": [skel.vertex_labels[v] for v in comp], "radii": list(radii)}
         if irreducible:
-            entry["pf_vector"] = list(component_perron(skel, decomp, c)[0].vector)
+            entry["pf_vector"] = vector.tolist()
         components.append(entry)
     return {"global_radii": [decomp.global_radius(i) for i in range(skel.k)], "components": components}
 
@@ -253,21 +252,25 @@ def _cmd_phase(args) -> int:
     return code
 
 
-def _inverse_temperature(text: str) -> float:
-    """``--beta``: a finite number above 0, or a usage error (exit 2)."""
+def _finite_positive(text: str) -> float:
+    """``--beta`` and ``--tol``: a finite number above 0, or a usage error (exit 2)."""
     try:
-        beta = float(text)
+        value = float(text)
     except ValueError:
-        beta = math.nan
-    if not (math.isfinite(beta) and beta > 0):
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
-    return beta
+    return value
 
 
 def _parse_pairs(raw: str, expect: int) -> list[tuple[int, int]]:
-    values = [int(t) for t in raw.replace(" ", "").split(",") if t != ""]
-    if len(values) != 2 * expect:
-        raise ValueError(f"expected {2 * expect} comma-separated integers, got {len(values)}")
+    """``--params`` as ``expect`` pairs of nonnegative integers, or ``ValueError`` (exit 1) naming the flag."""
+    try:
+        values = [int(t) for t in raw.replace(" ", "").split(",") if t != ""]
+    except ValueError:
+        values = []
+    if len(values) != 2 * expect or min(values) < 0:
+        raise ValueError(f"--params must be {2 * expect} comma-separated nonnegative integers, got {raw!r}")
     return [(values[2 * i], values[2 * i + 1]) for i in range(expect)]
 
 
@@ -362,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("input", nargs="?", default="-", help="input JSON file, or - for stdin")
         cmd.add_argument("--format", choices=("json", "text"), default="json")
-        cmd.add_argument("--tol", type=float, default=STATE_TOL)
+        cmd.add_argument("--tol", type=_finite_positive, default=STATE_TOL)
         cmd.add_argument("--allow-violations", action="store_true")
         cmd.set_defaults(func=func)
         return cmd
@@ -371,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     graph_command("components", "strongly connected components and assumptions", _cmd_components)
     graph_command("spectra", "per-component and global Perron roots", _cmd_spectra)
     kms = graph_command("kms", "extreme states at one inverse temperature", _cmd_kms)
-    kms.add_argument("--beta", type=_inverse_temperature, required=True)
+    kms.add_argument("--beta", type=_finite_positive, required=True)
     graph_command("phase", "critical values and the full simplex structure", _cmd_phase)
 
     dumbbell = sub.add_parser("dumbbell", help="emit an input document for a dumbbell graph")

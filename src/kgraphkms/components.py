@@ -43,13 +43,10 @@ class ComponentDecomposition:
     ``vectors[c]`` (read-only) is the unit-sum Perron vector that the
     colour blocks of component ``c`` share, in the order of its vertices,
     and ``brackets[c][i]`` the Collatz–Wielandt bracket of its colour-``i``
-    block there, which contains ``radii[c][i]``. ``colour_sccs[i, v]``
-    (read-only) labels the strongly connected component of vertex ``v`` in
-    colour ``i`` alone, and ``colour_closures[i]`` is the closure of that
-    colour's condensation over those labels: ``colour_closures[i][a, b]``
-    says whether a path of length at least 1 in colour ``i`` has its range
-    among the vertices labelled ``a`` and its source among those labelled
-    ``b``.
+    block there, which contains ``radii[c][i]``. ``colour_reach[i][c, d]``
+    (read-only) says whether a path of length at least 1 in colour ``i``
+    alone has its range in component ``c`` and its source in component
+    ``d``.
     """
 
     components: tuple[tuple[int, ...], ...]
@@ -58,8 +55,7 @@ class ComponentDecomposition:
     reach: np.ndarray = field(compare=False, repr=False)
     vectors: tuple[np.ndarray, ...] = field(compare=False, repr=False)
     brackets: tuple[tuple[tuple[float, float], ...], ...] = field(compare=False, repr=False)
-    colour_sccs: np.ndarray = field(compare=False, repr=False)
-    colour_closures: tuple[np.ndarray, ...] = field(compare=False, repr=False)
+    colour_reach: tuple[np.ndarray, ...] = field(compare=False, repr=False)
 
     @property
     def count(self) -> int:
@@ -104,13 +100,6 @@ class ComponentDecomposition:
         """[c, d] is True when ``x`` links some vertex of c to some vertex of d."""
         return _condensation(self._labels, self.count, x)
 
-    def colour_reach(self, colour: int) -> np.ndarray:
-        """``[c, d]``: a path of length at least 1 in colour ``colour`` runs from component d into c.
-
-        That colour's condensation closure, indexed back by colour label.
-        """
-        return self.relation(_indexed(self.colour_closures[colour], self.colour_sccs[colour]))
-
     def sliced(self, keep: Sequence[int]) -> "ComponentDecomposition":
         """The decomposition of the sub-skeleton induced on ``keep``.
 
@@ -119,14 +108,15 @@ class ComponentDecomposition:
         through a dropped one: a path from kept ``w`` through dropped ``h``
         would make ``w`` a path source into a hereditary set, hence dropped,
         and a piece has no edges to the rest at all. So reachability among
-        kept vertices, and with it every kept component and the per-colour
-        single-colour reachability, is unchanged: the kept vertices keep
-        their colour labels into the same colour closures. Each kept colour
-        block is the same matrix, so flags, radii, vectors and brackets are
-        bit-identical. The Kahn order survives too: a kept component's
-        predecessors in the order constraints are all kept, so dropped
-        components never change which kept ones are ready, and the
-        smallest-vertex tie-break is preserved by the monotone relabelling.
+        kept vertices, and with it every kept component and the
+        single-colour reachability between kept components, is unchanged:
+        ``reach`` and each ``colour_reach`` keep their kept rows and
+        columns. Each kept colour block is the same matrix, so flags, radii,
+        vectors and brackets are bit-identical. The Kahn order survives too:
+        a kept component's predecessors in the order constraints are all
+        kept, so dropped components never change which kept ones are ready,
+        and the smallest-vertex tie-break is preserved by the monotone
+        relabelling.
         """
         pos = {int(v): i for i, v in enumerate(keep)}
         kept = [c for c, comp in enumerate(self.components) if int(comp[0]) in pos]
@@ -137,8 +127,7 @@ class ComponentDecomposition:
             reach=_read_only(self.reach[np.ix_(keep, keep)]),
             vectors=tuple(self.vectors[c] for c in kept),
             brackets=tuple(self.brackets[c] for c in kept),
-            colour_sccs=_read_only(self.colour_sccs[:, keep]),
-            colour_closures=self.colour_closures,
+            colour_reach=tuple(_read_only(r[np.ix_(kept, kept)]) for r in self.colour_reach),
         )
 
 
@@ -149,11 +138,6 @@ def _label_vertices(sccs, n: int) -> np.ndarray:
         for v in scc:
             labels[v] = a
     return np.array(labels, dtype=np.intp)
-
-
-def _indexed(closure: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """``closure[labels[v], labels[w]]`` for every pair of vertices ``v``, ``w``."""
-    return closure.take(labels, 0).take(labels, 1)
 
 
 def _condensation(labels: np.ndarray, count: int, x: np.ndarray) -> np.ndarray:
@@ -229,10 +213,11 @@ def decompose(skel: Skeleton) -> ComponentDecomposition:
     vectors, per-colour Perron roots and brackets, the vertex reachability
     matrix and each colour's components and condensation closure are
     attached. Every closure is taken over a condensation, never over the
-    vertices, and indexed back by label.
+    vertices: reach is indexed back by label, and each colour's closure is
+    condensed onto the components through each colour component's owner.
     """
     comps, labels, before, closure = _condensed(skel.union_support())
-    reach = _indexed(closure, labels)
+    reach = closure.take(labels, 0).take(labels, 1)
     np.fill_diagonal(reach, True)
 
     # Order constraint: if a vertex of C_a receives an edge from one of C_b,
@@ -256,14 +241,15 @@ def decompose(skel: Skeleton) -> ComponentDecomposition:
     # irreducible in colour i exactly when C is itself a colour-i component
     # holding an edge (a loop when |C| = 1).
     arrays = skel.as_arrays()
-    colour_sccs, colour_closures, flags = [], [], []
+    component_labels = _label_vertices(components, skel.n)
+    colour_reach, flags = [], []
     for a in arrays:
-        sccs, colour_labels, _, colour_closure = _condensed(a > 0)
+        sccs, _, _, colour_closure = _condensed(a > 0)
         index = dict(zip(sccs, range(len(sccs))))
         cyclic = colour_closure.diagonal().tolist()
         flags.append([comp in index and cyclic[index[comp]] for comp in components])
-        colour_sccs.append(colour_labels)
-        colour_closures.append(_read_only(colour_closure))
+        owners = component_labels[[scc[0] for scc in sccs]]
+        colour_reach.append(_read_only(_condensation(owners, len(components), colour_closure)))
 
     spectra = [_block_spectra(arrays, c, comp) for c, comp in enumerate(components)]
     return ComponentDecomposition(
@@ -273,8 +259,7 @@ def decompose(skel: Skeleton) -> ComponentDecomposition:
         reach=_read_only(reach),
         vectors=tuple(s[0] for s in spectra),
         brackets=tuple(s[2] for s in spectra),
-        colour_sccs=_read_only(np.array(colour_sccs, dtype=np.intp)),
-        colour_closures=tuple(colour_closures),
+        colour_reach=tuple(colour_reach),
     )
 
 
@@ -343,7 +328,7 @@ def check_assumptions(skel: Skeleton) -> AssumptionReport:
     # single-colour path, into which. Reachability between components is
     # then colour-independent whenever a3 holds.
     bridges = [decomp.relation(skel.colour_support(i)) for i in range(skel.k)]
-    supports = [decomp.colour_reach(i) for i in range(skel.k)]
+    supports = decomp.colour_reach
     a3_offenders = []
     reach_offenders = []
     for c in range(decomp.count):

@@ -203,12 +203,16 @@ def _render_text(value: Any, indent: int, lines: list[str]) -> None:
             else:
                 lines.append(f"{pad}{key}: {_scalar_text(item)}")
     elif isinstance(value, (list, tuple)):
-        if all(not isinstance(x, (dict, list, tuple)) for x in value):
-            lines.append(pad + "[" + ", ".join(_scalar_text(x) for x in value) + "]")
-        else:
+        texts = [_scalar_text(x) for x in value if not isinstance(x, (dict, list, tuple))]
+        if len(texts) < len(value):
             for i, item in enumerate(value):
                 lines.append(f"{pad}- [{i}]")
                 _render_text(item, indent + 1, lines)
+        elif any(", " in t for t in texts):
+            # One line each, where a joining ", " could not be told from the items' own.
+            lines.extend(f"{pad}- {t}" for t in texts)
+        else:
+            lines.append(pad + "[" + ", ".join(texts) + "]")
     else:
         lines.append(pad + _scalar_text(value))
 

@@ -6,8 +6,10 @@ carries a Collatz–Wielandt bracket that certifies the root; reducible
 matrices are handled exactly as the maximum over their diagonal blocks. No
 dense eigensolve runs. The colour blocks of one component share a Perron
 vector, which one iteration on their sum gives together with every block's
-root. The extension step takes a hereditary component's vector and roots
-from its analysis and solves a dense linear system per colour to continue
+root, and the graph analysis stores them per component. The extension step
+reads a hereditary component's vector and roots straight from that
+analysis, in ``_partition_for``, which also checks its preconditions and
+cuts its blocks, and solves a dense linear system per colour to continue
 the vector across the components that feed from it; a truncated path-weight
 series is kept alongside as an independent cross-check. Every comparison of
 Perron roots, log radii and critical values in the package goes through
@@ -221,8 +223,10 @@ def _family_perron(
     its Perron root as that eigenvalue (Horn–Johnson 8.1.30). Each block's
     root is therefore ``sum(A x)``, clamped into the block's
     Collatz–Wielandt bracket at ``x``, which must be at most
-    ``RADIUS_BAND_RTOL`` wide, relative; if not, ``EigenConsistencyError``
-    names ``owner``, the colour and the bracket.
+    ``RADIUS_BAND_RTOL`` wide, relative, and the eigen residual
+    ``max |A x - rho x|`` at most ``1e-9 max(1, rho)``, a safety check that
+    a certified bracket implies up to rounding; if not,
+    ``EigenConsistencyError`` names ``owner``, the colour and the bracket.
     Returns (read-only vector, roots, brackets).
     """
     total = np.zeros(mats[0].shape)
@@ -243,21 +247,29 @@ def _family_perron(
                 f"{owner}, colour {i}: Collatz-Wielandt bracket [{lo!r}, {hi!r}] at the shared "
                 f"Perron vector is wider than the radius band"
             )
-        roots.append(min(max(float(ax.sum()), lo), hi))
+        rho = min(max(float(ax.sum()), lo), hi)
+        residual = float(np.max(np.abs(ax - rho * x)))
+        if residual > 1e-9 * max(1.0, rho):
+            raise EigenConsistencyError(
+                f"{owner}, colour {i}: not simultaneously diagonalisable at the Perron root: "
+                f"root {rho!r}, Collatz-Wielandt bracket [{lo!r}, {hi!r}] at the shared vector, "
+                f"residual {residual:.3e}"
+            )
+        roots.append(rho)
         brackets.append(bracket)
     return x, tuple(roots), tuple(brackets)
 
 
-def common_pf_eigenvector(family: Sequence, tol: float = 1e-9) -> list[PFResult]:
+def common_pf_eigenvector(family: Sequence) -> list[PFResult]:
     """Shared unimodular Perron vector of commuting irreducible matrices.
 
     The vector is computed once, from the sum of the family, and gives every
-    member's root and Collatz–Wielandt bracket (``_family_perron``). Each
-    root must lie within the radius band of the member's own
-    ``spectral_radius``, and each eigen residual within tolerance. Failing
-    either means the family was not simultaneously diagonalisable at the
-    Perron root, i.e. the stated preconditions (irreducibility, commutation)
-    were violated.
+    member's root and Collatz–Wielandt bracket (``_family_perron``, which
+    also bounds each eigen residual). Each root must lie within the radius
+    band of the member's own ``spectral_radius``. Failing either check means
+    the family was not simultaneously diagonalisable at the Perron root,
+    i.e. the stated preconditions (irreducibility, commutation) were
+    violated.
     """
     mats = [_as_float_matrix(m) for m in family]
     if not mats:
@@ -279,49 +291,24 @@ def common_pf_eigenvector(family: Sequence, tol: float = 1e-9) -> list[PFResult]
                 f"family not simultaneously diagonalisable at the Perron root: member {i} "
                 f"root {rho!r} at the shared vector, {own!r} on its own"
             )
-    return _pf_results(mats, x, roots, brackets, tol)
-
-
-def component_perron(skel, decomp, c: int) -> list[PFResult]:
-    """``common_pf_eigenvector`` of component ``c``'s colour blocks, from its analysis.
-
-    ``decomp`` is ``skel``'s decomposition, which holds the component's
-    irreducibility flags, shared Perron vector, roots and brackets, so no
-    eigensolve runs here; the flags and the eigen residuals are checked as
-    the public route checks them. The blocks need no commutation check:
-    they are diagonal blocks of the skeleton's exactly commuting, block
-    triangular matrices.
-    """
-    for i, flag in enumerate(decomp.irreducible[c]):
-        if not flag:
-            raise ValueError(f"family member {i} is not irreducible")
-    block = np.ix_(decomp.components[c], decomp.components[c])
-    mats = [a[block] for a in skel.as_arrays()]
-    return _pf_results(mats, decomp.vectors[c], decomp.radii[c], decomp.brackets[c])
-
-
-def _pf_results(mats, x: np.ndarray, roots, brackets, tol: float = 1e-9) -> list[PFResult]:
-    """One ``PFResult`` per block at the shared vector ``x``, each eigen residual checked."""
-    vector = tuple(float(t) for t in x)
-    results = []
-    for i, (m, rho, bracket) in enumerate(zip(mats, roots, brackets)):
-        residual = float(np.max(np.abs(m @ x - rho * x)))
-        if residual > tol * max(1.0, rho):
-            raise EigenConsistencyError(
-                f"family not simultaneously diagonalisable at the Perron root: "
-                f"member {i} root {rho!r}, Collatz-Wielandt bracket [{bracket[0]!r}, "
-                f"{bracket[1]!r}] at the shared vector, residual {residual:.3e}"
-            )
-        results.append(PFResult(radius=rho, vector=vector, residual=residual, bracket=bracket))
-    return results
+    vector = tuple(x.tolist())
+    return [
+        PFResult(rho, vector, float(np.max(np.abs(m @ x - rho * x))), bracket)
+        for m, rho, bracket in zip(mats, roots, brackets)
+    ]
 
 
 def _partition_for(skel, component: Iterable[int]):
-    """Split vertices into (feeders F, component D, untouched H) for one component.
+    """The extension's preconditions and blocks for one component.
 
-    Returns the skeleton's analysis, the component's index in it, F, D, H
-    and each colour's Perron root over the feeder block: F is a union of
-    components, so that root is the largest of their roots.
+    Checks, in this order, that ``component`` is a strongly connected
+    component of ``skel``, that it is hereditary and that each of its colour
+    blocks is irreducible. Returns the feeders F (the other vertices that
+    receive a path from it), the component D and the rest H; from its
+    analysis, the component's shared Perron vector and per-colour roots;
+    each colour's Perron root over the feeder block, the largest of its
+    components' roots since F is a union of components; and each colour's
+    blocks ``(A[F, F], A[F, D])``.
     """
     from .components import analysed, is_hereditary
 
@@ -332,23 +319,20 @@ def _partition_for(skel, component: Iterable[int]):
         raise ValueError(f"{d} is not a strongly connected component")
     if not is_hereditary(skel, d):
         raise ValueError(f"component {d} is not hereditary")
+    c = decomp.components.index(tuple(d))
+    for i, flag in enumerate(decomp.irreducible[c]):
+        if not flag:
+            raise ValueError(f"family member {i} is not irreducible")
     feeds = decomp.reach[:, d].any(axis=1)
     f = [v for v in range(skel.n) if feeds[v] and v not in d]
     h = [v for v in range(skel.n) if not feeds[v]]
-    feeders = [c for c, comp in enumerate(decomp.components) if feeds[comp[0]] and comp != tuple(d)]
-    feeder_radii = [max([0.0] + [decomp.radii[c][i] for c in feeders]) for i in range(skel.k)]
-    return decomp, decomp.components.index(tuple(d)), f, d, h, feeder_radii
+    feeders = [e for e, comp in enumerate(decomp.components) if feeds[comp[0]] and e != c]
+    feeder_radii = [max([0.0] + [decomp.radii[e][i] for e in feeders]) for i in range(skel.k)]
+    blocks = [(a[np.ix_(f, f)], a[np.ix_(f, d)]) for a in skel.as_arrays()]
+    return f, d, h, decomp.vectors[c], decomp.radii[c], feeder_radii, blocks
 
 
-def _blocks(skel, f: list[int], d: list[int]):
-    """Per-colour float blocks (feeder square block, feeder-to-component block)."""
-    arrays = skel.as_arrays()
-    e_blocks = [a[np.ix_(f, f)] if f else np.zeros((0, 0)) for a in arrays]
-    b_blocks = [a[np.ix_(f, d)] if f else np.zeros((0, len(d))) for a in arrays]
-    return e_blocks, b_blocks
-
-
-def extend_eigenvector(skel, component: Iterable[int], colours: Iterable[int] | None = None) -> ExtensionResult:
+def extend_eigenvector(skel, component: Iterable[int]) -> ExtensionResult:
     """Extend the component's Perron vector to an eigenvector of every colour.
 
     For each colour ``i`` in the dominated set, the weight vector over the
@@ -359,24 +343,8 @@ def extend_eigenvector(skel, component: Iterable[int], colours: Iterable[int] | 
     the exchange identity ``(rho_i I - E_i) B_j x = (rho_j I - E_j) B_i x``
     is checked for all colour pairs as a further consistency probe.
     """
-    decomp, c, f, d, h, rho_e = _partition_for(skel, component)
-    e_blocks, b_blocks = _blocks(skel, f, d)
-    pf = component_perron(skel, decomp, c)
-    x = np.array(pf[0].vector)
-    radii = tuple(r.radius for r in pf)
-
-    if colours is None:
-        admissible = [i for i in range(skel.k) if _exceeds(radii[i], rho_e[i])]
-    else:
-        admissible = sorted(set(int(i) for i in colours))
-        for i in admissible:
-            if i < 0 or i >= skel.k:
-                raise ValueError(f"colour {i} out of range")
-            if not _exceeds(radii[i], rho_e[i]):
-                raise ValueError(
-                    f"colour {i}: component root {radii[i]:.6g} does not dominate "
-                    f"the feeder block root {rho_e[i]:.6g}; system is singular"
-                )
+    f, d, h, x, radii, rho_e, blocks = _partition_for(skel, component)
+    admissible = [i for i in range(skel.k) if _exceeds(radii[i], rho_e[i])]
     if not admissible:
         raise ValueError("no colour dominates the feeder blocks; extension undefined")
 
@@ -385,8 +353,8 @@ def extend_eigenvector(skel, component: Iterable[int], colours: Iterable[int] | 
     if f:
         # rho_i I - E_i and B_i x, once per colour, serve the solves and the
         # exchange identity.
-        systems = [radii[i] * np.eye(len(f)) - e for i, e in enumerate(e_blocks)]
-        bx = [b @ x for b in b_blocks]
+        systems = [rho * np.eye(len(f)) - e for rho, (e, _) in zip(radii, blocks)]
+        bx = [b @ x for _, b in blocks]
         solutions = []
         for i in admissible:
             sol = np.linalg.solve(systems[i], bx[i])
@@ -437,18 +405,16 @@ def quick_exit_weight(skel, component: Iterable[int], colour: int, truncation: i
     series converges geometrically to the solved weight vector ``y`` and
     serves as an independent oracle for it.
     """
-    decomp, c, f, d, _, _ = _partition_for(skel, component)
-    e_blocks, b_blocks = _blocks(skel, f, d)
+    f, d, _, x, radii, _, blocks = _partition_for(skel, component)
     if not f:
         return np.zeros(0)
-    pf = component_perron(skel, decomp, c)
-    x = np.array(pf[0].vector)
-    rho = pf[colour].radius
-    term = b_blocks[colour] @ x
+    rho = radii[colour]
+    e, b = blocks[colour]
+    term = b @ x
     total = term / rho
     scale = rho
     for _ in range(int(truncation)):
-        term = e_blocks[colour] @ term
+        term = e @ term
         scale *= rho
         total = total + term / scale
     return total
@@ -472,44 +438,33 @@ def check_spectral_ordering(skel, component: Iterable[int], colour: int) -> Orde
     if d not in decomp.components:
         raise ValueError(f"{sorted(d)} is not a strongly connected component")
     d_idx = decomp.components.index(d)
-    hereditary = is_hereditary(skel, d)
     degenerate: list[str] = []
-
-    hypothesis_ok = True
     if not all(decomp.coordinatewise_irreducible):
-        hypothesis_ok = False
         degenerate.append("a component is not coordinatewise irreducible")
-    if not hereditary:
-        hypothesis_ok = False
+    if not is_hereditary(skel, d):
         degenerate.append("component under test is not hereditary")
 
-    reach = [decomp.colour_reach(i) for i in range(skel.k)]
+    reach = decomp.colour_reach
     missing = [
         (c, i) for c in range(decomp.count) if c != d_idx for i in range(skel.k) if not reach[i][c, d_idx]
     ]
-    if missing:
-        hypothesis_ok = False
 
     rho_d = decomp.radii[d_idx]
-    dominant_ok = True
-    for c in range(decomp.count):
-        if c == d_idx:
-            continue
-        if not _exceeds(rho_d[colour], decomp.radii[c][colour]):
-            dominant_ok = False
-            if _ties(rho_d[colour], decomp.radii[c][colour]):
-                degenerate.append(
-                    f"radii nearly tie in colour {colour} between components {c} and {d_idx}; tighten input"
-                )
-    if not dominant_ok:
-        hypothesis_ok = False
-
     reversals = [
         (c, i, decomp.radii[c][i], rho_d[i])
         for c in range(decomp.count)
         if c != d_idx
         for i in range(skel.k)
         if not _exceeds(rho_d[i], decomp.radii[c][i])
+    ]
+    # Dominance in the given colour fails exactly at that colour's reversals.
+    in_colour = [(c, rho_c) for c, i, rho_c, _ in reversals if i == colour]
+    dominant_ok = not in_colour
+    hypothesis_ok = not (degenerate or missing or in_colour)
+    degenerate += [
+        f"radii nearly tie in colour {colour} between components {c} and {d_idx}; tighten input"
+        for c, rho_c in in_colour
+        if _ties(rho_d[colour], rho_c)
     ]
 
     if not reversals:

@@ -218,6 +218,18 @@ class TestCommands:
             (entry,) = [w for w in json.loads(out)["warnings"] if w.startswith(warning)]
             assert entry.endswith("classification is degenerate, tighten input")
 
+    def test_text_warnings_split_back_into_messages(self, capsys, tmp_path):
+        # A message contains ", " itself, so each gets a line of its own.
+        doc = tmp_path / "near.json"
+        doc.write_text(json.dumps({"vertices": ["a", "b"], "matrices": [[[1000001, 1], [0, 1000000]]]}))
+        _, out, _ = run(capsys, "phase", str(doc))
+        warnings = json.loads(out)["warnings"]
+        assert len(warnings) == 3 and ", " in warnings[2]
+        code, out, _ = run(capsys, "phase", str(doc), "--format", "text")
+        assert code == 0
+        section = out.split("== warnings ==\n")[1].split("\n\n")[0]
+        assert section.splitlines() == [f"  - {w}" for w in warnings]
+
     def test_isolated_graph_refused_without_flag(self, capsys, tmp_path):
         doc = tmp_path / "two.json"
         doc.write_text(
@@ -312,6 +324,17 @@ class TestCommands:
         code, out, _ = run(capsys, "dumbbell", "--figure", "2", "--params", "1,1,2,2,1,2")
         assert code == 2
         assert "bridge" in json.loads(out)["dumbbell"]["relation"]
+
+    @pytest.mark.parametrize(
+        "figure, params",
+        [("2", "a,1,2,3,4,5"), ("2", " -1,2,3,4,5,6"), ("2", "1,2"), ("3", "5,3,10,13,11,9,1,2,1,-1")],
+        ids=["not-integer", "negative", "too-few", "figure3-negative"],
+    )
+    def test_dumbbell_params_errors_name_the_flag(self, capsys, figure, params):
+        count = 6 if figure == "2" else 10
+        code, out, err = run(capsys, "dumbbell", "--figure", figure, f"--params={params}")
+        assert (code, out) == (1, "")
+        assert err == f"error: --params must be {count} comma-separated nonnegative integers, got {params!r}\n"
 
     def test_fuzz_clean(self, capsys):
         code, out, _ = run(capsys, "fuzz", "--seed", "3", "--count", "25")
@@ -449,6 +472,26 @@ class TestNonFiniteInput:
         out = capsys.readouterr()
         assert out.out == ""
         assert "--beta" in out.err and "finite" in out.err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1", "x"])
+    @pytest.mark.parametrize("command", ["validate", "components", "spectra", "phase", "kms"])
+    def test_tol_must_be_finite_and_positive(self, capsys, command, tol):
+        # An infinite tolerance would print "state": Infinity, which is no
+        # JSON, and switch the emission check off.
+        extra = ["--beta", "1"] if command == "kms" else []
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, EX1, f"--tol={tol}", *extra])
+        assert exit_info.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"argument --tol: must be a finite number above 0, got '{tol}'" in out.err
+
+    @pytest.mark.parametrize("command", ["validate", "components", "spectra", "phase", "kms"])
+    def test_small_tol_is_reported(self, capsys, command):
+        extra = ["--beta", "1"] if command == "kms" else []
+        code, out, _ = run(capsys, command, EX1, "--tol", "1e-7", *extra)
+        assert code == 0
+        assert json.loads(out)["tolerances"] == {"state": 1e-7}
 
     def test_overflowing_growth_factor_is_an_error_not_a_traceback(self, capsys):
         from kgraphkms import Skeleton, extreme_states_at, normalize_dynamics

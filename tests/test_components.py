@@ -363,7 +363,7 @@ class TestColourReachability:
             closures = [_digraph.transitive_closure(skel.colour_support(i)) for i in range(skel.k)]
             assert np.array_equal(closures[0], closures[1])
             decomp = decompose(skel)
-            assert np.array_equal(decomp.colour_reach(0), decomp.colour_reach(1))
+            assert np.array_equal(decomp.colour_reach[0], decomp.colour_reach[1])
 
 
 def assert_inherited(sub):
@@ -389,7 +389,8 @@ def assert_inherited(sub):
     assert got.irreducible == want.irreducible
     assert np.array_equal(got.reach, want.reach)
     for i in range(sub.k):
-        assert np.array_equal(got.colour_reach(i), want.colour_reach(i))
+        assert np.array_equal(got.colour_reach[i], want.colour_reach[i])
+        assert not got.colour_reach[i].flags.writeable
 
 
 def assert_restrictions_inherit(skel):

@@ -113,7 +113,8 @@ def test_colour_reach_is_the_squared_colour_closure(skel):
     decomp = decompose(skel)
     for i in range(skel.k):
         want = relation_reference(decomp, _digraph.transitive_closure(skel.colour_support(i)))
-        assert np.array_equal(decomp.colour_reach(i), want)
+        assert np.array_equal(decomp.colour_reach[i], want)
+        assert not decomp.colour_reach[i].flags.writeable
 
 
 @given(GRAPHS, st.data())
@@ -131,13 +132,14 @@ def test_restrictions_inherit_reach_and_colour_reach(skel, data):
     assert np.array_equal(got.reach, _digraph.transitive_closure(sub.union_support()) | np.eye(sub.n, dtype=bool))
     for i in range(sub.k):
         want = relation_reference(got, _digraph.transitive_closure(sub.colour_support(i)))
-        assert np.array_equal(got.colour_reach(i), want)
+        assert np.array_equal(got.colour_reach[i], want)
 
 
 @given(GRAPHS)
 @settings(max_examples=80, deadline=None)
 def test_component_colour_blocks_commute_exactly(skel):
-    # spectral.component_perron relies on this instead of a float check:
+    # The analysis takes each component's shared Perron vector with no
+    # commutation check of its own, and the extension reads it from there:
     # commuting block upper-triangular matrices have commuting diagonal blocks.
     decomp = decompose(skel)
     exact = [np.array(m, dtype=object).reshape(skel.n, skel.n) for m in skel.matrices]

@@ -34,7 +34,6 @@ from kgraphkms.spectral import (
     _exceeds,
     _perron_block,
     _ties,
-    component_perron,
 )
 
 from conftest import (
@@ -287,14 +286,6 @@ class TestCommonPF:
                 assert hi - lo <= 1e-9 * hi
 
 
-def pf_hex(results):
-    """Every float of a ``PFResult`` list, as ``float.hex``."""
-    return [
-        (r.radius.hex(), [t.hex() for t in r.vector], [b.hex() for b in r.bracket], r.residual.hex())
-        for r in results
-    ]
-
-
 ANALYSIS_INPUTS = {
     **data_skeletons(),
     **{f"cycle-product-{seed}": cycle_product_skeleton(seed) for seed in range(10)},
@@ -313,16 +304,19 @@ class TestAnalysisRoute:
         for c in critical:
             block = np.ix_(decomp.components[c], decomp.components[c])
             want = common_pf_eigenvector([a[block] for a in skel.as_arrays()])
-            assert pf_hex(component_perron(skel, decomp, c)) == pf_hex(want)
+            assert [t.hex() for t in decomp.vectors[c].tolist()] == [t.hex() for t in want[0].vector]
+            assert [r.hex() for r in decomp.radii[c]] == [r.radius.hex() for r in want]
+            assert [[b.hex() for b in pair] for pair in decomp.brackets[c]] == [
+                [b.hex() for b in r.bracket] for r in want
+            ]
 
     def test_rejects_a_reducible_colour_block_like_the_public_route(self):
         # One vertex with a loop in the first colour only.
         skel = skeleton("v", [[2]], [[0]])
-        decomp = decompose(skel)
         with pytest.raises(ValueError, match="family member 1 is not irreducible"):
             common_pf_eigenvector([[[2]], [[0]]])
         with pytest.raises(ValueError, match="family member 1 is not irreducible"):
-            component_perron(skel, decomp, 0)
+            extend_eigenvector(skel, (0,))
 
     def test_phase_diagram_certifies_each_block_once(self, monkeypatch):
         # The product skeleton is one 54-vertex component: decompose runs one
@@ -395,12 +389,10 @@ class TestExtension:
         with pytest.raises(ValueError, match="hereditary"):
             extend_eigenvector(EXAMPLE_1, (0,))
 
-    def test_rejects_singular_forced_colour(self):
-        # Colour-1 roots tie at 3 between the two components, so the
-        # colour-1 system is singular and may not be forced.
+    def test_singular_colour_is_not_solved(self):
+        # Colour-0 roots tie at 3 between the two components, so the
+        # colour-0 system is singular and only colour 1 is solved.
         skel = skeleton("vw", [[3, 0], [0, 3]], [[2, 1], [0, 4]])
-        with pytest.raises(ValueError, match="dominate"):
-            extend_eigenvector(skel, (1,), colours=(0,))
         ext = extend_eigenvector(skel, (1,))
         assert ext.solved_colours == (1,)
 

@@ -211,10 +211,10 @@ def decompose(skel: Skeleton) -> ComponentDecomposition:
     block upper triangular under the induced vertex order; ties are broken
     by the smallest original vertex index. Per-component flags, Perron
     vectors, per-colour Perron roots and brackets, the vertex reachability
-    matrix and each colour's components and condensation closure are
-    attached. Every closure is taken over a condensation, never over the
-    vertices: reach is indexed back by label, and each colour's closure is
-    condensed onto the components through each colour component's owner.
+    matrix and each colour's reach between components are attached. Every
+    closure is taken over a condensation, never over the vertices: reach is
+    indexed back by label, and each colour's closure is condensed onto the
+    components through the component that holds each colour component.
     """
     comps, labels, before, closure = _condensed(skel.union_support())
     reach = closure.take(labels, 0).take(labels, 1)

@@ -36,7 +36,7 @@ from .engine import (
     phase_diagram,
     verify_states,
 )
-from .formats import InputDocument, ParseError, emit_report, input_to_json, parse_input
+from .formats import InputDocument, ParseError, emit_report, input_payload, parse_input
 from .skeleton import Skeleton, validate_skeleton
 
 EXIT_OK = 0
@@ -48,6 +48,17 @@ def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     return Path(path).read_text(encoding="utf-8")
+
+
+def _print_report(report: dict, fmt: str = "json") -> None:
+    """Write a report to standard output as it is formatted, then a newline.
+
+    ``sys.stdout`` is looked up on each call, so a replaced stream (a
+    captured one, say) receives the report.
+    """
+    out = sys.stdout
+    emit_report(report, fmt, out.write)
+    out.write("\n")
 
 
 def _common_sections(doc: InputDocument, tol: float) -> dict:
@@ -176,7 +187,7 @@ def _prepare(args) -> tuple[dict, InputDocument, Skeleton | None, int]:
 
 def _cmd_validate(args) -> int:
     report, _, _, code = _prepare(args)
-    print(emit_report(report, args.format))
+    _print_report(report, args.format)
     return code
 
 
@@ -189,7 +200,7 @@ def _cmd_components(args) -> int:
         report["assumptions"] = asdict(assumptions)
         if not assumptions.all_pass and not args.allow_violations:
             code = EXIT_VIOLATION
-    print(emit_report(report, args.format))
+    _print_report(report, args.format)
     return code
 
 
@@ -197,7 +208,7 @@ def _cmd_spectra(args) -> int:
     report, _, skel, code = _prepare(args)
     if skel is not None:
         report["spectra"] = _spectra_section(skel)
-    print(emit_report(report, args.format))
+    _print_report(report, args.format)
     return code
 
 
@@ -239,7 +250,7 @@ def _cmd_kms(args) -> int:
             "extreme_count": len(states),
             "extreme_states": _state_payloads(skel, dyn, beta, states, args.tol),
         }
-    print(emit_report(report, args.format))
+    _print_report(report, args.format)
     return code
 
 
@@ -248,7 +259,7 @@ def _cmd_phase(args) -> int:
     if skel is not None:
         diagram = _diagram(report, skel, dyn)
         report["phase"] = _phase_section(skel, dyn, diagram, args.tol)
-    print(emit_report(report, args.format))
+    _print_report(report, args.format)
     return code
 
 
@@ -287,12 +298,7 @@ def _cmd_dumbbell(args) -> int:
             skel = make_dumbbell3(params)
             matrices = matrices_3(params)
     except CommutationError as exc:
-        print(
-            emit_report(
-                {"dumbbell": {"accepted": False, "relation": exc.relation, "detail": str(exc)}},
-                args.format,
-            )
-        )
+        _print_report({"dumbbell": {"accepted": False, "relation": exc.relation, "detail": str(exc)}}, args.format)
         return EXIT_VIOLATION
     doc = InputDocument(
         vertices=skel.vertex_labels,
@@ -303,7 +309,7 @@ def _cmd_dumbbell(args) -> int:
         rationally_independent=True,
         warnings=(),
     )
-    print(input_to_json(doc))
+    _print_report(input_payload(doc))
     return EXIT_OK
 
 
@@ -348,7 +354,7 @@ def _cmd_fuzz(args) -> int:
             ],
         }
     }
-    print(emit_report(report, args.format))
+    _print_report(report, args.format)
     return EXIT_OK if not result.contradictions else EXIT_VIOLATION
 
 

@@ -5,7 +5,10 @@ row-major matrices with ``matrices[i][row][col]`` counting colour-i edges
 from ``vertices[col]`` into ``vertices[row]``, a dynamics block, and the
 rational-independence attestation. Reports serialise to canonical JSON
 (sorted keys) or to a human-readable text form in which recognisable small
-rationals are printed exactly.
+rationals are printed exactly. Both are written as they are formatted, one
+container at a time, through a ``write`` sink, so the whole text is never
+held; the JSON is byte for byte ``json.dumps(report, indent=2,
+sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Any
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable
 
 RATIONAL_MAX_DENOMINATOR = 10**6
 # A true rational stored in a float is off by at most a few ulps; convergents
@@ -166,8 +170,8 @@ def _finite(x) -> bool:
         return True
 
 
-def input_to_json(doc: InputDocument) -> str:
-    """Canonical JSON for an input document; stable under parse/emit cycles."""
+def input_payload(doc: InputDocument) -> dict[str, Any]:
+    """The JSON value of an input document, as ``input_to_json`` writes it."""
     payload: dict[str, Any] = {
         "vertices": list(doc.vertices),
         "k": len(doc.matrices),
@@ -182,39 +186,171 @@ def input_to_json(doc: InputDocument) -> str:
             "r": list(doc.r),
             "normalize": doc.normalize,
         }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return payload
+
+
+def input_to_json(doc: InputDocument) -> str:
+    """Canonical JSON for an input document; stable under parse/emit cycles."""
+    return emit_report(input_payload(doc))
 
 
 def format_number(x: float) -> str:
     """Exact small rational when one fits, otherwise an approximate decimal."""
+    if x == 0:
+        return "0"  # most weights of a large report, off each state's support
     frac = Fraction(x).limit_denominator(RATIONAL_MAX_DENOMINATOR)
     if abs(float(frac) - x) <= RATIONAL_SNAP_RTOL * max(1.0, abs(x)):
         return str(frac)
     return f"≈{x:.12g}"
 
 
-def _render_text(value: Any, indent: int, lines: list[str]) -> None:
-    pad = "  " * indent
+_CONTAINERS = (dict, list, tuple)
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_scalar(x: Any) -> str | None:
+    """``x`` as ``json.dumps`` writes it, or None when ``x`` is a nonempty container."""
+    if isinstance(x, float):
+        text = float.__repr__(x)
+        return _NON_FINITE.get(text, text)
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, _CONTAINERS):
+        return None if x else "{}" if isinstance(x, dict) else "[]"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _json_scalars(values: list) -> list[str | None]:
+    """``_json_scalar`` of each value, with one C-level pass when all are floats, as a state's weights are."""
+    try:
+        texts = list(map(float.__repr__, values))
+    except TypeError:
+        return list(map(_json_scalar, values))
+    if _NON_FINITE.keys().isdisjoint(texts):
+        return texts
+    return [_NON_FINITE.get(t, t) for t in texts]
+
+
+def _json_key(key: Any) -> str:
+    """A dict key as ``json.dumps`` writes it: numbers, booleans and None become strings."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = _json_scalar(key)
+    return encode_basestring_ascii(key)
+
+
+def _write_json(value: Any, write: Callable[[str], Any]) -> None:
+    """Write ``json.dumps(value, indent=2, sort_keys=True)`` through ``write``, container by container.
+
+    A container whose items are all scalars (or empty containers) is one
+    join and one write; a container that holds others writes the text up to
+    each of them, then lets it write itself. Each distinct set of string
+    keys is sorted, and its ``"key": `` heads encoded, once per call.
+    """
+    heads: dict = {}
+
+    def keyed(d: dict, pad: str) -> tuple[list, list[str]]:
+        keys = tuple(d)
+        entry = heads.get((keys, pad))
+        if entry is None:
+            order = sorted(keys)
+            texts = [f",\n{pad}{_json_key(k)}: " for k in order]
+            texts[0] = texts[0][1:]  # no comma before the first item
+            entry = order, texts
+            # Only string keys are kept: 1, 1.0 and True are one key but print differently.
+            if all(type(k) is str for k in keys):
+                heads[keys, pad] = entry
+        return entry
+
+    def container(value, pad: str) -> None:
+        inner = pad + "  "
+        if isinstance(value, dict):
+            order, item_heads = keyed(value, inner)
+            values = [value[k] for k in order]
+            opening, closing = "{", f"\n{pad}}}"
+        else:
+            values = value
+            item_heads = [f"\n{inner}"] + [f",\n{inner}"] * (len(value) - 1)
+            opening, closing = "[", f"\n{pad}]"
+        texts = _json_scalars(values)
+        if None not in texts:
+            write(opening + "".join(map(str.__add__, item_heads, texts)) + closing)
+            return
+        parts = [opening]
+        for head, item, text in zip(item_heads, values, texts):
+            parts.append(head)
+            if text is None:
+                write("".join(parts))
+                parts = []
+                container(item, inner)
+            else:
+                parts.append(text)
+        parts.append(closing)
+        write("".join(parts))
+
+    text = _json_scalar(value)
+    if text is None:
+        container(value, "")
+    else:
+        write(text)
+
+
+def _trailing_whitespace_held(write: Callable[[str], Any]) -> Callable[[str], None]:
+    """A sink that passes text on to ``write`` but holds back trailing whitespace.
+
+    Whitespace is written only once more text follows it, so what reaches
+    ``write`` is the whole text with ``str.rstrip`` applied.
+    """
+    held = ""
+
+    def sink(text: str) -> None:
+        nonlocal held
+        body = text.rstrip()
+        if body:
+            write(held + body)
+            held = text[len(body):]
+        else:
+            held += text
+
+    return sink
+
+
+def _write_text(value: Any, pad: str, write: Callable[[str], Any]) -> None:
+    """Write the lines of one report value at indentation ``pad``, container by container."""
+    lines: list[str] = []
     if isinstance(value, dict):
         for key, item in value.items():
-            if isinstance(item, (dict, list, tuple)) and item:
-                lines.append(f"{pad}{key}:")
-                _render_text(item, indent + 1, lines)
+            if isinstance(item, _CONTAINERS) and item:
+                lines.append(f"{pad}{key}:\n")
+                write("".join(lines))
+                lines = []
+                _write_text(item, pad + "  ", write)
             else:
-                lines.append(f"{pad}{key}: {_scalar_text(item)}")
+                lines.append(f"{pad}{key}: {_scalar_text(item)}\n")
     elif isinstance(value, (list, tuple)):
-        texts = [_scalar_text(x) for x in value if not isinstance(x, (dict, list, tuple))]
+        texts = [_scalar_text(x) for x in value if not isinstance(x, _CONTAINERS)]
         if len(texts) < len(value):
             for i, item in enumerate(value):
-                lines.append(f"{pad}- [{i}]")
-                _render_text(item, indent + 1, lines)
+                write(f"{pad}- [{i}]\n")
+                _write_text(item, pad + "  ", write)
         elif any(", " in t for t in texts):
             # One line each, where a joining ", " could not be told from the items' own.
-            lines.extend(f"{pad}- {t}" for t in texts)
+            lines.extend(f"{pad}- {t}\n" for t in texts)
         else:
-            lines.append(pad + "[" + ", ".join(texts) + "]")
+            lines.append(pad + "[" + ", ".join(texts) + "]\n")
     else:
-        lines.append(pad + _scalar_text(value))
+        lines.append(pad + _scalar_text(value) + "\n")
+    if lines:
+        write("".join(lines))
 
 
 def _scalar_text(x: Any) -> str:
@@ -227,15 +363,25 @@ def _scalar_text(x: Any) -> str:
     return str(x)
 
 
-def emit_report(report: dict, fmt: str = "json") -> str:
-    """Serialise a report: canonical JSON or readable text with rationals."""
+def emit_report(report: dict, fmt: str = "json", write: Callable[[str], Any] | None = None) -> str | None:
+    """Serialise a report: canonical JSON or readable text with rationals.
+
+    Without ``write`` the text is returned. With it, the text goes through
+    ``write`` in pieces as each container is formatted, and None is
+    returned; the pieces join to the same text.
+    """
+    if write is None:
+        parts: list[str] = []
+        emit_report(report, fmt, parts.append)
+        return "".join(parts)
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True)
-    if fmt == "text":
-        lines: list[str] = []
+        _write_json(report, write)
+    elif fmt == "text":
+        sink = _trailing_whitespace_held(write)
         for section, value in report.items():
-            lines.append(f"== {section} ==")
-            _render_text(value, 1, lines)
-            lines.append("")
-        return "\n".join(lines).rstrip() + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+            sink(f"== {section} ==\n")
+            _write_text(value, "  ", sink)
+            sink("\n")
+        write("\n")
+    else:
+        raise ValueError(f"unknown format {fmt!r}")

@@ -322,7 +322,8 @@ def _partition_for(skel, component: Iterable[int]):
     c = decomp.components.index(tuple(d))
     for i, flag in enumerate(decomp.irreducible[c]):
         if not flag:
-            raise ValueError(f"family member {i} is not irreducible")
+            labels = ", ".join(skel.vertex_labels[v] for v in d)
+            raise ValueError(f"component {{{labels}}} colour {i}: block is not irreducible")
     feeds = decomp.reach[:, d].any(axis=1)
     f = [v for v in range(skel.n) if feeds[v] and v not in d]
     h = [v for v in range(skel.n) if not feeds[v]]

@@ -1,10 +1,14 @@
+import io
 import json
 import math
+import re
 import sys
 import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import kgraphkms.skeleton as skeleton_module
 from kgraphkms import ParseError, components, parse_input, input_to_json, emit_report
@@ -98,6 +102,7 @@ class TestFormatting:
         assert format_number(0.5) == "1/2"
         assert format_number(5 / 11) == "5/11"
         assert format_number(2.0) == "2"
+        assert format_number(0.0) == format_number(-0.0) == "0"
 
     def test_irrational_not_snapped(self):
         assert format_number(math.log(4) / math.log(5)).startswith("≈")
@@ -110,6 +115,110 @@ class TestFormatting:
         as_text = emit_report(report, "text")
         assert "== section ==" in as_text
         assert "1/4" in as_text
+
+
+def canonical(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+class TestReportWriter:
+    """``emit_report``'s JSON is ``json.dumps(indent=2, sort_keys=True)`` byte for byte, streamed or not."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "list": [math.nan, -math.inf, math.inf]},
+            {"none": None, "true": True, "false": False, "flags": [True, None, False]},
+            {"dict": {}, "list": [], "nested": {"a": {}, "b": [[]], "c": [{}], "d": [[[]], {"e": []}]}},
+            {"é": "ü ≈ 😀", "\x00\x1f": "\t\n\r\"\\/\x7f\u2028", "label": ["ß", "\ud800"]},
+            {"big": 10**40, "neg": -(2**70), "tuple": (1, (2.5, "x"), ()), "zero": -0.0, "tiny": 5e-324},
+            {1: "int", 10: "ints sort as numbers", 2: "two"},
+            {None: 1}, {True: 1}, {1.5: 0, math.inf: 1},
+            [], {}, (), 0, 2.5, "top", None, False,
+            [{"b": 1, "a": [2, {"b": 3, "a": 4}]}, {"a": 1, "b": {"a": {"b": 2, "a": 3}}}, {"b": 3, "a": 4}],
+        ],
+        ids=[
+            "non-finite", "none-and-bools", "empty-containers", "non-ascii-and-control", "ints-and-tuples",
+            "int-keys", "none-key", "bool-key", "float-keys",
+            "empty-list", "empty-dict", "empty-tuple", "int", "float", "str", "none", "bool",
+            "shared-key-sets",
+        ],
+    )
+    def test_matches_json_dumps(self, value):
+        assert emit_report(value) == canonical(value)
+        pieces = []
+        assert emit_report(value, "json", pieces.append) is None
+        assert "".join(pieces) == canonical(value)
+
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda items: st.lists(items) | st.dictionaries(st.text(), items),
+            max_leaves=20,
+        )
+    )
+    def test_matches_json_dumps_on_any_json_value(self, value):
+        assert emit_report(value) == canonical(value)
+
+    def test_a_container_of_scalars_is_one_write(self):
+        pieces = []
+        emit_report({"s": {"m": {"b": 0.5, "a": 0.25}, "anchor": ["u", "v"]}}, "json", pieces.append)
+        assert '{\n      "a": 0.25,\n      "b": 0.5\n    }' in pieces
+        assert '[\n      "u",\n      "v"\n    ]' in pieces
+
+    @pytest.mark.parametrize("value", [{"s": {1, 2}}, [object()], {"n": 1j}], ids=["set", "object", "complex"])
+    def test_other_types_raise_like_json(self, value):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            emit_report(value)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            canonical(value)
+
+    def test_other_key_types_raise_like_json(self):
+        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None, not tuple"):
+            emit_report({(1,): 0})
+
+    def test_text_ends_as_if_stripped(self):
+        # A last line that ends in a space, here an empty string, loses it;
+        # the same space inside the report stays.
+        report = {"a": {"empty": "", "n": 1}, "b": {"empty": ""}}
+        assert emit_report(report, "text") == "== a ==\n  empty: \n  n: 1\n\n== b ==\n  empty:\n"
+        assert emit_report({"a": "   "}, "text") == "== a ==\n"
+        assert emit_report({}, "text") == "\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("stem", ["example1", "chain20-b0"])
+    def test_streamed_report_is_the_returned_text(self, stem, fmt):
+        import kgraphkms.cli as cli
+
+        reports = []
+
+        def record(report, fmt="json", write=None):
+            reports.append(report)
+            return emit_report(report, fmt, write)
+
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "emit_report", record)
+            patch.setattr(sys, "stdout", out)
+            assert main(["phase", str(DATA / f"{stem}.json"), "--format", fmt]) == 0
+        (report,) = reports
+        assert out.getvalue() == emit_report(report, fmt) + "\n"
+
+    def test_phase_report_is_written_in_small_pieces(self, monkeypatch):
+        # This chain-20 phase report is 196,840 bytes; no write holds more
+        # than one state.
+        sizes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                sizes.append(len(text.encode()))
+                return super().write(text)
+
+        out = Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["phase", str(DATA / "chain20-b3.json")]) == 0
+        assert sum(sizes) == len(out.getvalue().encode()) == 196_840
+        assert max(sizes) < 16 * 1024
 
 
 class TestCommands:
@@ -524,20 +633,34 @@ class TestNonFiniteInput:
 
 
 class TestEmissionCheck:
-    def test_every_emitted_state_is_checked_in_the_top_frame(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", ["kms", "phase"])
+    def test_every_emitted_state_is_checked_in_the_top_frame(self, capsys, monkeypatch, command):
+        # The check runs before the first byte of the report is written.
         import kgraphkms.cli as cli
         from dataclasses import replace
 
-        original = cli.extreme_states_at
-
-        def nudged(*args, **kwargs):
-            first, *rest = original(*args, **kwargs)
+        def nudged(states):
+            first, *rest = states
             m = (first.m[0] + 1e-6,) + first.m[1:]
             return (replace(first, m=m), *rest)
 
-        monkeypatch.setattr(cli, "extreme_states_at", nudged)
-        code, out, err = run(capsys, "kms", EX1, "--beta", "1.5")
+        if command == "kms":
+            states_at = cli.extreme_states_at
+            monkeypatch.setattr(cli, "extreme_states_at", lambda *args, **kwargs: nudged(states_at(*args, **kwargs)))
+            argv = ("kms", EX1, "--beta", "1.5")
+        else:
+            diagram_of = cli.phase_diagram
+
+            def nudged_diagram(*args, **kwargs):
+                diagram = diagram_of(*args, **kwargs)
+                first, *rest = diagram.critical_points
+                return replace(diagram, critical_points=(nudged(first), *rest))
+
+            monkeypatch.setattr(cli, "phase_diagram", nudged_diagram)
+            argv = ("phase", EX1)
+        code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert "failed verification at emission" in err and "l1_error=9.99" in err
+        assert "failed verification at emission" in err
+        assert float(re.search(r"l1_error=([^,]+),", err)[1]) == pytest.approx(1e-6)
 

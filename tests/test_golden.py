@@ -128,6 +128,8 @@ def test_report_matches_golden(stem, name, argv):
     path = stdout_file(stem, name, argv)
     want = path.read_text(encoding="utf-8")
     if path.suffix == ".json":
+        # The bytes are canonical JSON; the values match the recorded ones.
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
         assert_json_matches(json.loads(out), json.loads(want))
     else:
         assert_text_matches(out, want)

@@ -311,12 +311,17 @@ class TestAnalysisRoute:
             ]
 
     def test_rejects_a_reducible_colour_block_like_the_public_route(self):
-        # One vertex with a loop in the first colour only.
+        # One vertex with a loop in the first colour only; both routes reject
+        # it, and the extension names the component by its labels.
         skel = skeleton("v", [[2]], [[0]])
         with pytest.raises(ValueError, match="family member 1 is not irreducible"):
             common_pf_eigenvector([[[2]], [[0]]])
-        with pytest.raises(ValueError, match="family member 1 is not irreducible"):
+        with pytest.raises(ValueError, match=r"^component \{v\} colour 1: block is not irreducible$"):
             extend_eigenvector(skel, (0,))
+        # A two-cycle whose second colour is two loops.
+        skel = skeleton("ab", [[0, 1], [1, 0]], [[1, 0], [0, 1]])
+        with pytest.raises(ValueError, match=r"^component \{a, b\} colour 1: block is not irreducible$"):
+            extend_eigenvector(skel, (0, 1))
 
     def test_phase_diagram_certifies_each_block_once(self, monkeypatch):
         # The product skeleton is one 54-vertex component: decompose runs one

@@ -3,6 +3,10 @@
 Reach and colour reach come from closures of condensations and the flags
 from one Tarjan run per colour; the references square the vertex supports
 (``_digraph.transitive_closure``) and run Tarjan on each colour block.
+The assumption report's offender lists, weak pieces and hereditary
+closures are read off the component relations; the references are a loop
+over component pairs, a Tarjan walk over the vertices and the rows of the
+vertex reach.
 Perron roots come from Noda iteration; the reference is a dense
 eigensolve per block. Each component's colour blocks commute exactly, in
 Python integers. The criticality decisions of the engine agree with each
@@ -20,7 +24,7 @@ from kgraphkms import Skeleton, _digraph, critical_components, decompose, normal
 from kgraphkms.components import analysed, analysis_of, check_assumptions, hereditary_closure, restrict
 from kgraphkms.dumbbell import make_dumbbell3, sample_commuting3
 
-from conftest import REDUCIBLE_COLOUR_BLOCKS, chain
+from conftest import REDUCIBLE_COLOUR_BLOCKS, chain, skeleton
 
 
 def labelled(*matrices) -> Skeleton:
@@ -81,6 +85,13 @@ def dumbbells(draw):
 GRAPHS = st.one_of(
     chains(), cycle_products(), block_chains(), dumbbells(), st.sampled_from(list(REDUCIBLE_COLOUR_BLOCKS.values()))
 )
+
+
+# Graphs that fail an assumption: a bridge in colour 1 only, two disjoint
+# loops, and a loopless vertex fed through.
+A3_VIOLATION = skeleton("vw", [[2, 0], [0, 2]], [[2, 1], [0, 3]])
+ISOLATED_VIOLATION = skeleton("ab", [[2, 0], [0, 3]], [[2, 0], [0, 3]])
+TRIVIAL_VIOLATION = skeleton("abc", [[2, 1, 1], [0, 0, 1], [0, 0, 2]], [[2, 1, 1], [0, 0, 1], [0, 0, 2]])
 
 
 def relation_reference(decomp, x: np.ndarray) -> np.ndarray:
@@ -201,3 +212,65 @@ def test_criticality_decisions_share_one_rule(skel, offsets):
             if state.kind == "component":
                 c = analysis_of(sub).components.index(tuple(sorted(at[label] for label in state.anchor)))
                 assert state.factors_through_ck == (crit.critical_colours_by_component[c] == set(range(skel.k)))
+
+
+def offenders_reference(skel, decomp):
+    """The a3 and reach-consistency offenders by a loop over ordered pairs of distinct components.
+
+    Each a3 offender names the pair, the first colour with a bridge and one
+    colour without; each reach offender a pair that some colours join by a
+    single-colour path and others do not.
+    """
+    bridges = [relation_reference(decomp, skel.colour_support(i)) for i in range(skel.k)]
+    supports = [relation_reference(decomp, _digraph.transitive_closure(skel.colour_support(i))) for i in range(skel.k)]
+    a3, reach = [], []
+    for c in range(decomp.count):
+        for d in range(decomp.count):
+            if c == d:
+                continue
+            present = [i for i in range(skel.k) if bridges[i][c, d]]
+            if present and len(present) < skel.k:
+                a3 += [(c, d, present[0], miss) for miss in range(skel.k) if miss not in present]
+            if len({bool(s[c, d]) for s in supports}) > 1:
+                reach.append((c, d))
+    return tuple(a3), tuple(reach)
+
+
+def isolated_reference(skel) -> tuple[tuple[int, ...], ...]:
+    """Weakly connected pieces by a Tarjan walk over the symmetrised union support, if more than one."""
+    adj = skel.union_support()
+    pieces = sorted(_digraph.tarjan_sccs(_digraph.succ_lists(adj | adj.T)))
+    return tuple(map(tuple, pieces)) if len(pieces) > 1 else ()
+
+
+@given(GRAPHS)
+@example(A3_VIOLATION)
+@example(ISOLATED_VIOLATION)
+@example(TRIVIAL_VIOLATION)
+@settings(max_examples=80, deadline=None)
+def test_assumption_report_lists_match_the_references(skel):
+    report = check_assumptions(skel)
+    a3, reach = offenders_reference(skel, decompose(skel))
+    assert report.a3_offenders == a3
+    assert report.reach_offenders == reach
+    assert report.isolated_pieces == isolated_reference(skel)
+    assert report.a3_colour_uniform_bridges is not a3
+    assert report.per_colour_reach_consistent is not reach
+
+
+def test_violating_fixtures_have_offenders():
+    assert check_assumptions(A3_VIOLATION).a3_offenders == ((0, 1, 1, 0),)
+    assert check_assumptions(A3_VIOLATION).reach_offenders == ((0, 1),)
+    assert check_assumptions(ISOLATED_VIOLATION).isolated_pieces == ((0,), (1,))
+    assert check_assumptions(TRIVIAL_VIOLATION).trivial_components == (1,)
+
+
+@given(GRAPHS, st.sets(st.integers(0, 17), max_size=4))
+@example(A3_VIOLATION, {0})
+@example(ISOLATED_VIOLATION, {1})
+@example(TRIVIAL_VIOLATION, {0})
+@settings(max_examples=80, deadline=None)
+def test_hereditary_closure_is_the_union_of_reach_rows(skel, drawn):
+    seeds = sorted(v for v in drawn if v < skel.n)
+    want = np.flatnonzero(decompose(skel).reach[seeds].any(axis=0)).tolist() if seeds else []
+    assert hereditary_closure(skel, seeds) == frozenset(want)

@@ -38,7 +38,6 @@ from .engine import (
     PhaseDiagram,
     critical_components,
     extreme_states_at,
-    factors_through,
     kms1_extremes,
     normalize_dynamics,
     phase_diagram,
@@ -58,7 +57,6 @@ from .spectral import (
     check_spectral_ordering,
     common_pf_eigenvector,
     extend_eigenvector,
-    quick_exit_weight,
     spectral_radius,
 )
 

@@ -37,9 +37,10 @@ class ComponentDecomposition:
 
     ``components[c]`` is a sorted tuple of vertex indices.
     ``irreducible[c][i]`` says whether the colour-``i`` block of component
-    ``c`` is irreducible, and ``reach[v, w]`` (read-only) whether a path,
-    possibly trivial, has range ``v`` and source ``w``. The component
-    relation ``leq`` and the ``trivial`` flags are derived from these.
+    ``c`` is irreducible, and ``leq[c, d]`` (read-only, reflexive) whether
+    component ``c`` receives a path from component ``d``; with the stored
+    order it only ever points from earlier to later components. The vertex
+    relation ``reach`` and the ``trivial`` flags are derived from these.
     ``vectors[c]`` (read-only) is the unit-sum Perron vector that the
     colour blocks of component ``c`` share, in the order of its vertices,
     and ``brackets[c][i]`` the Collatz–Wielandt bracket of its colour-``i``
@@ -52,7 +53,7 @@ class ComponentDecomposition:
     components: tuple[tuple[int, ...], ...]
     irreducible: tuple[tuple[bool, ...], ...]
     radii: tuple[tuple[float, ...], ...]
-    reach: np.ndarray = field(compare=False, repr=False)
+    leq: np.ndarray = field(compare=False, repr=False)
     vectors: tuple[np.ndarray, ...] = field(compare=False, repr=False)
     brackets: tuple[tuple[tuple[float, float], ...], ...] = field(compare=False, repr=False)
     colour_reach: tuple[np.ndarray, ...] = field(compare=False, repr=False)
@@ -64,7 +65,15 @@ class ComponentDecomposition:
     @cached_property
     def _labels(self) -> np.ndarray:
         """Each vertex's component index."""
-        return _label_vertices(self.components, self.reach.shape[0])
+        return _label_vertices(self.components, sum(map(len, self.components)))
+
+    @cached_property
+    def reach(self) -> np.ndarray:
+        """``reach[v, w]`` (read-only): a path, possibly trivial, has range ``v`` and source ``w``.
+
+        ``leq`` read at each vertex's component, built when first read.
+        """
+        return _read_only(self.leq.take(self._labels, 0).take(self._labels, 1))
 
     @property
     def trivial(self) -> tuple[bool, ...]:
@@ -72,17 +81,6 @@ class ComponentDecomposition:
         return tuple(
             len(comp) == 1 and not any(flags) for comp, flags in zip(self.components, self.irreducible)
         )
-
-    @property
-    def leq(self) -> np.ndarray:
-        """``leq[c, d]``: component c receives a path from component d.
-
-        ``reach`` taken at each component's least vertex, which is exact
-        since every component is strongly connected. With the stored order
-        the relation only ever points from earlier to later components.
-        """
-        firsts = [comp[0] for comp in self.components]
-        return self.reach[np.ix_(firsts, firsts)]
 
     @property
     def coordinatewise_irreducible(self) -> tuple[bool, ...]:
@@ -96,38 +94,34 @@ class ComponentDecomposition:
         """Perron root of the whole colour matrix: the largest block root."""
         return max((r[colour] for r in self.radii), default=0.0)
 
-    def relation(self, x: np.ndarray) -> np.ndarray:
-        """[c, d] is True when ``x`` links some vertex of c to some vertex of d."""
-        return _condensation(self._labels, self.count, x)
-
     def sliced(self, keep: Sequence[int]) -> "ComponentDecomposition":
         """The decomposition of the sub-skeleton induced on ``keep``.
 
         ``keep`` (sorted) must be the complement of a hereditary set or a
-        weakly connected piece. Then no path between two kept vertices runs
-        through a dropped one: a path from kept ``w`` through dropped ``h``
-        would make ``w`` a path source into a hereditary set, hence dropped,
-        and a piece has no edges to the rest at all. So reachability among
-        kept vertices, and with it every kept component and the
+        weakly connected piece, so it is a union of components. Then no path
+        between two kept vertices runs through a dropped one: a path from
+        kept ``w`` through dropped ``h`` would make ``w`` a path source into
+        a hereditary set, hence dropped, and a piece has no edges to the
+        rest at all. So every kept component, and the reachability and the
         single-colour reachability between kept components, is unchanged:
-        ``reach`` and each ``colour_reach`` keep their kept rows and
-        columns. Each kept colour block is the same matrix, so flags, radii,
-        vectors and brackets are bit-identical. The Kahn order survives too:
-        a kept component's predecessors in the order constraints are all
-        kept, so dropped components never change which kept ones are ready,
-        and the smallest-vertex tie-break is preserved by the monotone
-        relabelling.
+        ``leq`` and each ``colour_reach`` keep their kept rows and columns.
+        Each kept colour block is the same matrix, so flags, radii, vectors
+        and brackets are bit-identical. The Kahn order survives too: a kept
+        component's predecessors in the order constraints are all kept, so
+        dropped components never change which kept ones are ready, and the
+        smallest-vertex tie-break is preserved by the monotone relabelling.
         """
         pos = {int(v): i for i, v in enumerate(keep)}
         kept = [c for c, comp in enumerate(self.components) if int(comp[0]) in pos]
+        cut = np.ix_(kept, kept)
         return ComponentDecomposition(
             components=tuple(tuple(pos[int(v)] for v in self.components[c]) for c in kept),
             irreducible=tuple(self.irreducible[c] for c in kept),
             radii=tuple(self.radii[c] for c in kept),
-            reach=_read_only(self.reach[np.ix_(keep, keep)]),
+            leq=_read_only(self.leq[cut]),
             vectors=tuple(self.vectors[c] for c in kept),
             brackets=tuple(self.brackets[c] for c in kept),
-            colour_reach=tuple(_read_only(r[np.ix_(kept, kept)]) for r in self.colour_reach),
+            colour_reach=tuple(_read_only(r[cut]) for r in self.colour_reach),
         )
 
 
@@ -191,12 +185,19 @@ def analysed(skel: Skeleton, decomp: ComponentDecomposition | None = None) -> Sk
 
 
 def hereditary_closure(skel: Skeleton, vertices: Iterable[int]) -> frozenset[int]:
-    """Smallest hereditary superset: add every source of a path into the set."""
+    """Smallest hereditary superset: add every source of a path into the set.
+
+    An index outside ``range(skel.n)`` raises ``ValueError``.
+    """
     seeds = sorted(set(int(v) for v in vertices))
+    bad = [v for v in seeds if not 0 <= v < skel.n]
+    if bad:
+        raise ValueError(f"unknown vertex indices {bad}")
     if not seeds:
         return frozenset()
-    mask = analysis_of(skel).reach[seeds].any(axis=0)
-    return frozenset(int(w) for w in np.flatnonzero(mask))
+    decomp = analysis_of(skel)
+    closed = decomp.leq[decomp._labels[seeds]].any(axis=0)
+    return frozenset(np.flatnonzero(closed[decomp._labels]).tolist())
 
 
 def is_hereditary(skel: Skeleton, vertices: Iterable[int]) -> bool:
@@ -210,15 +211,14 @@ def decompose(skel: Skeleton) -> ComponentDecomposition:
     Components come out topologically sorted so that every colour matrix is
     block upper triangular under the induced vertex order; ties are broken
     by the smallest original vertex index. Per-component flags, Perron
-    vectors, per-colour Perron roots and brackets, the vertex reachability
-    matrix and each colour's reach between components are attached. Every
-    closure is taken over a condensation, never over the vertices: reach is
-    indexed back by label, and each colour's closure is condensed onto the
-    components through the component that holds each colour component.
+    vectors, per-colour Perron roots and brackets, the reachability between
+    components and each colour's reach between components are attached.
+    Every closure is taken over a condensation, never over the vertices:
+    ``leq`` is the union closure in the Kahn order, and each colour's
+    closure is condensed onto the components through the component that
+    holds each colour component.
     """
-    comps, labels, before, closure = _condensed(skel.union_support())
-    reach = closure.take(labels, 0).take(labels, 1)
-    np.fill_diagonal(reach, True)
+    comps, before, closure = _condensed(skel.union_support())
 
     # Order constraint: if a vertex of C_a receives an edge from one of C_b,
     # then a must come before b. Kahn's algorithm over those constraints,
@@ -236,6 +236,8 @@ def decompose(skel: Skeleton) -> ComponentDecomposition:
             if indeg[d] == 0:
                 heapq.heappush(ready, (comps[d][0], d))
     components = tuple(comps[c] for c in order)
+    leq = closure[np.ix_(order, order)]
+    np.fill_diagonal(leq, True)
 
     # Colour components refine the components, so component C is
     # irreducible in colour i exactly when C is itself a colour-i component
@@ -244,7 +246,7 @@ def decompose(skel: Skeleton) -> ComponentDecomposition:
     component_labels = _label_vertices(components, skel.n)
     colour_reach, flags = [], []
     for a in arrays:
-        sccs, _, _, colour_closure = _condensed(a > 0)
+        sccs, _, colour_closure = _condensed(a > 0)
         index = dict(zip(sccs, range(len(sccs))))
         cyclic = colour_closure.diagonal().tolist()
         flags.append([comp in index and cyclic[index[comp]] for comp in components])
@@ -256,7 +258,7 @@ def decompose(skel: Skeleton) -> ComponentDecomposition:
         components=components,
         irreducible=tuple(zip(*flags)),
         radii=tuple(s[1] for s in spectra),
-        reach=_read_only(reach),
+        leq=_read_only(leq),
         vectors=tuple(s[0] for s in spectra),
         brackets=tuple(s[2] for s in spectra),
         colour_reach=tuple(colour_reach),
@@ -266,14 +268,13 @@ def decompose(skel: Skeleton) -> ComponentDecomposition:
 def _condensed(support: np.ndarray):
     """Strongly connected components of a boolean support and its condensation.
 
-    Returns the components as sorted tuples, each vertex's component
-    label, the condensation over those labels (its diagonal marks the
-    components that hold an edge) and the condensation's closure.
+    Returns the components as sorted tuples, the condensation over them
+    (its diagonal marks the components that hold an edge) and the
+    condensation's closure.
     """
     sccs = [tuple(scc) for scc in tarjan_sccs(succ_lists(support))]
-    labels = _label_vertices(sccs, len(support))
-    condensation = _condensation(labels, len(sccs), support)
-    return sccs, labels, condensation, transitive_closure(condensation)
+    condensation = _condensation(_label_vertices(sccs, len(support)), len(sccs), support)
+    return sccs, condensation, transitive_closure(condensation)
 
 
 def _block_spectra(arrays, c: int, comp: tuple[int, ...]):
@@ -294,14 +295,14 @@ def _block_spectra(arrays, c: int, comp: tuple[int, ...]):
 
 
 def _weak_pieces(skel: Skeleton) -> list[list[int]]:
-    """Weakly connected vertex sets: the sorted SCCs of the symmetrised union support.
+    """Weakly connected vertex sets, sorted, in the order of their least vertices.
 
-    A single component is one piece, read off the analysis without a walk.
+    A piece is a union of components, so one Tarjan walk over the
+    components under the symmetrised relation ``leq | leq.T`` finds them.
     """
-    if analysis_of(skel).count == 1:
-        return [list(range(skel.n))]
-    adj = skel.union_support()
-    return sorted(tarjan_sccs(succ_lists(adj | adj.T)))
+    decomp = analysis_of(skel)
+    groups = tarjan_sccs(succ_lists(decomp.leq | decomp.leq.T))
+    return sorted(sorted(v for c in group for v in decomp.components[c]) for group in groups)
 
 
 def check_assumptions(skel: Skeleton) -> AssumptionReport:
@@ -324,24 +325,17 @@ def check_assumptions(skel: Skeleton) -> AssumptionReport:
         if not decomp.irreducible[c][i] or not _exceeds(decomp.radii[c][i], 1.0)
     ]
 
-    # Per colour: which components have a direct bridge, and which have a
-    # single-colour path, into which. Reachability between components is
-    # then colour-independent whenever a3 holds.
-    bridges = [decomp.relation(skel.colour_support(i)) for i in range(skel.k)]
-    supports = decomp.colour_reach
-    a3_offenders = []
-    reach_offenders = []
-    for c in range(decomp.count):
-        for d in range(decomp.count):
-            if c == d:
-                continue
-            present = [i for i in range(skel.k) if bridges[i][c, d]]
-            if present and len(present) < skel.k:
-                for miss in range(skel.k):
-                    if miss not in present:
-                        a3_offenders.append((c, d, present[0], miss))
-            if len({bool(s[c, d]) for s in supports}) > 1:
-                reach_offenders.append((c, d))
+    # [c, d, i]: a colour-i bridge, and a colour-i path, into component c
+    # from component d. Reachability between components is then
+    # colour-independent whenever a3 holds. Offenders come in (c, d, colour)
+    # order, each a3 one with the pair's first bridging colour.
+    bridges = np.stack([_condensation(decomp._labels, decomp.count, a > 0) for a in skel.as_arrays()], axis=-1)
+    reaches = np.stack(decomp.colour_reach, axis=-1)
+    apart = ~np.eye(decomp.count, dtype=bool)
+    mixed = apart & bridges.any(axis=-1) & ~bridges.all(axis=-1)
+    first = bridges.argmax(axis=-1).tolist()
+    a3_offenders = [(c, d, first[c][d], miss) for c, d, miss in np.argwhere(mixed[..., None] & ~bridges).tolist()]
+    reach_offenders = list(map(tuple, np.argwhere(apart & reaches.any(axis=-1) & ~reaches.all(axis=-1)).tolist()))
 
     a1_no_trivial = not trivial_idx
     a1_no_isolated = not isolated
@@ -375,9 +369,6 @@ def restrict(skel: Skeleton, hereditary_set: Iterable[int]) -> Skeleton:
     vertices, and its matrices commute without a fresh proof.
     """
     removed = frozenset(int(v) for v in hereditary_set)
-    bad = removed - set(range(skel.n))
-    if bad:
-        raise ValueError(f"unknown vertex indices {sorted(bad)}")
     if not removed:
         return skel
     skel = analysed(skel)

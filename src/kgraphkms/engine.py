@@ -702,19 +702,3 @@ def _state_margins(skel: Skeleton, dyn: Dynamics, beta: float, m: np.ndarray, to
     passed = (l1_error <= tol) & (min_entry >= -tol) & (colour_violation <= tol) & (product_violation <= tol)
     return passed, l1_error, min_entry, colour_violation, product_violation
 
-
-def factors_through(skel: Skeleton, dyn: Dynamics, beta: float, m, tol: float = STATE_TOL) -> bool:
-    """Whether a state descends to the Cuntz-Krieger quotient.
-
-    The state with vertex vector ``m`` factors exactly when ``m`` is a
-    common eigenvector with ``A_i m = e^(beta r_i) m`` for every colour:
-    that is the condition for the vertex projections to saturate the
-    quotient relations. (The product gap can vanish termwise without the
-    state factoring, so the per-colour form is the safe test.)
-    """
-    vec = np.array([float(t) for t in m])
-    if vec.shape != (skel.n,):
-        raise ValueError(f"state vector has length {vec.size}, expected {skel.n}")
-    return all(
-        np.abs(a @ vec - _growth(beta, r) * vec).max() <= tol for a, r in zip(skel.as_arrays(), dyn.r)
-    )

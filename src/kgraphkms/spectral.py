@@ -10,8 +10,8 @@ root, and the graph analysis stores them per component. The extension step
 reads a hereditary component's vector and roots straight from that
 analysis, in ``_partition_for``, which also checks its preconditions and
 cuts its blocks, and solves a dense linear system per colour to continue
-the vector across the components that feed from it; a truncated path-weight
-series is kept alongside as an independent cross-check. Every comparison of
+the vector across the components that feed from it; the tests check it
+against a truncated path-weight series. Every comparison of
 Perron roots, log radii and critical values in the package goes through
 ``_ties`` and ``_exceeds``, one band of ``RADIUS_BAND_RTOL``.
 """
@@ -324,10 +324,11 @@ def _partition_for(skel, component: Iterable[int]):
         if not flag:
             labels = ", ".join(skel.vertex_labels[v] for v in d)
             raise ValueError(f"component {{{labels}}} colour {i}: block is not irreducible")
-    feeds = decomp.reach[:, d].any(axis=1)
-    f = [v for v in range(skel.n) if feeds[v] and v not in d]
-    h = [v for v in range(skel.n) if not feeds[v]]
-    feeders = [e for e, comp in enumerate(decomp.components) if feeds[comp[0]] and e != c]
+    feeds = decomp.leq[:, c]
+    feeders = [e for e in np.flatnonzero(feeds).tolist() if e != c]
+    fed = feeds[decomp._labels]
+    f = np.flatnonzero(fed & (decomp._labels != c)).tolist()
+    h = np.flatnonzero(~fed).tolist()
     feeder_radii = [max([0.0] + [decomp.radii[e][i] for e in feeders]) for i in range(skel.k)]
     blocks = [(a[np.ix_(f, f)], a[np.ix_(f, d)]) for a in skel.as_arrays()]
     return f, d, h, decomp.vectors[c], decomp.radii[c], feeder_radii, blocks
@@ -399,28 +400,6 @@ def extend_eigenvector(skel, component: Iterable[int]) -> ExtensionResult:
     )
 
 
-def quick_exit_weight(skel, component: Iterable[int], colour: int, truncation: int) -> np.ndarray:
-    """Truncated series of single-colour path weights leaving the component.
-
-    Sums ``rho^-(n+1) E^n B x`` for ``n`` up to the truncation order; the
-    series converges geometrically to the solved weight vector ``y`` and
-    serves as an independent oracle for it.
-    """
-    f, d, _, x, radii, _, blocks = _partition_for(skel, component)
-    if not f:
-        return np.zeros(0)
-    rho = radii[colour]
-    e, b = blocks[colour]
-    term = b @ x
-    total = term / rho
-    scale = rho
-    for _ in range(int(truncation)):
-        term = e @ term
-        scale *= rho
-        total = total + term / scale
-    return total
-
-
 def check_spectral_ordering(skel, component: Iterable[int], colour: int) -> OrderingVerdict:
     """Test whether one colour's dominance by a hereditary component propagates.
 
@@ -430,9 +409,12 @@ def check_spectral_ordering(skel, component: Iterable[int], colour: int) -> Orde
     strictly beats every other component's. Conclusion: the same strict
     dominance holds in every colour. Whenever the hypothesis is met the
     conclusion must hold; the verdict records which side failed otherwise.
+    A colour outside ``range(k)`` raises ``ValueError``.
     """
     from .components import analysed, is_hereditary
 
+    if not 0 <= colour < skel.k:
+        raise ValueError(f"colour {colour} is not one of the {skel.k} colours 0..{skel.k - 1}")
     skel = analysed(skel)
     decomp = skel._analysis
     d = tuple(sorted(set(int(v) for v in component)))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import settings
 
 from kgraphkms import Skeleton, normalize_dynamics, parse_input, spectral
+from kgraphkms.engine import STATE_TOL, _growth
 
 # CI runs the derandomised profile (HYPOTHESIS_PROFILE=ci): every run draws
 # the same examples, so a failing one reproduces locally with that setting.
@@ -156,3 +157,45 @@ def ex2_dyn():
 def state_set(states, digits=9):
     """Order-insensitive comparable form of a state list."""
     return sorted(tuple(round(x, digits) for x in s.m) for s in states)
+
+
+def factors_through(skel, dyn, beta: float, m, tol: float = STATE_TOL) -> bool:
+    """Reference route: whether a state descends to the Cuntz-Krieger quotient.
+
+    The state with vertex vector ``m`` factors exactly when ``m`` is a
+    common eigenvector with ``A_i m = e^(beta r_i) m`` for every colour:
+    that is the condition for the vertex projections to saturate the
+    quotient relations. (The product gap can vanish termwise without the
+    state factoring, so the per-colour form is the safe test.) The engine
+    decides the same from criticality, as ``ExtremeState.factors_through_ck``.
+    """
+    vec = np.array([float(t) for t in m])
+    if vec.shape != (skel.n,):
+        raise ValueError(f"state vector has length {vec.size}, expected {skel.n}")
+    return all(
+        np.abs(a @ vec - _growth(beta, r) * vec).max() <= tol for a, r in zip(skel.as_arrays(), dyn.r)
+    )
+
+
+def quick_exit_weight(skel, component, colour: int, truncation: int) -> np.ndarray:
+    """Reference route: truncated series of single-colour path weights leaving the component.
+
+    Sums ``rho^-(n+1) E^n B x`` for ``n`` up to the truncation order, over
+    the feeder and bridge blocks of ``spectral._partition_for``; the series
+    converges geometrically to the weight vector ``y`` that
+    ``extend_eigenvector`` solves for, and serves as an independent oracle
+    for it.
+    """
+    f, _, _, x, radii, _, blocks = spectral._partition_for(skel, component)
+    if not f:
+        return np.zeros(0)
+    rho = radii[colour]
+    e, b = blocks[colour]
+    term = b @ x
+    total = term / rho
+    scale = rho
+    for _ in range(int(truncation)):
+        term = e @ term
+        scale *= rho
+        total = total + term / scale
+    return total

@@ -17,14 +17,12 @@ from kgraphkms import (
     check_spectral_ordering,
     extend_eigenvector,
     extreme_states_at,
-    factors_through,
     fuzz_ordering,
     kms1_extremes,
     make_dumbbell2,
     make_dumbbell3,
     normalize_dynamics,
     phase_diagram,
-    quick_exit_weight,
     validate_skeleton,
     verify_state,
 )
@@ -38,7 +36,7 @@ from kgraphkms.dumbbell import (
 from kgraphkms.engine import critical_components
 from kgraphkms.spectral import STATUS_NOT_MET
 
-from conftest import EXAMPLE_1, EXAMPLE_2, NO_BRIDGE_COUNTEREXAMPLE, skeleton
+from conftest import EXAMPLE_1, EXAMPLE_2, NO_BRIDGE_COUNTEREXAMPLE, factors_through, quick_exit_weight, skeleton
 
 # Every state emitted while running criteria 1-4 and 9 lands here and is
 # re-verified wholesale by criterion 5.

@@ -1,3 +1,4 @@
+import re
 import sys
 from dataclasses import replace
 
@@ -213,6 +214,22 @@ class TestReaches:
         assert not reach[0, 1]
         assert not reach[1, 0]
 
+    def test_built_only_when_read(self):
+        # The analysis stores the component relation; no step of a library
+        # pass, the extension and the ordering check included, expands it
+        # over the vertices.
+        skel = analysed(chain(6, 1))
+        dyn = normalize_dynamics(skel)
+        diagram = phase_diagram(skel, dyn)
+        for beta in (*diagram.critical_betas, 2.0):
+            extreme_states_at(skel, dyn, beta, diagram=diagram)
+        check_assumptions(skel)
+        check_spectral_ordering(skel, (5,), 0)
+        for sub in (skel, *(piece.skeleton for piece in diagram.pieces)):
+            assert "reach" not in vars(sub._analysis)
+        assert analysis_of(skel).reach.shape == (6, 6)
+        assert "reach" in vars(analysis_of(skel))
+
 
 class TestHereditaryClosure:
     def test_empty(self):
@@ -223,6 +240,14 @@ class TestHereditaryClosure:
 
     def test_example1_u_pulls_everything(self):
         assert hereditary_closure(EXAMPLE_1, {0}) == frozenset({0, 1, 2})
+
+    @pytest.mark.parametrize("vertices, bad", [([-1], [-1]), ([5], [5]), ([0, 3, -2], [-2, 3])])
+    def test_unknown_vertex_indices_refused(self, vertices, bad):
+        # Unchecked, -1 would wrap around to the last vertex and 5 would
+        # raise a bare IndexError.
+        for check in (hereditary_closure, is_hereditary, restrict):
+            with pytest.raises(ValueError, match=rf"^unknown vertex indices {re.escape(str(bad))}$"):
+                check(EXAMPLE_1, vertices)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -253,7 +278,8 @@ class TestAssumptions:
         skel = skeleton("vw", [[2, 0], [0, 2]], [[2, 1], [0, 3]])
         report = check_assumptions(skel)
         assert not report.a3_colour_uniform_bridges
-        assert (0, 1, 1, 0) in report.a3_offenders
+        assert report.a3_offenders == ((0, 1, 1, 0),)
+        assert report.reach_offenders == ((0, 1),)
         assert not report.all_pass
 
     def test_isolated_pieces_flagged(self):
@@ -271,6 +297,7 @@ class TestAssumptions:
         )
         report = check_assumptions(skel)
         assert not report.a1_no_trivial
+        assert report.trivial_components == (1,)
         assert not report.all_pass
 
     def test_single_cycle_radius_flagged(self):

@@ -258,13 +258,6 @@ def test_assumption_report_lists_match_the_references(skel):
     assert report.per_colour_reach_consistent is not reach
 
 
-def test_violating_fixtures_have_offenders():
-    assert check_assumptions(A3_VIOLATION).a3_offenders == ((0, 1, 1, 0),)
-    assert check_assumptions(A3_VIOLATION).reach_offenders == ((0, 1),)
-    assert check_assumptions(ISOLATED_VIOLATION).isolated_pieces == ((0,), (1,))
-    assert check_assumptions(TRIVIAL_VIOLATION).trivial_components == (1,)
-
-
 @given(GRAPHS, st.sets(st.integers(0, 17), max_size=4))
 @example(A3_VIOLATION, {0})
 @example(ISOLATED_VIOLATION, {1})

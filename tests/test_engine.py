@@ -10,7 +10,6 @@ from kgraphkms import (
     Skeleton,
     critical_components,
     extreme_states_at,
-    factors_through,
     kms1_extremes,
     normalize_dynamics,
     phase_diagram,
@@ -26,7 +25,7 @@ from kgraphkms.dumbbell import make_dumbbell3, sample_commuting3
 from kgraphkms.engine import KIND_COMPONENT, KIND_POINT_MASS, StateCheck
 from kgraphkms.spectral import SOLVE_RESIDUAL_TOL, EigenConsistencyError
 
-from conftest import chain, product_skeleton, skeleton, state_set
+from conftest import chain, factors_through, product_skeleton, skeleton, state_set
 from test_golden import FLOAT_RTOL
 
 SINGLE = skeleton("v", [[2]], [[3]])

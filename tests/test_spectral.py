@@ -18,7 +18,6 @@ from kgraphkms import (
     extreme_states_at,
     normalize_dynamics,
     phase_diagram,
-    quick_exit_weight,
     spectral,
     spectral_radius,
 )
@@ -49,6 +48,7 @@ from conftest import (
     cycle_product_skeleton,
     data_skeletons,
     product_skeleton,
+    quick_exit_weight,
     skeleton,
     weighted_cycle,
 )
@@ -546,6 +546,14 @@ class TestOrdering:
         )
         assert verdict.status == STATUS_NOT_MET
         assert not verdict.dominant_colour_ok and not verdict.hypothesis_met
+
+    @pytest.mark.parametrize("colour", [2, 7, -1])
+    def test_colour_outside_the_skeleton_is_refused(self, colour):
+        # Unchecked, such a colour finds no reversal in its own colour and
+        # so reads as a contradiction with the hypothesis met.
+        skel = make_dumbbell3(sample_commuting3(1, 1)[0])
+        with pytest.raises(ValueError, match=rf"colour {colour} is not one of the 2 colours"):
+            check_spectral_ordering(skel, (2,), colour)
 
     def test_never_contradicts_on_fuzzed_dumbbells(self):
         for params in sample_commuting3(59, 60):

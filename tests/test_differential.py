@@ -254,8 +254,8 @@ def test_assumption_report_lists_match_the_references(skel):
     assert report.a3_offenders == a3
     assert report.reach_offenders == reach
     assert report.isolated_pieces == isolated_reference(skel)
-    assert report.a3_colour_uniform_bridges is not a3
-    assert report.per_colour_reach_consistent is not reach
+    assert report.a3_colour_uniform_bridges is (not a3)
+    assert report.per_colour_reach_consistent is (not reach)
 
 
 @given(GRAPHS, st.sets(st.integers(0, 17), max_size=4))

@@ -10,7 +10,10 @@ vertex reach.
 Perron roots come from Noda iteration; the reference is a dense
 eigensolve per block. Each component's colour blocks commute exactly, in
 Python integers. The criticality decisions of the engine agree with each
-other under explicit dynamics placed at the edge of the radius band.
+other under explicit dynamics placed at the edge of the radius band. The
+phase diagram's critical values, state counts and interval counts match
+the removal recursion run over a condensation and dense eigensolves of
+the test's own, and every state verifies against that recursion's dynamics.
 """
 
 import math
@@ -20,11 +23,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgraphkms import Skeleton, _digraph, critical_components, decompose, normalize_dynamics, phase_diagram
+from kgraphkms import (
+    Dynamics,
+    Skeleton,
+    _digraph,
+    critical_components,
+    decompose,
+    normalize_dynamics,
+    phase_diagram,
+    verify_states,
+)
 from kgraphkms.components import analysed, analysis_of, check_assumptions, hereditary_closure, restrict
 from kgraphkms.dumbbell import make_dumbbell3, sample_commuting3
 
-from conftest import REDUCIBLE_COLOUR_BLOCKS, chain, skeleton
+from conftest import EXAMPLE_1, EXAMPLE_2, REDUCIBLE_COLOUR_BLOCKS, chain, skeleton
 
 
 def labelled(*matrices) -> Skeleton:
@@ -267,3 +279,141 @@ def test_hereditary_closure_is_the_union_of_reach_rows(skel, drawn):
     seeds = sorted(v for v in drawn if v < skel.n)
     want = np.flatnonzero(decompose(skel).reach[seeds].any(axis=0)).tolist() if seeds else []
     assert hereditary_closure(skel, seeds) == frozenset(want)
+
+
+# The removal recursion, re-derived without the package's analysis: vertex
+# reach by squaring the union support, components as its mutual classes,
+# roots from a dense eigensolve per block, and the recursion of
+# ``perfbench/oracle.py`` over the resulting condensation.
+BETA_RTOL = 1e-12
+
+
+def condensation_reference(skel):
+    """Component sizes, per-colour roots and ``feeds[c]``: the components with an edge into ``c``."""
+    mats = [np.array(m, dtype=float) for m in skel.matrices]
+    support = np.any([m > 0 for m in mats], axis=0)
+    reach = support | np.eye(skel.n, dtype=bool)
+    while True:
+        wider = reach | ((reach.astype(float) @ reach.astype(float)) > 0)
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    mutual = reach & reach.T
+    firsts = sorted(set(np.argmax(mutual, axis=1).tolist()))
+    label = np.array([firsts.index(f) for f in np.argmax(mutual, axis=1).tolist()])
+    comps = [np.flatnonzero(label == c) for c in range(len(firsts))]
+    radii = []
+    for comp in comps:
+        blocks = [m[np.ix_(comp, comp)] for m in mats]
+        radii.append(tuple(float(np.abs(np.linalg.eigvals(b)).max()) for b in blocks))
+    feeds = [set() for _ in comps]
+    for v, w in zip(*np.nonzero(support)):
+        if label[v] != label[w]:
+            feeds[label[v]].add(int(label[w]))
+    return [len(c) for c in comps], radii, feeds
+
+
+def sources_within(feeds, s: frozenset, c: int) -> set:
+    """Components inside ``s`` with a path into ``c`` that stays inside ``s``."""
+    seen, todo = set(), [c]
+    while todo:
+        for d in feeds[todo.pop()]:
+            if d in s and d not in seen:
+                seen.add(d)
+                todo.append(d)
+    return seen
+
+
+def weak_pieces_reference(feeds, s: frozenset) -> list[frozenset]:
+    adj = {c: set() for c in s}
+    for c in s:
+        for d in feeds[c] & s:
+            adj[c].add(d)
+            adj[d].add(c)
+    pieces, left = [], set(s)
+    while left:
+        todo, piece = [min(left)], set()
+        while todo:
+            c = todo.pop()
+            if c not in piece:
+                piece.add(c)
+                todo.extend(adj[c] - piece)
+        left -= piece
+        pieces.append(frozenset(piece))
+    return pieces
+
+
+def removal_reference(skel):
+    """Preferred log radii, critical values, and each value's state count and interval count below it.
+
+    Each piece (size, start, critical value, states there) comes from the
+    recursion: the critical components of a piece, the minimal ones among
+    them, their feeders dropped, and the rest split into weak pieces.
+    """
+    sizes, radii, feeds = condensation_reference(skel)
+    log_radii = tuple(math.log(max(r[j] for r in radii)) for j in range(skel.k))
+    pieces = []
+
+    def run(s: frozenset, beta_start: float) -> None:
+        beta = max(math.log(radii[c][j]) / log_radii[j] for c in s for j in range(skel.k))
+        crit = {
+            c
+            for c in s
+            for j in range(skel.k)
+            if abs(math.log(radii[c][j]) - beta * log_radii[j]) <= 1e-9 * max(1.0, beta * log_radii[j])
+        }
+        feeders = {c: sources_within(feeds, s, c) for c in crit}
+        minimal = {c for c in crit if not any(c in feeders[d] for d in crit if d != c)}
+        quotient = frozenset(s - set().union(*(feeders[c] for c in minimal)) - minimal)
+        pieces.append((sum(sizes[c] for c in s), beta_start, beta, len(minimal) + sum(sizes[c] for c in quotient)))
+        for nxt in weak_pieces_reference(feeds, quotient):
+            run(nxt, beta)
+
+    for top in weak_pieces_reference(feeds, frozenset(range(len(sizes)))):
+        run(top, math.inf)
+    betas = []
+    for b in sorted((p[2] for p in pieces), reverse=True):
+        if not betas or not math.isclose(b, betas[-1], rel_tol=BETA_RTOL):
+            betas.append(b)
+
+    def count_at(beta: float) -> int:
+        return sum(
+            states if math.isclose(crit, beta, rel_tol=BETA_RTOL) else size if crit < beta < start else 0
+            for size, start, crit, states in pieces
+        )
+
+    intervals, prev = [], math.inf
+    for b in betas:
+        intervals.append(sum(p[0] for p in pieces if p[2] <= b * (1 + BETA_RTOL) and p[1] >= prev))
+        prev = b
+    return log_radii, betas, [count_at(b) for b in betas], intervals
+
+
+@given(GRAPHS)
+@example(chain(20, 0))
+@example(chain(9, 3))
+@example(EXAMPLE_1)
+@example(EXAMPLE_2)
+@settings(max_examples=80, deadline=None)
+def test_phase_diagram_matches_the_removal_recursion(skel):
+    if not check_assumptions(skel).all_pass:
+        return  # the diagram is defined on graphs that meet the assumptions
+    log_radii, betas, counts, intervals = removal_reference(skel)
+    diagram = phase_diagram(skel, normalize_dynamics(skel))
+    assert len(diagram.critical_betas) == len(betas)
+    for got, want in zip(diagram.critical_betas, betas):
+        assert got == pytest.approx(want, rel=BETA_RTOL, abs=0)
+    assert [iv.extreme_count for iv in diagram.intervals] == intervals
+    assert [len(states) for states in diagram.critical_points] == counts
+    # Every state verifies against the dynamics of the reference radii.
+    ref = Dynamics(
+        r=log_radii,
+        normalization_factor=1.0,
+        rationally_independent=True,
+        preferred=True,
+        critical_colours=frozenset(range(skel.k)),
+        log_radii=log_radii,
+    )
+    for beta, states in zip(diagram.critical_betas, diagram.critical_points):
+        checks = verify_states(skel, ref, beta, [np.asarray(s.m) for s in states])
+        assert all(check.passed for check in checks), checks

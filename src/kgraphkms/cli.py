@@ -36,7 +36,7 @@ from .engine import (
     phase_diagram,
     verify_states,
 )
-from .formats import InputDocument, ParseError, emit_report, input_payload, parse_input
+from .formats import InputDocument, LabelledRow, ParseError, emit_report, input_payload, parse_input
 from .skeleton import Skeleton, validate_skeleton
 
 EXIT_OK = 0
@@ -94,7 +94,8 @@ def _state_payloads(
     """Report entries for the states at one inverse temperature.
 
     The states are checked once more here, as one batch in the frame of the
-    whole graph: the only check of the vectors the engine embedded.
+    whole graph: the only check of the vectors the engine embedded. Each
+    state's weights are written straight from its row.
     """
     for check in verify_states(skel, dyn, beta, [state.m for state in states], tol=tol):
         if not check.passed:
@@ -102,7 +103,7 @@ def _state_payloads(
     return [
         {
             "beta": state.beta,
-            "m": dict(zip(skel.vertex_labels, state.m)),
+            "m": LabelledRow(skel.vertex_labels, state.m),
             "kind": state.kind,
             "anchor": list(state.anchor),
             "depth": state.depth,

@@ -216,9 +216,11 @@ def decompose(skel: Skeleton) -> ComponentDecomposition:
     Every closure is taken over a condensation, never over the vertices:
     ``leq`` is the union closure in the Kahn order, and each colour's
     closure is condensed onto the components through the component that
-    holds each colour component.
+    holds each colour component. A colour whose support is the union
+    support takes the union's components and closure without a walk.
     """
-    comps, before, closure = _condensed(skel.union_support())
+    union = skel.union_support()
+    comps, before, closure = _condensed(union)
 
     # Order constraint: if a vertex of C_a receives an edge from one of C_b,
     # then a must come before b. Kahn's algorithm over those constraints,
@@ -246,7 +248,11 @@ def decompose(skel: Skeleton) -> ComponentDecomposition:
     component_labels = _label_vertices(components, skel.n)
     colour_reach, flags = [], []
     for a in arrays:
-        sccs, _, colour_closure = _condensed(a > 0)
+        support = a > 0
+        if np.array_equal(support, union):
+            sccs, colour_closure = comps, closure
+        else:
+            sccs, _, colour_closure = _condensed(support)
         index = dict(zip(sccs, range(len(sccs))))
         cyclic = colour_closure.diagonal().tolist()
         flags.append([comp in index and cyclic[index[comp]] for comp in components])

@@ -69,23 +69,37 @@ class Dynamics:
     analysis: tuple[Skeleton, ComponentDecomposition] | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtremeState:
     """One extreme equilibrium state at a fixed inverse temperature.
 
-    ``kind`` records the provenance: ``component`` states extend a critical
-    component's Perron vector, ``point-mass`` states are lifted from a
-    vertex of a quotient in the strictly supercritical regime. ``anchor``
-    holds the defining vertex labels and ``depth`` the recursion stage that
-    produced the state.
+    ``m`` is the vertex vector, a read-only float64 array: the states that
+    one call returns for one piece at one inverse temperature are the rows
+    of one block. Equality and hashing are by value, with ``m`` taken as
+    the tuple of its floats. ``kind`` records the provenance: ``component``
+    states extend a critical component's Perron vector, ``point-mass``
+    states are lifted from a vertex of a quotient in the strictly
+    supercritical regime. ``anchor`` holds the defining vertex labels and
+    ``depth`` the recursion stage that produced the state.
     """
 
     beta: float
-    m: tuple[float, ...]
+    m: np.ndarray
     kind: str
     anchor: tuple[str, ...]
     depth: int
     factors_through_ck: bool
+
+    def _key(self) -> tuple:
+        return (self.beta, tuple(self.m.tolist()), self.kind, self.anchor, self.depth, self.factors_through_ck)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -199,8 +213,9 @@ def normalize_dynamics(
         raw = tuple(float(t) for t in r)
         if len(raw) != skel.k:
             raise ValueError(f"expected {skel.k} dynamics entries, got {len(raw)}")
-        if any(t <= 0 for t in raw):
-            raise ValueError("dynamics entries must be strictly positive")
+        for j, t in enumerate(raw):
+            if not (math.isfinite(t) and t > 0):
+                raise ValueError(f"dynamics entry {j} must be a finite number above 0, got {t!r}")
         ratios = [lr / t for lr, t in zip(log_radii, raw)]
         factor = max(ratios)
         scaled = tuple(factor * t for t in raw)
@@ -332,16 +347,21 @@ def _minimal_core(skel: Skeleton, crit: CriticalityReport):
     return minimal, core, hereditary_closure(skel, core)
 
 
-def _embedded(rows, frame, size: int, beta: float, meta) -> list[ExtremeState]:
-    """States whose vertex vectors are ``rows`` moved into a ``size``-vertex frame.
+def _embedded(parts, size: int, beta: float, meta) -> list[ExtremeState]:
+    """States whose vertex vectors are the rows of ``parts`` moved into a ``size``-vertex frame.
 
-    Column j of ``rows`` lands on vertex ``frame[j]``, every other vertex
-    gets 0, and ``meta`` gives each row's kind, anchor, depth and
-    factoring flag.
+    Each part is a pair ``(rows, frame)``: column j of ``rows`` lands on
+    vertex ``frame[j]``, and every other vertex gets 0. The vectors are
+    the rows of one read-only block, in the order of the parts, and
+    ``meta`` gives each row's kind, anchor, depth and factoring flag.
     """
-    out = np.zeros((len(rows), size))
-    out[:, list(frame)] = rows
-    return [ExtremeState(beta, tuple(m), *rest) for m, rest in zip(out.tolist(), meta)]
+    out = np.zeros((sum(len(rows) for rows, _ in parts), size))
+    start = 0
+    for rows, frame in parts:
+        out[start : start + len(rows), list(frame)] = rows
+        start += len(rows)
+    out.flags.writeable = False
+    return [ExtremeState(beta, m, *rest) for m, rest in zip(out, meta)]
 
 
 def _point_mass_meta(skel: Skeleton, depth: int):
@@ -378,12 +398,13 @@ def psi_state(skel: Skeleton, dyn: Dynamics, component: Iterable[int], depth: in
     ext = extend_eigenvector(skel, component)
     z = np.array(ext.z)
     m = z / z.sum()
+    m.flags.writeable = False
     factors = all(_ties(math.log(rho), r) for rho, r in zip(ext.component_radii, dyn.r))
     anchor = tuple(skel.vertex_labels[v] for v in ext.d)
     _certify(skel, dyn, 1.0, m[None, :], lambda _: f"component state for {anchor}")
     return ExtremeState(
         beta=1.0,
-        m=tuple(m.tolist()),
+        m=m,
         kind=KIND_COMPONENT,
         anchor=anchor,
         depth=depth,
@@ -402,13 +423,21 @@ def supercritical_extremes(
     With ``frame``, the indices of ``skel``'s vertices in a larger skeleton
     of ``size`` vertices, the states are returned in that skeleton's frame.
     """
+    beta = _inverse_temperature(beta)
     if skel.n == 0:
         return ()
-    beta = float(beta)
     rows = _point_masses(skel, dyn, beta)
     if frame is None:
         frame, size = range(skel.n), skel.n
-    return tuple(_embedded(rows, frame, size, beta, _point_mass_meta(skel, depth)))
+    return tuple(_embedded([(rows, frame)], size, beta, _point_mass_meta(skel, depth)))
+
+
+def _inverse_temperature(beta) -> float:
+    """``beta`` as a float, or ``ValueError`` unless it is a finite number above 0."""
+    value = float(beta)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"inverse temperature must be a finite number above 0, got {beta!r}")
+    return value
 
 
 def _point_masses(skel: Skeleton, dyn: Dynamics, beta: float) -> np.ndarray:
@@ -464,13 +493,13 @@ def _kms1_parts(skel: Skeleton, dyn: Dynamics, depth: int, pos: dict[str, int], 
     inner = restrict(skel, closure - core)
     at = {label: v for v, label in enumerate(inner.vertex_labels)}
     psi = [psi_state(inner, dyn, [at[skel.vertex_labels[v]] for v in comp], depth=depth) for comp in minimal]
+    parts = [([s.m for s in psi], _frame(inner, pos))]
     meta = [(s.kind, s.anchor, depth, s.factors_through_ck) for s in psi]
-    states = _embedded([s.m for s in psi], _frame(inner, pos), len(pos), beta, meta)
     quotient = restrict(skel, closure)
     if quotient.n:
-        rows = _point_masses(quotient, dyn, 1.0)
-        states += _embedded(rows, _frame(quotient, pos), len(pos), beta, _point_mass_meta(quotient, depth))
-    return tuple(states), quotient, crit
+        parts.append((_point_masses(quotient, dyn, 1.0), _frame(quotient, pos)))
+        meta += _point_mass_meta(quotient, depth)
+    return tuple(_embedded(parts, len(pos), beta, meta)), quotient, crit
 
 
 def kms1_extremes(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False) -> tuple[ExtremeState, ...]:
@@ -635,8 +664,7 @@ def extreme_states_at(
     pieces of ``diagram`` carry. Below the terminal value the state set is
     empty.
     """
-    if beta <= 0:
-        raise ValueError("inverse temperature must be positive")
+    beta = _inverse_temperature(beta)
     diag = diagram if diagram is not None else phase_diagram(skel, dyn, allow_violations)
     for b, states in zip(diag.critical_betas, diag.critical_points):
         if _ties(beta, b):

@@ -8,7 +8,7 @@ rational-independence attestation. Reports serialise to canonical JSON
 rationals are printed exactly. Both are written as they are formatted, one
 container at a time, through a ``write`` sink, so the whole text is never
 held; the JSON is byte for byte ``json.dumps(report, indent=2,
-sort_keys=True)``.
+sort_keys=True)``, with each ``LabelledRow`` taken as the dict it stands for.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
+
+import numpy as np
 
 RATIONAL_MAX_DENOMINATOR = 10**6
 # A true rational stored in a float is off by at most a few ulps; convergents
@@ -204,7 +206,22 @@ def format_number(x: float) -> str:
     return f"≈{x:.12g}"
 
 
-_CONTAINERS = (dict, list, tuple)
+@dataclass(frozen=True, eq=False)
+class LabelledRow:
+    """Vertex weights that the writers write as the dict ``dict(zip(labels, row))``, without building it.
+
+    ``row`` is a float64 array. A report's rows share one ``labels`` tuple,
+    so the JSON writer sorts it and encodes its keys once per report.
+    """
+
+    labels: tuple[str, ...]
+    row: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+_CONTAINERS = (dict, list, tuple, LabelledRow)
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -224,7 +241,7 @@ def _json_scalar(x: Any) -> str | None:
     if isinstance(x, int):
         return int.__repr__(x)
     if isinstance(x, _CONTAINERS):
-        return None if x else "{}" if isinstance(x, dict) else "[]"
+        return None if x else "{}" if isinstance(x, (dict, LabelledRow)) else "[]"
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
@@ -254,18 +271,20 @@ def _write_json(value: Any, write: Callable[[str], Any]) -> None:
     A container whose items are all scalars (or empty containers) is one
     join and one write; a container that holds others writes the text up to
     each of them, then lets it write itself. Each distinct set of string
-    keys is sorted, and its ``"key": `` heads encoded, once per call.
+    keys is sorted, and its ``"key": `` heads encoded, once per call; a
+    ``LabelledRow`` takes its weights in that order straight from its row.
     """
     heads: dict = {}
 
-    def keyed(d: dict, pad: str) -> tuple[list, list[str]]:
-        keys = tuple(d)
+    def keyed(keys: tuple, pad: str) -> tuple[list, list[str], np.ndarray]:
+        """The sorted keys, their heads and their positions in ``keys``."""
         entry = heads.get((keys, pad))
         if entry is None:
             order = sorted(keys)
             texts = [f",\n{pad}{_json_key(k)}: " for k in order]
             texts[0] = texts[0][1:]  # no comma before the first item
-            entry = order, texts
+            place = {k: i for i, k in enumerate(keys)}
+            entry = order, texts, np.array([place[k] for k in order], dtype=np.intp)
             # Only string keys are kept: 1, 1.0 and True are one key but print differently.
             if all(type(k) is str for k in keys):
                 heads[keys, pad] = entry
@@ -273,8 +292,12 @@ def _write_json(value: Any, write: Callable[[str], Any]) -> None:
 
     def container(value, pad: str) -> None:
         inner = pad + "  "
-        if isinstance(value, dict):
-            order, item_heads = keyed(value, inner)
+        if isinstance(value, LabelledRow):
+            _, item_heads, positions = keyed(value.labels, inner)
+            values = value.row[positions].tolist()
+            opening, closing = "{", f"\n{pad}}}"
+        elif isinstance(value, dict):
+            order, item_heads, _ = keyed(tuple(value), inner)
             values = [value[k] for k in order]
             opening, closing = "{", f"\n{pad}}}"
         else:
@@ -327,7 +350,9 @@ def _trailing_whitespace_held(write: Callable[[str], Any]) -> Callable[[str], No
 def _write_text(value: Any, pad: str, write: Callable[[str], Any]) -> None:
     """Write the lines of one report value at indentation ``pad``, container by container."""
     lines: list[str] = []
-    if isinstance(value, dict):
+    if isinstance(value, LabelledRow):
+        lines.extend(f"{pad}{key}: {format_number(x)}\n" for key, x in zip(value.labels, value.row.tolist()))
+    elif isinstance(value, dict):
         for key, item in value.items():
             if isinstance(item, _CONTAINERS) and item:
                 lines.append(f"{pad}{key}:\n")

@@ -149,11 +149,16 @@ class Skeleton:
 
     ``_analysis``, set at construction only, is None unless the library
     built the skeleton to carry its decomposition (``components.analysed``).
+    ``_frame`` is None unless the skeleton was cut from another
+    (``restrict``, ``split_isolated``); then it holds the root skeleton of
+    that cut and this skeleton's vertex indices in it, and the float
+    matrices are cut from the root's.
     """
 
     vertex_labels: tuple[str, ...]
     _arrays: tuple[np.ndarray, ...]
     _analysis: ComponentDecomposition | None
+    _frame: tuple[Skeleton, np.ndarray] | None
 
     def __init__(self, vertex_labels: Sequence[str], matrices) -> None:
         self.__post_init__(vertex_labels, matrices)
@@ -183,6 +188,7 @@ class Skeleton:
         object.__setattr__(self, "vertex_labels", labels)
         object.__setattr__(self, "_arrays", tuple(arrays))
         object.__setattr__(self, "_analysis", None)
+        object.__setattr__(self, "_frame", None)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -215,15 +221,20 @@ class Skeleton:
         """
         idx = np.asarray(keep, dtype=np.intp)
         arrays = [_read_only(a.take(idx, 0).take(idx, 1)) for a in self._arrays]
-        return Skeleton._stored(tuple(self.vertex_labels[v] for v in keep), arrays, analysis)
+        root, at = self._frame or (self, None)
+        frame = (root, _read_only(idx if at is None else at[idx]))
+        return Skeleton._stored(tuple(self.vertex_labels[v] for v in keep), arrays, analysis, frame)
 
     @classmethod
-    def _stored(cls, labels: tuple[str, ...], arrays, analysis: ComponentDecomposition | None) -> "Skeleton":
+    def _stored(
+        cls, labels: tuple[str, ...], arrays, analysis: ComponentDecomposition | None, frame=None
+    ) -> "Skeleton":
         """A skeleton on labels and read-only arrays that are known to pass every check."""
         skel = object.__new__(cls)
         object.__setattr__(skel, "vertex_labels", labels)
         object.__setattr__(skel, "_arrays", tuple(arrays))
         object.__setattr__(skel, "_analysis", analysis)
+        object.__setattr__(skel, "_frame", frame)
         return skel
 
     def _twin(self, analysis: ComponentDecomposition) -> "Skeleton":
@@ -250,8 +261,29 @@ class Skeleton:
         return tuple(_read_only(a.astype(float)) for a in self._arrays)
 
     def as_arrays(self) -> tuple[np.ndarray, ...]:
-        """Read-only float copies for the numeric layer, built once per skeleton."""
-        return self._float_arrays
+        """Read-only float copies for the numeric layer.
+
+        A skeleton cut from another cuts them from its root's on each call
+        and keeps none; any other builds its own once.
+        """
+        if self._frame is None:
+            return self._float_arrays
+        return self._float_blocks(range(self.n))
+
+    def _float_blocks(self, rows, cols=None) -> tuple[np.ndarray, ...]:
+        """Each colour's read-only float block at vertex indices ``rows`` x ``cols`` (default ``rows``).
+
+        The one place where float submatrices are cut: from the root's float
+        copies, for a skeleton cut from another.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = rows if cols is None else np.asarray(cols, dtype=np.intp)
+        root = self
+        if self._frame is not None:
+            root, at = self._frame
+            rows, cols = at[rows], at[cols]
+        cut = np.ix_(rows, cols)
+        return tuple(_read_only(a[cut]) for a in root._float_arrays)
 
     def union_support(self) -> np.ndarray:
         """Boolean matrix with True where any colour has an edge."""

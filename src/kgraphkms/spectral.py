@@ -330,7 +330,7 @@ def _partition_for(skel, component: Iterable[int]):
     f = np.flatnonzero(fed & (decomp._labels != c)).tolist()
     h = np.flatnonzero(~fed).tolist()
     feeder_radii = [max([0.0] + [decomp.radii[e][i] for e in feeders]) for i in range(skel.k)]
-    blocks = [(a[np.ix_(f, f)], a[np.ix_(f, d)]) for a in skel.as_arrays()]
+    blocks = list(zip(skel._float_blocks(f), skel._float_blocks(f, d)))
     return f, d, h, decomp.vectors[c], decomp.radii[c], feeder_radii, blocks
 
 

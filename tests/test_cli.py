@@ -641,7 +641,8 @@ class TestEmissionCheck:
 
         def nudged(states):
             first, *rest = states
-            m = (first.m[0] + 1e-6,) + first.m[1:]
+            m = first.m.copy()
+            m[0] += 1e-6
             return (replace(first, m=m), *rest)
 
         if command == "kms":

@@ -499,14 +499,18 @@ class TestAnalysisInheritance:
     def test_closures_run_on_condensations(self, monkeypatch):
         # The 54-vertex product skeleton is one component, strongly
         # connected in each colour: every closure is of a 1x1 condensation.
+        # Colour 1's support is the union support, so a decomposition closes
+        # the union's condensation and colour 0's only.
         skel = product_skeleton()
+        assert np.array_equal(skel.colour_support(1), skel.union_support())
+        assert not np.array_equal(skel.colour_support(0), skel.union_support())
         calls = self.count_closures(monkeypatch)
         decompose(skel)
-        assert calls == [(1, 1)] * (1 + skel.k)
+        assert calls == [(1, 1)] * 2
         skel = analysed(skel)
         check_assumptions(skel)
         check_spectral_ordering(skel, range(skel.n), 0)
-        assert calls == [(1, 1)] * (1 + skel.k) * 2
+        assert calls == [(1, 1)] * 4
 
     def test_no_analysis_outlives_a_call(self, monkeypatch):
         # Only the dynamics carries an analysis past a call, and only for the

@@ -92,6 +92,25 @@ class TestNormalize:
         assert normalize_dynamics(three_loops, (1e-300,)).r == pytest.approx((math.log(3),))
 
 
+class TestNonFiniteInput:
+    """The library refuses a non-finite inverse temperature or dynamics entry, as the CLI does."""
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_extreme_states_at(self, ex1, ex1_dyn, beta):
+        # NaN used to give no states, and infinity the states at 1, since
+        # it ties every finite critical value.
+        with pytest.raises(ValueError, match=f"inverse temperature must be a finite number above 0, got {beta!r}"):
+            extreme_states_at(ex1, ex1_dyn, beta)
+
+    def test_supercritical_extremes(self, ex1, ex1_dyn):
+        with pytest.raises(ValueError, match="inverse temperature must be a finite number above 0, got nan"):
+            supercritical_extremes(ex1, ex1_dyn, math.nan)
+
+    def test_normalize_dynamics(self, ex1):
+        with pytest.raises(ValueError, match="dynamics entry 0 must be a finite number above 0, got nan"):
+            normalize_dynamics(ex1, r=(math.nan, 1.0))
+
+
 class TestDynamicsAnalysis:
     """A dynamics carries the analysis of the skeleton object it was normalised on."""
 
@@ -227,7 +246,7 @@ class TestSupercritical:
         quotient = restrict(ex1, {2})
         own = supercritical_extremes(quotient, ex1_dyn, 1.5, depth=2)
         placed = supercritical_extremes(quotient, ex1_dyn, 1.5, depth=2, frame=(2, 0), size=3)
-        assert [s.m for s in placed] == [(m[1], 0.0, m[0]) for m in (s.m for s in own)]
+        assert [tuple(s.m) for s in placed] == [(m[1], 0.0, m[0]) for m in (s.m for s in own)]
         assert [(s.beta, s.anchor, s.depth) for s in placed] == [(s.beta, s.anchor, s.depth) for s in own]
 
     def test_single_vertex(self):
@@ -585,6 +604,54 @@ class TestPhase:
         assert [iv.extreme_count for iv in diag.intervals] == [4, 3]
         for beta, states in zip(diag.critical_betas, diag.critical_points):
             assert all(s.beta == beta for s in states)
+
+
+class TestStateStorage:
+    """States are rows of read-only float64 blocks, and pieces keep no float matrices."""
+
+    @pytest.fixture(scope="class")
+    def chain20(self):
+        skel = chain(20, 0)
+        dyn = normalize_dynamics(skel)
+        return skel, dyn, phase_diagram(skel, dyn)
+
+    def test_a_pieces_states_at_one_beta_are_views_of_one_block(self, chain20):
+        skel, dyn, diagram = chain20
+        batches = [p.critical_states for p in diagram.pieces]
+        batches += [supercritical_extremes(p.skeleton, dyn, 7.0, frame=p.vertices, size=skel.n) for p in diagram.pieces]
+        for states in batches:
+            block = states[0].m.base
+            assert all(s.m.base is block for s in states)
+            assert block.shape == (len(states), skel.n) and block.dtype == np.float64
+            assert not block.flags.writeable
+
+    def test_writing_to_a_state_raises(self, chain20, ex1, ex1_dyn):
+        _, _, diagram = chain20
+        for state in (diagram.critical_points[0][0], psi_state(ex1, ex1_dyn, (2,))):
+            with pytest.raises(ValueError, match="read-only"):
+                state.m[0] = 0.5
+
+    def test_only_the_root_piece_keeps_float_matrices(self, chain20):
+        skel, dyn, diagram = chain20
+        extreme_states_at(skel, dyn, 2.0, diagram=diagram)
+        assert "_float_arrays" in vars(diagram.pieces[0].skeleton)
+        assert [p.vertices for p in diagram.pieces[1:] if "_float_arrays" in vars(p.skeleton)] == []
+        # A piece's float matrices are its root's, cut on demand.
+        piece = diagram.pieces[5].skeleton
+        want = [np.array(m, dtype=float) for m in piece.matrices]
+        assert all(np.array_equal(a, b) and not a.flags.writeable for a, b in zip(piece.as_arrays(), want))
+
+    def test_equality_and_hashing_are_by_value(self, chain20):
+        skel, dyn, diagram = chain20
+        state = diagram.critical_points[-1][0]
+        twin = replace(state, m=np.array(state.m.tolist()))
+        assert twin == state and hash(twin) == hash(state)
+        as_tuple = (state.beta, tuple(state.m.tolist()), state.kind, state.anchor, state.depth, state.factors_through_ck)
+        assert hash(state) == hash(as_tuple)
+        assert replace(state, m=state.m[::-1]) != state
+        assert state in set(diagram.critical_points[-1])
+        assert state != as_tuple
+        assert phase_diagram(skel, dyn) == diagram
 
 
 class TestVerifyState:

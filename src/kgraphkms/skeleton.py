@@ -273,8 +273,8 @@ class Skeleton:
     def _float_blocks(self, rows, cols=None) -> tuple[np.ndarray, ...]:
         """Each colour's read-only float block at vertex indices ``rows`` x ``cols`` (default ``rows``).
 
-        The one place where float submatrices are cut: from the root's float
-        copies, for a skeleton cut from another.
+        A skeleton cut from another cuts it from its root's float copies. The
+        extension and the point-mass solves take their blocks here.
         """
         rows = np.asarray(rows, dtype=np.intp)
         cols = rows if cols is None else np.asarray(cols, dtype=np.intp)

@@ -227,7 +227,11 @@ class Skeleton:
 
     @classmethod
     def _stored(
-        cls, labels: tuple[str, ...], arrays, analysis: ComponentDecomposition | None, frame=None
+        cls,
+        labels: tuple[str, ...],
+        arrays,
+        analysis: ComponentDecomposition | None,
+        frame: tuple[Skeleton, np.ndarray] | None = None,
     ) -> "Skeleton":
         """A skeleton on labels and read-only arrays that are known to pass every check."""
         skel = object.__new__(cls)

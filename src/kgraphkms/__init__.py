@@ -24,8 +24,6 @@ from .dumbbell import (
     Dumbbell3Params,
     DumbbellBounds,
     FuzzReport,
-    enumerate_commuting2,
-    enumerate_commuting3,
     figure3_params,
     fuzz_ordering,
     make_dumbbell2,
@@ -47,7 +45,7 @@ from .engine import (
     verify_state,
     verify_states,
 )
-from .formats import InputDocument, ParseError, emit_report, input_to_json, parse_input
+from .formats import InputDocument, ParseError, emit_report, parse_input
 from .skeleton import Skeleton, ValidationReport, validate_skeleton
 from .spectral import (
     EigenConsistencyError,

@@ -39,8 +39,8 @@ class ComponentDecomposition:
     ``irreducible[c][i]`` says whether the colour-``i`` block of component
     ``c`` is irreducible, and ``leq[c, d]`` (read-only, reflexive) whether
     component ``c`` receives a path from component ``d``; with the stored
-    order it only ever points from earlier to later components. The vertex
-    relation ``reach`` and the ``trivial`` flags are derived from these.
+    order it only ever points from earlier to later components. The
+    ``trivial`` flags are derived from these.
     ``vectors[c]`` (read-only) is the unit-sum Perron vector that the
     colour blocks of component ``c`` share, in the order of its vertices,
     and ``brackets[c][i]`` the Collatz–Wielandt bracket of its colour-``i``
@@ -67,14 +67,6 @@ class ComponentDecomposition:
         """Each vertex's component index."""
         return _label_vertices(self.components, sum(map(len, self.components)))
 
-    @cached_property
-    def reach(self) -> np.ndarray:
-        """``reach[v, w]`` (read-only): a path, possibly trivial, has range ``v`` and source ``w``.
-
-        ``leq`` read at each vertex's component, built when first read.
-        """
-        return _read_only(self.leq.take(self._labels, 0).take(self._labels, 1))
-
     @property
     def trivial(self) -> tuple[bool, ...]:
         """Per component: a single vertex with a loop in no colour."""
@@ -85,10 +77,6 @@ class ComponentDecomposition:
     @property
     def coordinatewise_irreducible(self) -> tuple[bool, ...]:
         return tuple(all(flags) for flags in self.irreducible)
-
-    def vertex_order(self) -> list[int]:
-        """Vertex permutation realising the block-triangular form."""
-        return [v for comp in self.components for v in comp]
 
     def global_radius(self, colour: int) -> float:
         """Perron root of the whole colour matrix: the largest block root."""
@@ -313,10 +301,6 @@ def _weak_pieces(skel: Skeleton) -> list[list[int]]:
 
 def check_assumptions(skel: Skeleton) -> AssumptionReport:
     """Evaluate the engine's standing connectivity assumptions."""
-    if skel.n == 0:
-        return AssumptionReport(
-            True, (), True, (), True, (), True, (), True, (), True
-        )
     skel = analysed(skel)
     decomp = skel._analysis
 

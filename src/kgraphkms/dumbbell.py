@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
 
 from .components import analysed
 from .skeleton import Skeleton
@@ -166,47 +165,6 @@ def _check_nonnegative(*pairs):
                 raise ValueError(f"bundle sizes must be nonnegative integers, got {x!r}")
 
 
-def enumerate_commuting2(bound: int, bridge: Pair | None = None) -> list[Dumbbell2Params]:
-    """All two-vertex parameter tuples with entries <= bound that commute
-    and pass full skeleton validation, in lexicographic order."""
-    from .skeleton import validate_skeleton
-
-    rng = range(bound + 1)
-    bridges = [tuple(bridge)] if bridge is not None else list(product(rng, rng))
-    out = []
-    for m1, m2, n1, n2 in product(rng, rng, rng, rng):
-        for p in bridges:
-            params = Dumbbell2Params((m1, m2), (n1, n2), p)
-            if commutation_gap_2(params.loops_v, params.loops_w, params.bridge) != 0:
-                continue
-            if validate_skeleton(("v", "w"), matrices_2(params)).passed:
-                out.append(params)
-    return out
-
-
-def enumerate_commuting3(bound: int) -> list[Dumbbell3Params]:
-    """All three-vertex tuples with entries <= bound passing the exact
-    relations and full validation. Exponential in the bound; intended for
-    small desk-scale sweeps."""
-    from .skeleton import validate_skeleton
-
-    rng = range(bound + 1)
-    out = []
-    for m1, m2, n1, n2, p1, p2 in product(rng, repeat=6):
-        for q1, q2, r1, r2, s1, s2 in product(rng, repeat=6):
-            gaps = commutation_gaps_3(
-                (m1, m2), (n1, n2), (p1, p2), (q1, q2), (r1, r2), (s1, s2)
-            )
-            if any(g != 0 for g in gaps):
-                continue
-            params = Dumbbell3Params(
-                (m1, m2), (n1, n2), (p1, p2), (q1, q2), (r1, r2), (s1, s2)
-            )
-            if validate_skeleton(("u", "v", "w"), matrices_3(params)).passed:
-                out.append(params)
-    return out
-
-
 @dataclass(frozen=True)
 class DumbbellBounds:
     """Sampling ranges for random commuting three-vertex dumbbells.
@@ -341,10 +299,6 @@ class FuzzReport:
     conclusion_holds: int
     hypothesis_not_met: int
     contradictions: tuple[tuple[Dumbbell3Params, str], ...]
-
-    @property
-    def hypothesis_met_rate(self) -> float:
-        return self.hypothesis_met / self.samples if self.samples else 0.0
 
 
 def fuzz_ordering(seed: int, count: int, bounds: DumbbellBounds | None = None) -> FuzzReport:

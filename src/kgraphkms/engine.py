@@ -210,12 +210,14 @@ def normalize_dynamics(
         r_vec = tuple(log_radii)
         factor = 1.0
     else:
-        raw = tuple(float(t) for t in r)
-        if len(raw) != skel.k:
-            raise ValueError(f"expected {skel.k} dynamics entries, got {len(raw)}")
+        entries = tuple(r)
+        if len(entries) != skel.k:
+            raise ValueError(f"expected {skel.k} dynamics entries, got {len(entries)}")
+        # A bool is no number, as in ``parse_input``.
+        raw = tuple(math.nan if isinstance(t, (bool, np.bool_)) else float(t) for t in entries)
         for j, t in enumerate(raw):
             if not (math.isfinite(t) and t > 0):
-                raise ValueError(f"dynamics entry {j} must be a finite number above 0, got {t!r}")
+                raise ValueError(f"dynamics entry {j} must be a finite number above 0, got {entries[j]!r}")
         ratios = [lr / t for lr, t in zip(log_radii, raw)]
         factor = max(ratios)
         scaled = tuple(factor * t for t in raw)
@@ -257,6 +259,8 @@ def normalize_dynamics(
 
 def _analysed(skel: Skeleton, dyn: Dynamics) -> Skeleton:
     """``skel`` carrying its analysis, the one ``dyn`` holds if ``dyn`` was normalised on ``skel`` itself."""
+    if skel.n == 0:
+        raise ValueError("the skeleton is empty: it has no vertices, so no states")
     own = dyn.analysis is not None and dyn.analysis[0] is skel
     return analysed(skel, dyn.analysis[1] if own else None)
 
@@ -424,11 +428,15 @@ def supercritical_extremes(
     of ``size`` vertices, the states are returned in that skeleton's frame.
     """
     beta = _inverse_temperature(beta)
+    if frame is None:
+        frame, size = range(skel.n), skel.n
+    elif not (
+        len(frame) == len(set(frame)) == skel.n and all(isinstance(v, (int, np.integer)) and 0 <= v < size for v in frame)
+    ):
+        raise ValueError(f"frame must hold {skel.n} distinct vertex indices in range({size}), got {frame!r}")
     if skel.n == 0:
         return ()
     rows = _point_masses(skel, dyn, beta)
-    if frame is None:
-        frame, size = range(skel.n), skel.n
     return tuple(_embedded([(rows, frame)], size, beta, _point_mass_meta(skel, depth)))
 
 
@@ -662,10 +670,12 @@ def extreme_states_at(
     critical point; otherwise the surviving quotient pieces straddling
     ``beta`` are evaluated supercritically, reusing the analyses that the
     pieces of ``diagram`` carry. Below the terminal value the state set is
-    empty.
+    empty. ``diagram`` must be for ``skel``'s vertex labels and ``dyn.r``.
     """
     beta = _inverse_temperature(beta)
     diag = diagram if diagram is not None else phase_diagram(skel, dyn, allow_violations)
+    if diag.vertex_labels != skel.vertex_labels or diag.r != dyn.r:
+        raise ValueError("the diagram was computed for other vertex labels or another dynamics vector r")
     for b, states in zip(diag.critical_betas, diag.critical_points):
         if _ties(beta, b):
             return states

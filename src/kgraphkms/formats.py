@@ -173,7 +173,7 @@ def _finite(x) -> bool:
 
 
 def input_payload(doc: InputDocument) -> dict[str, Any]:
-    """The JSON value of an input document, as ``input_to_json`` writes it."""
+    """The JSON value of an input document with every default written out; it parses back to it, less its warnings."""
     payload: dict[str, Any] = {
         "vertices": list(doc.vertices),
         "k": len(doc.matrices),
@@ -189,11 +189,6 @@ def input_payload(doc: InputDocument) -> dict[str, Any]:
             "normalize": doc.normalize,
         }
     return payload
-
-
-def input_to_json(doc: InputDocument) -> str:
-    """Canonical JSON for an input document; stable under parse/emit cycles."""
-    return emit_report(input_payload(doc))
 
 
 def format_number(x: float) -> str:
@@ -388,17 +383,11 @@ def _scalar_text(x: Any) -> str:
     return str(x)
 
 
-def emit_report(report: dict, fmt: str = "json", write: Callable[[str], Any] | None = None) -> str | None:
-    """Serialise a report: canonical JSON or readable text with rationals.
+def emit_report(report: dict, fmt: str, write: Callable[[str], Any]) -> None:
+    """Serialise a report through ``write``: canonical JSON or readable text with rationals.
 
-    Without ``write`` the text is returned. With it, the text goes through
-    ``write`` in pieces as each container is formatted, and None is
-    returned; the pieces join to the same text.
+    The text goes through ``write`` in pieces, as each container is formatted.
     """
-    if write is None:
-        parts: list[str] = []
-        emit_report(report, fmt, parts.append)
-        return "".join(parts)
     if fmt == "json":
         _write_json(report, write)
     elif fmt == "text":

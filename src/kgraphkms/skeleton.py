@@ -52,9 +52,6 @@ class ValidationReport:
     violations: tuple[Violation, ...]
     skeleton: Skeleton | None = field(default=None, compare=False, repr=False)
 
-    def rules(self) -> set[str]:
-        return {v.rule for v in self.violations}
-
 
 def _integer(x) -> int | None:
     """``x`` as an exact integer if it is an int, a numpy integer or an integral float, else None."""
@@ -204,10 +201,6 @@ class Skeleton:
     def __repr__(self):
         return f"Skeleton(vertex_labels={self.vertex_labels!r}, matrices={self.matrices!r})"
 
-    @classmethod
-    def empty(cls, k: int) -> "Skeleton":
-        return cls((), ((),) * k)
-
     def _induced(self, keep: Sequence[int], analysis: ComponentDecomposition) -> "Skeleton":
         """Sub-skeleton on the sorted vertices ``keep`` carrying ``analysis``, without re-running the checks.
 
@@ -292,10 +285,6 @@ class Skeleton:
     def union_support(self) -> np.ndarray:
         """Boolean matrix with True where any colour has an edge."""
         return reduce(np.maximum, self.as_arrays()) > 0
-
-    def colour_support(self, i: int) -> np.ndarray:
-        """Boolean matrix with True where colour ``i`` has an edge."""
-        return self.as_arrays()[i] > 0
 
     @property
     def has_sources(self) -> bool:

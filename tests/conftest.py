@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from kgraphkms import Skeleton, normalize_dynamics, parse_input, spectral
+from kgraphkms import Skeleton, emit_report, normalize_dynamics, parse_input, spectral
 from kgraphkms.engine import STATE_TOL, _growth
 
 # CI runs the derandomised profile (HYPOTHESIS_PROFILE=ci): every run draws
@@ -89,6 +89,34 @@ def data_skeletons() -> dict[str, Skeleton]:
     """The skeletons of the input documents in ``tests/data``, by file stem."""
     docs = {path.stem: parse_input(path.read_text()) for path in sorted(DATA.glob("*.json"))}
     return {stem: Skeleton(doc.vertices, doc.matrices) for stem, doc in docs.items()}
+
+
+def emitted(report, fmt: str = "json") -> str:
+    """The text ``emit_report`` writes for ``report``, joined from its pieces."""
+    parts: list[str] = []
+    emit_report(report, fmt, parts.append)
+    return "".join(parts)
+
+
+def rules(report) -> set[str]:
+    """The rules that a validation report's violations name."""
+    return {v.rule for v in report.violations}
+
+
+def colour_support(skel: Skeleton, i: int) -> np.ndarray:
+    """Boolean matrix with True where colour ``i`` has an edge."""
+    return skel.as_arrays()[i] > 0
+
+
+def vertex_reach(decomp) -> np.ndarray:
+    """``[v, w]``: a path, possibly trivial, has range ``v`` and source ``w``.
+
+    That is ``leq`` read at each vertex's component.
+    """
+    labels = np.zeros(sum(map(len, decomp.components)), dtype=np.intp)
+    for c, comp in enumerate(decomp.components):
+        labels[list(comp)] = c
+    return decomp.leq[np.ix_(labels, labels)]
 
 
 def count_eig(monkeypatch) -> list:

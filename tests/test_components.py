@@ -26,7 +26,18 @@ from kgraphkms.dumbbell import make_dumbbell3, sample_commuting3
 from kgraphkms.skeleton import RULE_COMMUTE, validate_skeleton
 from kgraphkms.spectral import spectral_radius
 
-from conftest import EXAMPLE_1, EXAMPLE_2, NO_BRIDGE_COUNTEREXAMPLE, chain, data_skeletons, product_skeleton, skeleton
+from conftest import (
+    EXAMPLE_1,
+    EXAMPLE_2,
+    NO_BRIDGE_COUNTEREXAMPLE,
+    chain,
+    colour_support,
+    data_skeletons,
+    product_skeleton,
+    rules,
+    skeleton,
+    vertex_reach,
+)
 
 TWO_LOOPS = skeleton("ab", [[2, 0], [0, 3]], [[2, 0], [0, 3]])
 
@@ -59,14 +70,10 @@ class TestDecompose:
     def test_block_triangular_property(self):
         for skel in (EXAMPLE_1, EXAMPLE_2, FIG2):
             decomp = decompose(skel)
-            order = decomp.vertex_order()
-            pos = {v: i for i, v in enumerate(order)}
             starts = {}
-            offset = 0
             for c, comp in enumerate(decomp.components):
                 for v in comp:
                     starts[v] = c
-                offset += len(comp)
             for m in skel.matrices:
                 for v in range(skel.n):
                     for w in range(skel.n):
@@ -117,7 +124,7 @@ class TestSingleVertexClosedForm:
             for i, a in enumerate(skel.as_arrays()):
                 block = a[np.ix_(comp, comp)]
                 assert decomp.radii[c][i].hex() == spectral_radius(block).hex()
-                assert decomp.irreducible[c][i] is _digraph.irreducible(skel.colour_support(i)[np.ix_(comp, comp)])
+                assert decomp.irreducible[c][i] is _digraph.irreducible(colour_support(skel, i)[np.ix_(comp, comp)])
 
     def test_loopless_and_one_colour_loops(self):
         decomp = decompose(self.LOOPS)
@@ -128,12 +135,16 @@ class TestSingleVertexClosedForm:
         assert decomp.trivial == (False, False, True, False)
 
 
-def reference_leq(decomp) -> np.ndarray:
-    """The component relation as the product ``C^T reach C`` of the vertex-to-component membership ``C``."""
-    member = np.zeros((decomp.reach.shape[0], decomp.count), dtype=np.int64)
+def reference_leq(skel, decomp) -> np.ndarray:
+    """The component relation as ``C^T R C``, for the vertex-to-component membership ``C``.
+
+    ``R`` is the vertex reach, by squaring the union support.
+    """
+    reach = _digraph.transitive_closure(skel.union_support()) | np.eye(skel.n, dtype=bool)
+    member = np.zeros((skel.n, decomp.count), dtype=np.int64)
     for c, comp in enumerate(decomp.components):
         member[list(comp), c] = 1
-    return (member.T @ decomp.reach.astype(np.int64) @ member) > 0
+    return (member.T @ reach.astype(np.int64) @ member) > 0
 
 
 def reference_trivial(skel, decomp) -> tuple[bool, ...]:
@@ -175,7 +186,7 @@ DERIVED_FIXTURES = {
     "two-loops": TWO_LOOPS,
     "no-bridge": NO_BRIDGE_COUNTEREXAMPLE,
     "loops": TestSingleVertexClosedForm.LOOPS,
-    "empty": Skeleton.empty(2),
+    "empty": Skeleton((), ((), ())),
     "cycle5": Skeleton(tuple("abcde"), ([[int(w == (v + 1) % 5) for w in range(5)] for v in range(5)],)),
     **{f"chain{n}-{b}": chain(n, b) for n, b in ((1, 0), (5, 3), (12, 0))},
     **{f"dumbbell{i}": make_dumbbell3(p) for i, p in enumerate(sample_commuting3(9, 12))},
@@ -188,7 +199,7 @@ DERIVED_FIXTURES = {
 def test_derived_data_match_their_definitions(skel):
     decomp = decompose(skel)
     assert decomp.leq.dtype == bool
-    assert np.array_equal(decomp.leq, reference_leq(decomp))
+    assert np.array_equal(decomp.leq, reference_leq(skel, decomp))
     assert decomp.trivial == reference_trivial(skel, decomp)
     assert all(type(t) is bool for t in decomp.trivial)
     pieces = reference_weak_pieces(skel)
@@ -199,36 +210,20 @@ def test_derived_data_match_their_definitions(skel):
 
 class TestReaches:
     def test_reflexive(self):
-        assert decompose(EXAMPLE_1).reach[1, 1]
+        assert vertex_reach(decompose(EXAMPLE_1))[1, 1]
 
     def test_example1_direction(self):
         u, v, w = 0, 1, 2
-        reach = decompose(EXAMPLE_1).reach
+        reach = vertex_reach(decompose(EXAMPLE_1))
         assert reach[u, w]
         assert not reach[w, u]
         assert reach[u, v]
         assert not reach[v, w]
 
     def test_disjoint_loops_do_not_cross(self):
-        reach = decompose(TWO_LOOPS).reach
+        reach = vertex_reach(decompose(TWO_LOOPS))
         assert not reach[0, 1]
         assert not reach[1, 0]
-
-    def test_built_only_when_read(self):
-        # The analysis stores the component relation; no step of a library
-        # pass, the extension and the ordering check included, expands it
-        # over the vertices.
-        skel = analysed(chain(6, 1))
-        dyn = normalize_dynamics(skel)
-        diagram = phase_diagram(skel, dyn)
-        for beta in (*diagram.critical_betas, 2.0):
-            extreme_states_at(skel, dyn, beta, diagram=diagram)
-        check_assumptions(skel)
-        check_spectral_ordering(skel, (5,), 0)
-        for sub in (skel, *(piece.skeleton for piece in diagram.pieces)):
-            assert "reach" not in vars(sub._analysis)
-        assert analysis_of(skel).reach.shape == (6, 6)
-        assert "reach" in vars(analysis_of(skel))
 
 
 class TestHereditaryClosure:
@@ -271,6 +266,11 @@ class TestAssumptions:
     def test_example1_all_pass(self):
         report = check_assumptions(EXAMPLE_1)
         assert report.all_pass
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_empty_skeleton_passes_with_no_offenders(self, k):
+        report = check_assumptions(Skeleton((), ((),) * k))
+        assert report == components.AssumptionReport(True, (), True, (), True, (), True, (), True, (), True)
 
     def test_single_colour_bridge_flagged(self):
         # Bridge only in colour 2 (commutation then forces equal loops in
@@ -387,7 +387,7 @@ class TestColourReachability:
             report = check_assumptions(skel)
             if not report.all_pass:
                 continue
-            closures = [_digraph.transitive_closure(skel.colour_support(i)) for i in range(skel.k)]
+            closures = [_digraph.transitive_closure(colour_support(skel, i)) for i in range(skel.k)]
             assert np.array_equal(closures[0], closures[1])
             decomp = decompose(skel)
             assert np.array_equal(decomp.colour_reach[0], decomp.colour_reach[1])
@@ -403,7 +403,7 @@ def assert_inherited(sub):
     fresh = Skeleton(sub.vertex_labels, sub.matrices)
     assert sub == fresh
     assert all(np.array_equal(a, b) for a, b in zip(sub.as_arrays(), fresh.as_arrays()))
-    assert RULE_COMMUTE not in validate_skeleton(sub.vertex_labels, sub.matrices).rules()
+    assert RULE_COMMUTE not in rules(validate_skeleton(sub.vertex_labels, sub.matrices))
     got = analysis_of(sub)
     want = decompose(fresh)
     assert got.components == want.components
@@ -414,7 +414,7 @@ def assert_inherited(sub):
     assert np.array_equal(got.leq, want.leq)
     assert got.trivial == want.trivial
     assert got.irreducible == want.irreducible
-    assert np.array_equal(got.reach, want.reach)
+    assert np.array_equal(vertex_reach(got), vertex_reach(want))
     for i in range(sub.k):
         assert np.array_equal(got.colour_reach[i], want.colour_reach[i])
         assert not got.colour_reach[i].flags.writeable
@@ -469,9 +469,10 @@ class TestAnalysisInheritance:
 
     def test_reachability_is_read_only(self):
         for decomp in (decompose(EXAMPLE_1), decompose(EXAMPLE_1).sliced([0, 1])):
-            assert not decomp.reach.flags.writeable
-            with pytest.raises(ValueError):
-                decomp.reach[0, 0] = False
+            for relation in (decomp.leq, *decomp.colour_reach):
+                assert not relation.flags.writeable
+                with pytest.raises(ValueError):
+                    relation[0, 0] = False
 
     @staticmethod
     def count_closures(monkeypatch) -> list:
@@ -502,8 +503,8 @@ class TestAnalysisInheritance:
         # Colour 1's support is the union support, so a decomposition closes
         # the union's condensation and colour 0's only.
         skel = product_skeleton()
-        assert np.array_equal(skel.colour_support(1), skel.union_support())
-        assert not np.array_equal(skel.colour_support(0), skel.union_support())
+        assert np.array_equal(colour_support(skel, 1), skel.union_support())
+        assert not np.array_equal(colour_support(skel, 0), skel.union_support())
         calls = self.count_closures(monkeypatch)
         decompose(skel)
         assert calls == [(1, 1)] * 2

@@ -36,7 +36,15 @@ from kgraphkms import (
 from kgraphkms.components import analysed, analysis_of, check_assumptions, hereditary_closure, restrict
 from kgraphkms.dumbbell import make_dumbbell3, sample_commuting3
 
-from conftest import EXAMPLE_1, EXAMPLE_2, REDUCIBLE_COLOUR_BLOCKS, chain, skeleton
+from conftest import (
+    EXAMPLE_1,
+    EXAMPLE_2,
+    REDUCIBLE_COLOUR_BLOCKS,
+    chain,
+    colour_support,
+    skeleton,
+    vertex_reach,
+)
 
 
 def labelled(*matrices) -> Skeleton:
@@ -114,11 +122,15 @@ def relation_reference(decomp, x: np.ndarray) -> np.ndarray:
     return member.T @ x.astype(float) @ member > 0
 
 
+def dense_reach(skel) -> np.ndarray:
+    """``[v, w]``: a path, possibly trivial, has range ``v`` and source ``w``, by squaring the union support."""
+    return _digraph.transitive_closure(skel.union_support()) | np.eye(skel.n, dtype=bool)
+
+
 @given(GRAPHS)
 @settings(max_examples=80, deadline=None)
 def test_reach_is_the_dense_closure_of_the_union_support(skel):
-    want = _digraph.transitive_closure(skel.union_support()) | np.eye(skel.n, dtype=bool)
-    assert np.array_equal(decompose(skel).reach, want)
+    assert np.array_equal(vertex_reach(decompose(skel)), dense_reach(skel))
 
 
 @given(GRAPHS)
@@ -127,7 +139,7 @@ def test_flags_match_tarjan_on_each_colour_block(skel):
     decomp = decompose(skel)
     for c, comp in enumerate(decomp.components):
         for i in range(skel.k):
-            assert decomp.irreducible[c][i] is _digraph.irreducible(skel.colour_support(i)[np.ix_(comp, comp)])
+            assert decomp.irreducible[c][i] is _digraph.irreducible(colour_support(skel, i)[np.ix_(comp, comp)])
 
 
 @given(GRAPHS)
@@ -135,7 +147,7 @@ def test_flags_match_tarjan_on_each_colour_block(skel):
 def test_colour_reach_is_the_squared_colour_closure(skel):
     decomp = decompose(skel)
     for i in range(skel.k):
-        want = relation_reference(decomp, _digraph.transitive_closure(skel.colour_support(i)))
+        want = relation_reference(decomp, _digraph.transitive_closure(colour_support(skel, i)))
         assert np.array_equal(decomp.colour_reach[i], want)
         assert not decomp.colour_reach[i].flags.writeable
 
@@ -152,9 +164,9 @@ def test_restrictions_inherit_reach_and_colour_reach(skel, data):
     if not sub.n:
         return
     got = analysis_of(sub)
-    assert np.array_equal(got.reach, _digraph.transitive_closure(sub.union_support()) | np.eye(sub.n, dtype=bool))
+    assert np.array_equal(vertex_reach(got), dense_reach(sub))
     for i in range(sub.k):
-        want = relation_reference(got, _digraph.transitive_closure(sub.colour_support(i)))
+        want = relation_reference(got, _digraph.transitive_closure(colour_support(sub, i)))
         assert np.array_equal(got.colour_reach[i], want)
 
 
@@ -233,8 +245,8 @@ def offenders_reference(skel, decomp):
     colour without; each reach offender a pair that some colours join by a
     single-colour path and others do not.
     """
-    bridges = [relation_reference(decomp, skel.colour_support(i)) for i in range(skel.k)]
-    supports = [relation_reference(decomp, _digraph.transitive_closure(skel.colour_support(i))) for i in range(skel.k)]
+    bridges = [relation_reference(decomp, colour_support(skel, i)) for i in range(skel.k)]
+    supports = [relation_reference(decomp, _digraph.transitive_closure(colour_support(skel, i))) for i in range(skel.k)]
     a3, reach = [], []
     for c in range(decomp.count):
         for d in range(decomp.count):
@@ -277,7 +289,7 @@ def test_assumption_report_lists_match_the_references(skel):
 @settings(max_examples=80, deadline=None)
 def test_hereditary_closure_is_the_union_of_reach_rows(skel, drawn):
     seeds = sorted(v for v in drawn if v < skel.n)
-    want = np.flatnonzero(decompose(skel).reach[seeds].any(axis=0)).tolist() if seeds else []
+    want = np.flatnonzero(dense_reach(skel)[seeds].any(axis=0)).tolist() if seeds else []
     assert hereditary_closure(skel, seeds) == frozenset(want)
 
 

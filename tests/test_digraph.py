@@ -6,7 +6,16 @@ import pytest
 from kgraphkms import Skeleton
 from kgraphkms._digraph import succ_lists, tarjan_sccs, transitive_closure
 
-from conftest import EXAMPLE_1, EXAMPLE_2, NO_BRIDGE_COUNTEREXAMPLE, chain, data_skeletons, product_skeleton, skeleton
+from conftest import (
+    EXAMPLE_1,
+    EXAMPLE_2,
+    NO_BRIDGE_COUNTEREXAMPLE,
+    chain,
+    colour_support,
+    data_skeletons,
+    product_skeleton,
+    skeleton,
+)
 
 
 def int64_closure(adj: np.ndarray) -> np.ndarray:
@@ -115,7 +124,7 @@ FIXTURES = {
     "no-bridge": NO_BRIDGE_COUNTEREXAMPLE,
     "chain12": chain(12, 0),
     "product": product_skeleton(),
-    "empty": Skeleton.empty(2),
+    "empty": Skeleton((), ((), ())),
     "loops": skeleton("abcd", np.diag([3, 0, 0, 2**60 + 1]).tolist(), np.diag([5, 4, 0, 7]).tolist()),
     **{f"data-{stem}": skel for stem, skel in data_skeletons().items()},
 }
@@ -126,5 +135,5 @@ def test_supports_match_the_nested_tuples(skel):
     assert np.array_equal(skel.union_support(), nested_union(skel))
     assert skel.union_support().dtype == bool
     for i in range(skel.k):
-        assert np.array_equal(skel.colour_support(i), nested_colour(skel, i))
-        assert skel.colour_support(i).dtype == bool
+        assert np.array_equal(colour_support(skel, i), nested_colour(skel, i))
+        assert colour_support(skel, i).dtype == bool

@@ -110,6 +110,12 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="dynamics entry 0 must be a finite number above 0, got nan"):
             normalize_dynamics(ex1, r=(math.nan, 1.0))
 
+    @pytest.mark.parametrize("r, j", [((True, 2.0), 0), ((1.0, np.True_), 1)], ids=["bool", "numpy-bool"])
+    def test_normalize_dynamics_refuses_a_bool(self, ex1, r, j):
+        # A bool is no number, as in ``parse_input``; True used to count as 1.0.
+        with pytest.raises(ValueError, match=f"dynamics entry {j} must be a finite number above 0, got .*True"):
+            normalize_dynamics(ex1, r=r)
+
 
 class TestDynamicsAnalysis:
     """A dynamics carries the analysis of the skeleton object it was normalised on."""
@@ -267,6 +273,17 @@ class TestSupercritical:
         with pytest.raises(ValueError, match="criticality"):
             supercritical_extremes(ex1, ex1_dyn, 1.0)
 
+    @pytest.mark.parametrize(
+        "frame, size",
+        [([0, 1, 2], 0), ([0, 0, 0], 3), ([0, 1], 3), ([0, 1, 3], 3), ([-1, 0, 1], 3), ([0.0, 1.0, 2.0], 3)],
+        ids=["no-size", "repeated", "short", "beyond-size", "negative", "floats"],
+    )
+    def test_rejects_a_frame_that_is_not_one_index_per_vertex(self, ex1, ex1_dyn, frame, size):
+        # A repeated index used to give states whose weights summed to 0, a
+        # missing size an IndexError.
+        with pytest.raises(ValueError, match=rf"frame must hold 3 distinct vertex indices in range\({size}\)"):
+            supercritical_extremes(ex1, ex1_dyn, 1.5, frame=frame, size=size)
+
     @pytest.mark.parametrize("beta", (1.001, 1.0001))
     def test_solves_just_above_a_critical_value(self, beta):
         # Graph 286 of sample_commuting3(953683294, 400). Just above beta = 1
@@ -416,8 +433,57 @@ class TestDiagramAnalyses:
         for piece in diagram.pieces:
             fresh = decompose(piece.skeleton)
             assert piece.skeleton._analysis == fresh
-            assert np.array_equal(piece.skeleton._analysis.reach, fresh.reach)
+            assert np.array_equal(piece.skeleton._analysis.leq, fresh.leq)
             assert "analysis" not in repr(piece)
+
+
+class TestDiagramMatch:
+    """``extreme_states_at`` evaluates a diagram only for the skeleton labels and ``r`` it was computed for."""
+
+    def test_other_labels_are_refused(self, ex1, ex1_dyn):
+        # These states used to come back in ex1's three-vertex frame.
+        diagram = phase_diagram(ex1, ex1_dyn)
+        with pytest.raises(ValueError, match="diagram was computed for other vertex labels or another dynamics"):
+            extreme_states_at(TOP_CRITICAL, normalize_dynamics(TOP_CRITICAL), 1.5, diagram=diagram)
+        relabelled = Skeleton(("a", "b", "c"), ex1.matrices)
+        with pytest.raises(ValueError, match="diagram was computed for other vertex labels"):
+            extreme_states_at(relabelled, ex1_dyn, 1.5, diagram=diagram)
+
+    def test_another_dynamics_is_refused(self, ex1, ex1_dyn, ex2, ex2_dyn):
+        with pytest.raises(ValueError, match="another dynamics vector r"):
+            extreme_states_at(ex2, ex2_dyn, 1.5, diagram=phase_diagram(ex1, ex1_dyn))
+
+    def test_its_own_skeleton_and_dynamics_are_accepted(self, ex1, ex1_dyn):
+        diagram = phase_diagram(ex1, ex1_dyn)
+        twin = Skeleton(ex1.vertex_labels, ex1.matrices)
+        assert extreme_states_at(twin, ex1_dyn, 1.5, diagram=diagram) == extreme_states_at(ex1, ex1_dyn, 1.5)
+
+
+class TestEmptySkeleton:
+    """A skeleton without vertices has no states; the entry points say so."""
+
+    EMPTY = Skeleton((), ((), ()))
+
+    @pytest.mark.parametrize("allow_violations", [False, True])
+    def test_phase_diagram(self, ex1_dyn, allow_violations):
+        # It used to end in an IndexError while assembling no critical values.
+        with pytest.raises(ValueError, match="the skeleton is empty"):
+            phase_diagram(self.EMPTY, ex1_dyn, allow_violations)
+
+    def test_extreme_states_at(self, ex1, ex1_dyn):
+        with pytest.raises(ValueError, match="the skeleton is empty"):
+            extreme_states_at(self.EMPTY, ex1_dyn, 1.5)
+        with pytest.raises(ValueError, match="diagram was computed for other vertex labels"):
+            extreme_states_at(self.EMPTY, ex1_dyn, 1.5, diagram=phase_diagram(ex1, ex1_dyn))
+
+    @pytest.mark.parametrize("call", [kms1_extremes, removal_set], ids=["kms1_extremes", "removal_set"])
+    def test_kms1_and_removal(self, ex1_dyn, call):
+        # Both used to ask whether the dynamics is normalised.
+        with pytest.raises(ValueError, match="the skeleton is empty"):
+            call(self.EMPTY, ex1_dyn)
+
+    def test_supercritical_states(self, ex1_dyn):
+        assert supercritical_extremes(self.EMPTY, ex1_dyn, 1.5) == ()
 
 
 class TestKms1:

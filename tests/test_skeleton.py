@@ -17,7 +17,7 @@ from kgraphkms.skeleton import (
     _int_matmul,
 )
 
-from conftest import DATA, EXAMPLE_1, data_skeletons, skeleton
+from conftest import DATA, EXAMPLE_1, data_skeletons, rules, skeleton
 
 
 class TestValidate:
@@ -42,23 +42,23 @@ class TestValidate:
         assert good.passed
         bad = validate_skeleton(["v", "w"], [[[1, 1], [0, 2]], [[1, 2], [0, 2]]])
         assert not bad.passed
-        assert RULE_COMMUTE in bad.rules()
+        assert RULE_COMMUTE in rules(bad)
 
     def test_shape_and_sign_reported_not_raised(self):
         rep = validate_skeleton(["a", "b"], [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
-        assert RULE_DIMENSION in rep.rules()
+        assert RULE_DIMENSION in rules(rep)
         rep = validate_skeleton(["a", "b"], [[[1, 0], [0]], [[1, 0], [0, 1]]])
-        assert RULE_SQUARE in rep.rules()
+        assert RULE_SQUARE in rules(rep)
         rep = validate_skeleton(["a"], [[[-1]], [[1]]])
-        assert RULE_NONNEGATIVE in rep.rules()
+        assert RULE_NONNEGATIVE in rules(rep)
         rep = validate_skeleton(["a"], [[[0.5]], [[1]]])
-        assert RULE_INTEGER in rep.rules()
+        assert RULE_INTEGER in rules(rep)
 
     def test_sources_and_sinks_reported(self):
         rep = validate_skeleton(["a", "b"], [[[1, 1], [0, 0]], [[1, 1], [0, 0]]])
-        assert RULE_NO_SOURCE in rep.rules()
+        assert RULE_NO_SOURCE in rules(rep)
         rep = validate_skeleton(["a", "b"], [[[0, 1], [0, 1]], [[0, 1], [0, 1]]])
-        assert RULE_NO_SINK in rep.rules()
+        assert RULE_NO_SINK in rules(rep)
 
     def test_empty_vertex_set_is_degenerate_valid(self):
         assert validate_skeleton([], [[], []]).passed
@@ -74,7 +74,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("entry", [2.5, "3", True, np.bool_(True), None], ids=repr)
     def test_constructor_rejects_what_validation_rejects(self, entry):
-        assert RULE_INTEGER in validate_skeleton(["a"], [[[entry]]]).rules()
+        assert RULE_INTEGER in rules(validate_skeleton(["a"], [[[entry]]]))
         with pytest.raises(ValueError, match="not integers"):
             Skeleton(("a",), (((entry,),),))
 
@@ -194,7 +194,7 @@ class TestFloatArrays:
                 arr[0, 0] = 1.0
 
     def test_empty_skeleton(self):
-        assert [a.shape for a in Skeleton.empty(2).as_arrays()] == [(0, 0), (0, 0)]
+        assert [a.shape for a in Skeleton((), ((), ())).as_arrays()] == [(0, 0), (0, 0)]
 
 
 I2 = [[1, 0], [0, 1]]
@@ -331,9 +331,9 @@ class TestValueSemantics:
         assert skel == Skeleton(("u", "v", "w"), (a, b)) != Skeleton(("u", "v", "w"), (b, a))
 
     def test_empty(self):
-        assert repr(Skeleton.empty(2)) == "Skeleton(vertex_labels=(), matrices=((), ()))"
-        assert hash(Skeleton.empty(2)) == hash(((), ((), ())))
-        assert Skeleton.empty(2) == Skeleton.empty(2) != Skeleton.empty(1)
+        assert repr(Skeleton((), ((), ()))) == "Skeleton(vertex_labels=(), matrices=((), ()))"
+        assert hash(Skeleton((), ((), ()))) == hash(((), ((), ())))
+        assert Skeleton((), ((), ())) == Skeleton((), ((), ())) != Skeleton((), ((),))
 
     def test_restrictions_of_wide_storage_equal_fresh_skeletons(self, monkeypatch):
         built = []

@@ -247,7 +247,7 @@ def decompose(skel: Skeleton) -> ComponentDecomposition:
         owners = component_labels[[scc[0] for scc in sccs]]
         colour_reach.append(_read_only(_condensation(owners, len(components), colour_closure)))
 
-    spectra = [_block_spectra(arrays, c, comp) for c, comp in enumerate(components)]
+    spectra = [_block_spectra(skel, arrays, c, comp) for c, comp in enumerate(components)]
     return ComponentDecomposition(
         components=components,
         irreducible=tuple(zip(*flags)),
@@ -271,21 +271,20 @@ def _condensed(support: np.ndarray):
     return sccs, condensation, transitive_closure(condensation)
 
 
-def _block_spectra(arrays, c: int, comp: tuple[int, ...]):
+def _block_spectra(skel: Skeleton, arrays, c: int, comp: tuple[int, ...]):
     """Shared Perron vector, per-colour roots and per-colour brackets of one component.
 
     A single vertex's Perron root is its loop count, the float that
     ``spectral_radius`` returns on the 1x1 block, with the vector (1,) and
     the root as its bracket. A larger block takes one certified Noda
-    iteration on the colour sum for the vector and every colour's root
-    (``_family_perron``).
+    iteration on the colour sum of its blocks (cut by ``Skeleton._cut``)
+    for the vector and every colour's root (``_family_perron``).
     """
     if len(comp) == 1:
         v = comp[0]
         radii = tuple(float(a[v, v]) for a in arrays)
         return _UNIT, radii, tuple(zip(radii, radii))
-    block = np.ix_(comp, comp)
-    return _family_perron([a[block] for a in arrays], f"component {c} (vertices {list(comp)})")
+    return _family_perron(skel._cut(comp, floats=True), f"component {c} (vertices {list(comp)})")
 
 
 def _weak_pieces(skel: Skeleton) -> list[list[int]]:
@@ -365,7 +364,7 @@ def restrict(skel: Skeleton, hereditary_set: Iterable[int]) -> Skeleton:
     if not is_hereditary(skel, removed):
         raise ValueError("removal set is not hereditary")
     keep = [v for v in range(skel.n) if v not in removed]
-    return skel._induced(keep, skel._analysis.sliced(keep))
+    return skel._induced(keep)
 
 
 def split_isolated(skel: Skeleton) -> list[Skeleton]:
@@ -379,4 +378,4 @@ def split_isolated(skel: Skeleton) -> list[Skeleton]:
     pieces = _weak_pieces(carried)
     if len(pieces) == 1:
         return [skel]
-    return [carried._induced(piece, carried._analysis.sliced(piece)) for piece in pieces]
+    return [carried._induced(piece) for piece in pieces]

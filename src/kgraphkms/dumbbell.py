@@ -3,9 +3,7 @@
 The two-colour commutation requirement collapses to a handful of exact
 integer relations on the bundle sizes, which makes this family ideal both
 for generating valid inputs in bulk and for stress-testing the spectral
-ordering machinery. All relation checks are exact integer arithmetic and
-work elementwise on numpy arrays as well, so enumerations can be
-vectorised.
+ordering machinery. All relation checks are exact integer arithmetic.
 """
 
 from __future__ import annotations

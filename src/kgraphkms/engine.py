@@ -169,6 +169,7 @@ class PhaseDiagram:
     below the terminal value no equilibrium states exist. Critical points
     carry explicit extreme states; open intervals carry the recipe (one
     point-mass state per listed vertex) instead of sampled values.
+    ``_skeleton`` is the skeleton it was asked about, for ``extreme_states_at`` to compare.
     """
 
     vertex_labels: tuple[str, ...]
@@ -180,6 +181,7 @@ class PhaseDiagram:
     intervals: tuple[Interval, ...]
     terminal_beta: float
     pieces: tuple[PhasePiece, ...]
+    _skeleton: Skeleton = field(compare=False, repr=False)
 
 
 def normalize_dynamics(
@@ -362,7 +364,7 @@ def _embedded(parts, size: int, beta: float, meta) -> list[ExtremeState]:
     out = np.zeros((sum(len(rows) for rows, _ in parts), size))
     start = 0
     for rows, frame in parts:
-        out[start : start + len(rows), list(frame)] = rows
+        out[start : start + len(rows), frame] = rows
         start += len(rows)
     out.flags.writeable = False
     return [ExtremeState(beta, m, *rest) for m, rest in zip(out, meta)]
@@ -372,9 +374,12 @@ def _point_mass_meta(skel: Skeleton, depth: int):
     return [(KIND_POINT_MASS, (label,), depth, False) for label in skel.vertex_labels]
 
 
-def _frame(sub: Skeleton, pos: dict[str, int]) -> list[int]:
-    """Indices of ``sub``'s vertices in the skeleton whose labels ``pos`` numbers."""
-    return [pos[label] for label in sub.vertex_labels]
+def _positions(sub: Skeleton, skel: Skeleton, vertices=slice(None)) -> np.ndarray:
+    """Indices in ``skel`` of ``sub``'s ``vertices`` (default all), where ``sub`` is ``skel`` or was cut from it.
+
+    Both hold sorted vertex indices in one root, so they are found by binary search.
+    """
+    return np.searchsorted(skel._at, sub._at[vertices])
 
 
 def _certify(skel: Skeleton, dyn: Dynamics, beta: float, rows: np.ndarray, context) -> None:
@@ -431,7 +436,8 @@ def supercritical_extremes(
     if frame is None:
         frame, size = range(skel.n), skel.n
     elif not (
-        len(frame) == len(set(frame)) == skel.n and all(isinstance(v, (int, np.integer)) and 0 <= v < size for v in frame)
+        len(frame) == len(set(frame)) == skel.n
+        and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < size for v in frame)
     ):
         raise ValueError(f"frame must hold {skel.n} distinct vertex indices in range({size}), got {frame!r}")
     if skel.n == 0:
@@ -481,14 +487,14 @@ def _point_masses(skel: Skeleton, dyn: Dynamics, beta: float) -> np.ndarray:
     return rows
 
 
-def _kms1_parts(skel: Skeleton, dyn: Dynamics, depth: int, pos: dict[str, int], beta: float):
+def _kms1_parts(skel: Skeleton, dyn: Dynamics, depth: int, top: Skeleton, beta: float):
     """Critical-temperature machinery shared by the API call and the sweep.
 
     Returns the extreme states at the critical value, labelled ``beta`` and
-    embedded in the skeleton whose labels ``pos`` numbers, the quotient
-    skeleton left after dropping the hereditary closure of the minimal
-    critical components, and the piece's criticality report. The caller
-    has checked the assumptions.
+    embedded in the frame of ``top`` (``skel`` or a skeleton it was cut
+    from), the quotient skeleton left after dropping the hereditary closure
+    of the minimal critical components, and the piece's criticality report.
+    The caller has checked the assumptions.
 
     Criticality is decided once, on ``skel``. Dropping the feeders of the
     minimal critical components leaves exactly those components critical:
@@ -499,15 +505,14 @@ def _kms1_parts(skel: Skeleton, dyn: Dynamics, depth: int, pos: dict[str, int], 
     crit = critical_components(skel, dyn)
     minimal, core, closure = _minimal_core(skel, crit)
     inner = restrict(skel, closure - core)
-    at = {label: v for v, label in enumerate(inner.vertex_labels)}
-    psi = [psi_state(inner, dyn, [at[skel.vertex_labels[v]] for v in comp], depth=depth) for comp in minimal]
-    parts = [([s.m for s in psi], _frame(inner, pos))]
+    psi = [psi_state(inner, dyn, _positions(skel, inner, list(comp)), depth=depth) for comp in minimal]
+    parts = [([s.m for s in psi], _positions(inner, top))]
     meta = [(s.kind, s.anchor, depth, s.factors_through_ck) for s in psi]
     quotient = restrict(skel, closure)
     if quotient.n:
-        parts.append((_point_masses(quotient, dyn, 1.0), _frame(quotient, pos)))
+        parts.append((_point_masses(quotient, dyn, 1.0), _positions(quotient, top)))
         meta += _point_mass_meta(quotient, depth)
-    return tuple(_embedded(parts, len(pos), beta, meta)), quotient, crit
+    return tuple(_embedded(parts, top.n, beta, meta)), quotient, crit
 
 
 def kms1_extremes(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False) -> tuple[ExtremeState, ...]:
@@ -520,8 +525,7 @@ def kms1_extremes(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False)
     """
     skel = _analysed(skel, dyn)
     _require_assumptions(skel, allow_violations)
-    pos = {label: v for v, label in enumerate(skel.vertex_labels)}
-    states, _, _ = _kms1_parts(skel, dyn, 0, pos, 1.0)
+    states, _, _ = _kms1_parts(skel, dyn, 0, skel, 1.0)
     return states
 
 
@@ -558,24 +562,23 @@ def phase_diagram(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False)
     Assumptions are checked once, here: every piece of a passing graph
     passes too, since restriction keeps its components' analysis intact.
     """
-    skel = _analysed(skel, dyn)
-    _require_assumptions(skel, allow_violations)
-    return _assemble(skel, dyn, _removal_pieces(skel, dyn))
+    carried = _analysed(skel, dyn)
+    _require_assumptions(carried, allow_violations)
+    return _assemble(skel, dyn, _removal_pieces(carried, dyn))
 
 
 def _removal_pieces(skel: Skeleton, dyn: Dynamics) -> list[PhasePiece]:
     """Every node of the removal recursion, parents before children."""
     pieces: list[PhasePiece] = []
-    pos = {label: v for v, label in enumerate(skel.vertex_labels)}
 
     def process(sub: Skeleton, beta_start: float, depth: int) -> None:
         sub_dyn = normalize_dynamics(sub, r=dyn.r, rationally_independent=dyn.rationally_independent)
         beta_c = sub_dyn.normalization_factor
-        states, quotient, crit = _kms1_parts(sub, sub_dyn, depth, pos, beta_c)
+        states, quotient, crit = _kms1_parts(sub, sub_dyn, depth, skel, beta_c)
         pieces.append(
             PhasePiece(
                 skeleton=sub,
-                vertices=tuple(_frame(sub, pos)),
+                vertices=tuple(_positions(sub, skel).tolist()),
                 beta_start=beta_start,
                 beta_crit=beta_c,
                 symbolic_beta=_symbolic_beta(sub, dyn.r),
@@ -654,6 +657,7 @@ def _assemble(skel: Skeleton, dyn: Dynamics, pieces: list[PhasePiece]) -> PhaseD
         intervals=tuple(intervals),
         terminal_beta=betas[-1],
         pieces=tuple(pieces),
+        _skeleton=skel,
     )
 
 
@@ -670,12 +674,14 @@ def extreme_states_at(
     critical point; otherwise the surviving quotient pieces straddling
     ``beta`` are evaluated supercritically, reusing the analyses that the
     pieces of ``diagram`` carry. Below the terminal value the state set is
-    empty. ``diagram`` must be for ``skel``'s vertex labels and ``dyn.r``.
+    empty. ``diagram`` must be for ``skel`` (or an equal skeleton) and ``dyn.r``.
     """
     beta = _inverse_temperature(beta)
     diag = diagram if diagram is not None else phase_diagram(skel, dyn, allow_violations)
     if diag.vertex_labels != skel.vertex_labels or diag.r != dyn.r:
         raise ValueError("the diagram was computed for other vertex labels or another dynamics vector r")
+    if diag._skeleton is not skel and diag._skeleton != skel:
+        raise ValueError("the diagram was computed for a skeleton with other colour matrices")
     for b, states in zip(diag.critical_betas, diag.critical_points):
         if _ties(beta, b):
             return states

@@ -146,14 +146,14 @@ class Skeleton:
 
     ``_analysis``, set at construction only, is None unless the library
     built the skeleton to carry its decomposition (``components.analysed``).
-    ``_frame`` is None unless the skeleton was cut from another
-    (``restrict``, ``split_isolated``); then it holds the root skeleton of
-    that cut and this skeleton's vertex indices in it, and the float
-    matrices are cut from the root's.
+    ``_frame`` is None unless the skeleton was cut from another (``restrict``,
+    ``split_isolated``); then it holds the root of that cut and this
+    skeleton's sorted vertex indices in it, ``_ints`` is the root's tuple of
+    integer arrays, and ``_cut`` cuts every matrix and block from the root's.
     """
 
     vertex_labels: tuple[str, ...]
-    _arrays: tuple[np.ndarray, ...]
+    _ints: tuple[np.ndarray, ...]
     _analysis: ComponentDecomposition | None
     _frame: tuple[Skeleton, np.ndarray] | None
 
@@ -182,10 +182,7 @@ class Skeleton:
         for i, j in combinations(range(len(arrays)), 2):
             if _commutator_support(arrays[i], arrays[j]).any():
                 raise ValueError(f"matrices {i} and {j} do not commute")
-        object.__setattr__(self, "vertex_labels", labels)
-        object.__setattr__(self, "_arrays", tuple(arrays))
-        object.__setattr__(self, "_analysis", None)
-        object.__setattr__(self, "_frame", None)
+        vars(self).update(vertex_labels=labels, _ints=tuple(arrays), _analysis=None, _frame=None)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -193,7 +190,8 @@ class Skeleton:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.vertex_labels, self.matrices) == (other.vertex_labels, other.matrices)
+        same_shape = (self.vertex_labels, self.k) == (other.vertex_labels, other.k)
+        return same_shape and all(map(np.array_equal, self._arrays, other._arrays))
 
     def __hash__(self):
         return hash((self.vertex_labels, self.matrices))
@@ -201,8 +199,8 @@ class Skeleton:
     def __repr__(self):
         return f"Skeleton(vertex_labels={self.vertex_labels!r}, matrices={self.matrices!r})"
 
-    def _induced(self, keep: Sequence[int], analysis: ComponentDecomposition) -> "Skeleton":
-        """Sub-skeleton on the sorted vertices ``keep`` carrying ``analysis``, without re-running the checks.
+    def _induced(self, keep: Sequence[int]) -> "Skeleton":
+        """Sub-skeleton on the sorted vertices ``keep`` carrying its analysis slice, without re-running the checks.
 
         Only for ``keep`` the complement of a hereditary set ``H`` or a weakly
         connected piece. Labels, shape and signs are inherited, and so is
@@ -212,11 +210,9 @@ class Skeleton:
         A[K, K] B[K, K]``, and likewise for ``BA``. A weakly connected piece
         has no edges to or from the rest at all.
         """
-        idx = np.asarray(keep, dtype=np.intp)
-        arrays = [_read_only(a.take(idx, 0).take(idx, 1)) for a in self._arrays]
-        root, at = self._frame or (self, None)
-        frame = (root, _read_only(idx if at is None else at[idx]))
-        return Skeleton._stored(tuple(self.vertex_labels[v] for v in keep), arrays, analysis, frame)
+        frame = (self._frame[0] if self._frame else self, _read_only(self._at[np.asarray(keep, dtype=np.intp)]))
+        labels = tuple(self.vertex_labels[v] for v in keep)
+        return Skeleton._stored(labels, self._ints, self._analysis.sliced(keep), frame)
 
     @classmethod
     def _stored(
@@ -226,12 +222,9 @@ class Skeleton:
         analysis: ComponentDecomposition | None,
         frame: tuple[Skeleton, np.ndarray] | None = None,
     ) -> "Skeleton":
-        """A skeleton on labels and read-only arrays that are known to pass every check."""
+        """A skeleton on labels and read-only arrays that are known to pass every check (the root's, with ``frame``)."""
         skel = object.__new__(cls)
-        object.__setattr__(skel, "vertex_labels", labels)
-        object.__setattr__(skel, "_arrays", tuple(arrays))
-        object.__setattr__(skel, "_analysis", analysis)
-        object.__setattr__(skel, "_frame", frame)
+        vars(skel).update(vertex_labels=labels, _ints=tuple(arrays), _analysis=analysis, _frame=frame)
         return skel
 
     def _twin(self, analysis: ComponentDecomposition) -> "Skeleton":
@@ -251,36 +244,39 @@ class Skeleton:
 
     @property
     def k(self) -> int:
-        return len(self._arrays)
+        return len(self._ints)
+
+    @property
+    def _at(self) -> np.ndarray:
+        """This skeleton's sorted vertex indices in its root: all of them for a root."""
+        return np.arange(self.n) if self._frame is None else self._frame[1]
+
+    def _cut(self, rows=None, cols=None, floats: bool = False) -> tuple[np.ndarray, ...]:
+        """Each colour's read-only block at vertex indices ``rows`` x ``cols``, cut from the root's arrays.
+
+        ``rows`` defaults to every vertex and ``cols`` to ``rows``. Integer
+        blocks come from the root's integer arrays, float blocks (``floats``)
+        from its one float copy; no other code cuts colour blocks.
+        """
+        root, at = self._frame or (self, np.arange(self.n))
+        rows = at if rows is None else at[np.asarray(rows, dtype=np.intp)]
+        cols = rows if cols is None else at[np.asarray(cols, dtype=np.intp)]
+        cut = np.ix_(rows, cols)
+        return tuple(_read_only(a[cut]) for a in (root._float_arrays if floats else self._ints))
+
+    @property
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        """The integer colour matrices: a root's own, cut from the root's on each read otherwise."""
+        return self._ints if self._frame is None else self._cut()
 
     @cached_property
     def _float_arrays(self) -> tuple[np.ndarray, ...]:
-        return tuple(_read_only(a.astype(float)) for a in self._arrays)
+        """A root's float copies of its integer arrays, built once."""
+        return tuple(_read_only(a.astype(float)) for a in self._ints)
 
     def as_arrays(self) -> tuple[np.ndarray, ...]:
-        """Read-only float copies for the numeric layer.
-
-        A skeleton cut from another cuts them from its root's on each call
-        and keeps none; any other builds its own once.
-        """
-        if self._frame is None:
-            return self._float_arrays
-        return self._float_blocks(range(self.n))
-
-    def _float_blocks(self, rows, cols=None) -> tuple[np.ndarray, ...]:
-        """Each colour's read-only float block at vertex indices ``rows`` x ``cols`` (default ``rows``).
-
-        A skeleton cut from another cuts it from its root's float copies. The
-        extension and the point-mass solves take their blocks here.
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = rows if cols is None else np.asarray(cols, dtype=np.intp)
-        root = self
-        if self._frame is not None:
-            root, at = self._frame
-            rows, cols = at[rows], at[cols]
-        cut = np.ix_(rows, cols)
-        return tuple(_read_only(a[cut]) for a in root._float_arrays)
+        """Read-only float copies for the numeric layer: a root's own, built once, and cut from them otherwise."""
+        return self._float_arrays if self._frame is None else self._cut(floats=True)
 
     def union_support(self) -> np.ndarray:
         """Boolean matrix with True where any colour has an edge."""

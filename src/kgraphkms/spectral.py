@@ -211,7 +211,7 @@ def spectral_radius(matrix) -> float:
 
 
 def _family_perron(
-    mats: list[np.ndarray], owner: str
+    mats: Sequence[np.ndarray], owner: str
 ) -> tuple[np.ndarray, tuple[float, ...], tuple[tuple[float, float], ...]]:
     """Shared Perron vector of commuting blocks with an irreducible sum, and each block's root.
 
@@ -330,7 +330,7 @@ def _partition_for(skel, component: Iterable[int]):
     f = np.flatnonzero(fed & (decomp._labels != c)).tolist()
     h = np.flatnonzero(~fed).tolist()
     feeder_radii = [max([0.0] + [decomp.radii[e][i] for e in feeders]) for i in range(skel.k)]
-    blocks = list(zip(skel._float_blocks(f), skel._float_blocks(f, d)))
+    blocks = list(zip(skel._cut(f, floats=True), skel._cut(f, d, floats=True)))
     return f, d, h, decomp.vectors[c], decomp.radii[c], feeder_radii, blocks
 
 

@@ -15,6 +15,7 @@ from kgraphkms import (
     phase_diagram,
     psi_state,
     removal_set,
+    restrict,
     supercritical_extremes,
     verify_state,
     verify_states,
@@ -275,12 +276,20 @@ class TestSupercritical:
 
     @pytest.mark.parametrize(
         "frame, size",
-        [([0, 1, 2], 0), ([0, 0, 0], 3), ([0, 1], 3), ([0, 1, 3], 3), ([-1, 0, 1], 3), ([0.0, 1.0, 2.0], 3)],
-        ids=["no-size", "repeated", "short", "beyond-size", "negative", "floats"],
+        [
+            ([0, 1, 2], 0),
+            ([0, 0, 0], 3),
+            ([0, 1], 3),
+            ([0, 1, 3], 3),
+            ([-1, 0, 1], 3),
+            ([0.0, 1.0, 2.0], 3),
+            ([True, 0, 2], 3),
+        ],
+        ids=["no-size", "repeated", "short", "beyond-size", "negative", "floats", "bool"],
     )
     def test_rejects_a_frame_that_is_not_one_index_per_vertex(self, ex1, ex1_dyn, frame, size):
         # A repeated index used to give states whose weights summed to 0, a
-        # missing size an IndexError.
+        # missing size an IndexError, and True placed a vertex at index 1.
         with pytest.raises(ValueError, match=rf"frame must hold 3 distinct vertex indices in range\({size}\)"):
             supercritical_extremes(ex1, ex1_dyn, 1.5, frame=frame, size=size)
 
@@ -436,6 +445,24 @@ class TestDiagramAnalyses:
             assert np.array_equal(piece.skeleton._analysis.leq, fresh.leq)
             assert "analysis" not in repr(piece)
 
+    def test_a_skeleton_cut_from_another_is_its_own_frame(self):
+        # A loop vertex x before chain-8, apart from it: dropping x leaves
+        # the chain at indices 1..8 of its root, and the positions of its
+        # pieces in it are found from those indices.
+        fresh = chain(8, 0)
+        blocks = [np.pad(np.array(m), ((1, 0), (1, 0))) + np.diag([3] + [0] * 8) for m in fresh.matrices]
+        rest = restrict(Skeleton(("x", *fresh.vertex_labels), [b.tolist() for b in blocks]), {0})
+        assert rest._frame[1].tolist() == list(range(1, 9))
+        got, want = (phase_diagram(s, normalize_dynamics(s)) for s in (rest, fresh))
+        assert [p.vertices for p in got.pieces] == [p.vertices for p in want.pieces]
+        assert [p.skeleton for p in got.pieces] == [p.skeleton for p in want.pieces]
+        assert got.critical_points == want.critical_points and len(got.pieces) == 8
+        for skel in (rest, fresh):
+            dyn = normalize_dynamics(skel)
+            assert kms1_extremes(skel, dyn) == want.critical_points[0]
+            states = extreme_states_at(skel, dyn, 0.9, diagram=phase_diagram(skel, dyn))
+            assert states == extreme_states_at(fresh, dyn, 0.9) and len(states) == 5
+
 
 class TestDiagramMatch:
     """``extreme_states_at`` evaluates a diagram only for the skeleton labels and ``r`` it was computed for."""
@@ -453,10 +480,19 @@ class TestDiagramMatch:
         with pytest.raises(ValueError, match="another dynamics vector r"):
             extreme_states_at(ex2, ex2_dyn, 1.5, diagram=phase_diagram(ex1, ex1_dyn))
 
+    def test_another_skeleton_is_refused(self, ex1, ex1_dyn, ex2):
+        # ex2 has ex1's labels, so with ex1's dynamics vector it used to get
+        # ex1's states. The comparison builds no nested-tuple matrices.
+        other = Skeleton(ex2.vertex_labels, ex2.matrices)
+        with pytest.raises(ValueError, match="diagram was computed for a skeleton with other colour matrices"):
+            extreme_states_at(other, ex1_dyn, 1.5, diagram=phase_diagram(ex1, ex1_dyn))
+        assert "matrices" not in vars(other)
+
     def test_its_own_skeleton_and_dynamics_are_accepted(self, ex1, ex1_dyn):
         diagram = phase_diagram(ex1, ex1_dyn)
         twin = Skeleton(ex1.vertex_labels, ex1.matrices)
         assert extreme_states_at(twin, ex1_dyn, 1.5, diagram=diagram) == extreme_states_at(ex1, ex1_dyn, 1.5)
+        assert "matrices" not in vars(twin)
 
 
 class TestEmptySkeleton:

@@ -5,7 +5,15 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from kgraphkms import Skeleton, parse_input, restrict, split_isolated, validate_skeleton
+from kgraphkms import (
+    Skeleton,
+    normalize_dynamics,
+    parse_input,
+    phase_diagram,
+    restrict,
+    split_isolated,
+    validate_skeleton,
+)
 from kgraphkms.skeleton import (
     RULE_COMMUTE,
     RULE_DIMENSION,
@@ -17,7 +25,7 @@ from kgraphkms.skeleton import (
     _int_matmul,
 )
 
-from conftest import DATA, EXAMPLE_1, data_skeletons, rules, skeleton
+from conftest import DATA, EXAMPLE_1, chain, data_skeletons, rules, skeleton
 
 
 class TestValidate:
@@ -346,13 +354,45 @@ class TestValueSemantics:
         assert built == []
         assert [p.vertex_labels for p in pieces] == [("a",), ("c",)]
         for sub in (rest, *pieces):
+            assert_index_view(sub, WIDE)
             fresh = Skeleton(sub.vertex_labels, sub.matrices)
-            assert sub == fresh and hash(sub) == hash(fresh) and repr(sub) == repr(fresh)
+            assert repr(sub) == repr(fresh)
         assert pieces[0] == Skeleton(("a",), ([[3]], [[3]]))
         assert hash(pieces[1]) == hash((("c",), (((2,),), ((2**65,),))))
 
 
+def assert_index_view(sub, root):
+    """``sub``, cut from ``root``, stores its vertex indices and the root's arrays, and acts as a fresh skeleton.
+
+    It stores no colour matrix of its own: its integer arrays are the very
+    tuple that ``root`` (or the analysed twin of ``root`` that it was cut
+    from) holds. Its arrays, matrices, equality and hash are those of a
+    skeleton built from scratch on its vertices.
+    """
+    assert set(vars(sub)) == {"vertex_labels", "_ints", "_analysis", "_frame"}
+    cut_from, at = sub._frame
+    assert cut_from._frame is None and sub._ints is cut_from._ints is root._ints
+    assert at.dtype == np.intp and at.tolist() == sorted(set(at.tolist()))
+    assert sub.vertex_labels == tuple(root.vertex_labels[v] for v in at)
+    fresh = Skeleton(sub.vertex_labels, [[[m[v][w] for w in at] for v in at] for m in root.matrices])
+    assert len(sub._arrays) == len(fresh._arrays) == root.k
+    assert all(np.array_equal(a, b) for a, b in zip(sub._arrays, fresh._arrays))
+    assert sub.matrices == fresh.matrices and sub == fresh and hash(sub) == hash(fresh)
+
+
 class TestStorage:
+    def test_pieces_and_restrictions_are_index_views_of_their_root(self):
+        # They used to hold int64 copies of their blocks: about 300 MB of a
+        # chain-384 diagram.
+        skel = chain(32, 0)
+        diagram = phase_diagram(skel, normalize_dynamics(skel))
+        cut = [p.skeleton for p in diagram.pieces if p.skeleton._frame is not None]
+        assert len(cut) == len(diagram.pieces) - 1
+        assert all(p.skeleton._ints is skel._ints for p in diagram.pieces)
+        rest = restrict(skel, {30, 31})
+        for sub in (*cut, rest, restrict(rest, {28, 29})):
+            assert_index_view(sub, skel)
+
     def test_int64_unless_an_entry_does_not_fit(self):
         skel = Skeleton(("a", "b"), ([[2**63, 1], [1, 1]], [[2**63 - 1, 0], [0, 2**63 - 1]]))
         assert [a.dtype for a in skel._arrays] == [np.dtype(object), np.dtype(np.int64)]

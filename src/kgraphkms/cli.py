@@ -14,7 +14,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .components import analysed, analysis_of, check_assumptions
+from .components import analysed, check_assumptions
 from .dumbbell import (
     Dumbbell2Params,
     DumbbellBounds,
@@ -114,7 +114,7 @@ def _state_payloads(
 
 
 def _components_section(skel: Skeleton) -> dict:
-    decomp = analysis_of(skel)
+    decomp = analysed(skel)._analysis
     return {
         "order": [[skel.vertex_labels[v] for v in comp] for comp in decomp.components],
         "trivial": list(decomp.trivial),
@@ -124,7 +124,7 @@ def _components_section(skel: Skeleton) -> dict:
 
 
 def _spectra_section(skel: Skeleton) -> dict:
-    decomp = analysis_of(skel)
+    decomp = analysed(skel)._analysis
     components = []
     for comp, radii, irreducible, vector in zip(
         decomp.components, decomp.radii, decomp.coordinatewise_irreducible, decomp.vectors

@@ -99,11 +99,11 @@ class ComponentDecomposition:
         dropped components never change which kept ones are ready, and the
         smallest-vertex tie-break is preserved by the monotone relabelling.
         """
-        pos = {int(v): i for i, v in enumerate(keep)}
-        kept = [c for c, comp in enumerate(self.components) if int(comp[0]) in pos]
+        pos = {v: i for i, v in enumerate(keep)}
+        kept = [c for c, comp in enumerate(self.components) if comp[0] in pos]
         cut = np.ix_(kept, kept)
         return ComponentDecomposition(
-            components=tuple(tuple(pos[int(v)] for v in self.components[c]) for c in kept),
+            components=tuple(tuple(pos[v] for v in self.components[c]) for c in kept),
             irreducible=tuple(self.irreducible[c] for c in kept),
             radii=tuple(self.radii[c] for c in kept),
             leq=_read_only(self.leq[cut]),
@@ -155,41 +155,52 @@ class AssumptionReport:
     all_pass: bool
 
 
-def analysis_of(skel: Skeleton) -> ComponentDecomposition:
-    """The decomposition ``skel`` carries, or else a fresh one."""
-    if skel._analysis is not None:
-        return skel._analysis
-    return decompose(skel)
-
-
-def analysed(skel: Skeleton, decomp: ComponentDecomposition | None = None) -> Skeleton:
-    """``skel`` if it carries its decomposition, else a twin carrying ``decomp`` or a fresh one.
-
-    ``decomp``, when given, must be ``skel``'s own decomposition.
-    """
+def analysed(skel: Skeleton) -> Skeleton:
+    """``skel`` if it carries its decomposition, else a twin carrying a fresh one."""
     if skel._analysis is not None:
         return skel
-    return skel._twin(decompose(skel) if decomp is None else decomp)
+    return skel._twin(decompose(skel))
+
+
+def _is_int(v) -> bool:
+    """``v`` is an int, numpy's included; a bool or a float, even an integral one, is not."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _vertex_indices(skel: Skeleton, vertices: Iterable) -> list[int]:
+    """Sorted distinct vertex indices, else ``ValueError`` naming bad ints in order, then other bad entries."""
+    given, n = list(vertices), skel.n
+    bad = [v for v in given if not (_is_int(v) and 0 <= v < n)]
+    if bad:
+        ints = sorted({int(v) for v in bad if _is_int(v)})
+        raise ValueError(f"unknown vertex indices {ints + [v for v in bad if not _is_int(v)]}")
+    return sorted(set(map(int, given)))
+
+
+def _named_component(skel: Skeleton, vertices: Iterable) -> tuple[Skeleton, list[int], int]:
+    """``skel`` analysed, ``vertices`` read, and the index of the component with exactly those vertices."""
+    skel, d = analysed(skel), _vertex_indices(skel, vertices)
+    c = int(skel._analysis._labels[d[0]]) if d else 0
+    if not d or skel._analysis.components[c] != tuple(d):
+        raise ValueError(f"{d} is not a strongly connected component")
+    return skel, d, c
 
 
 def hereditary_closure(skel: Skeleton, vertices: Iterable[int]) -> frozenset[int]:
     """Smallest hereditary superset: add every source of a path into the set.
 
-    An index outside ``range(skel.n)`` raises ``ValueError``.
+    An entry that is not an int in ``range(skel.n)`` raises ``ValueError``.
     """
-    seeds = sorted(set(int(v) for v in vertices))
-    bad = [v for v in seeds if not 0 <= v < skel.n]
-    if bad:
-        raise ValueError(f"unknown vertex indices {bad}")
+    seeds = _vertex_indices(skel, vertices)
     if not seeds:
         return frozenset()
-    decomp = analysis_of(skel)
+    decomp = analysed(skel)._analysis
     closed = decomp.leq[decomp._labels[seeds]].any(axis=0)
     return frozenset(np.flatnonzero(closed[decomp._labels]).tolist())
 
 
 def is_hereditary(skel: Skeleton, vertices: Iterable[int]) -> bool:
-    vs = frozenset(int(v) for v in vertices)
+    vs = frozenset(_vertex_indices(skel, vertices))
     return hereditary_closure(skel, vs) == vs
 
 
@@ -290,12 +301,19 @@ def _block_spectra(skel: Skeleton, arrays, c: int, comp: tuple[int, ...]):
 def _weak_pieces(skel: Skeleton) -> list[list[int]]:
     """Weakly connected vertex sets, sorted, in the order of their least vertices.
 
-    A piece is a union of components, so one Tarjan walk over the
-    components under the symmetrised relation ``leq | leq.T`` finds them.
+    Each component takes the least label over its row of ``leq | leq.T``,
+    then that label's label, until none changes: labels fall but stay in a
+    piece, so each piece ends labelled by its least component.
     """
-    decomp = analysis_of(skel)
-    groups = tarjan_sccs(succ_lists(decomp.leq | decomp.leq.T))
-    return sorted(sorted(v for c in group for v in decomp.components[c]) for group in groups)
+    decomp = analysed(skel)._analysis
+    linked, least, settled = decomp.leq | decomp.leq.T, np.arange(decomp.count), None
+    while not np.array_equal(least, settled):
+        settled, lower = least, np.where(linked, least, decomp.count).min(axis=1, initial=decomp.count)
+        least = lower[lower]
+    pieces: dict[int, list[int]] = {}
+    for comp, label in zip(decomp.components, least.tolist()):
+        pieces.setdefault(label, []).extend(comp)
+    return sorted(map(sorted, pieces.values()))
 
 
 def check_assumptions(skel: Skeleton) -> AssumptionReport:
@@ -326,23 +344,18 @@ def check_assumptions(skel: Skeleton) -> AssumptionReport:
     a3_offenders = [(c, d, first[c][d], miss) for c, d, miss in np.argwhere(mixed[..., None] & ~bridges).tolist()]
     reach_offenders = list(map(tuple, np.argwhere(apart & reaches.any(axis=-1) & ~reaches.all(axis=-1)).tolist()))
 
-    a1_no_trivial = not trivial_idx
-    a1_no_isolated = not isolated
-    a2 = not a2_offenders
-    a3 = not a3_offenders
-    reach_ok = not reach_offenders
     return AssumptionReport(
-        a1_no_trivial=a1_no_trivial,
+        a1_no_trivial=not trivial_idx,
         trivial_components=trivial_idx,
-        a1_no_isolated=a1_no_isolated,
+        a1_no_isolated=not isolated,
         isolated_pieces=isolated,
-        a2_irreducible_and_rho_gt_1=a2,
+        a2_irreducible_and_rho_gt_1=not a2_offenders,
         a2_offenders=tuple(a2_offenders),
-        a3_colour_uniform_bridges=a3,
+        a3_colour_uniform_bridges=not a3_offenders,
         a3_offenders=tuple(a3_offenders),
-        per_colour_reach_consistent=reach_ok,
+        per_colour_reach_consistent=not reach_offenders,
         reach_offenders=tuple(reach_offenders),
-        all_pass=a1_no_trivial and a1_no_isolated and a2 and a3 and reach_ok,
+        all_pass=not (trivial_idx or isolated or a2_offenders or a3_offenders or reach_offenders),
     )
 
 
@@ -357,18 +370,17 @@ def restrict(skel: Skeleton, hereditary_set: Iterable[int]) -> Skeleton:
     The result carries the slice of ``skel``'s analysis on the kept
     vertices, and its matrices commute without a fresh proof.
     """
-    removed = frozenset(int(v) for v in hereditary_set)
+    removed = frozenset(_vertex_indices(skel, hereditary_set))
     if not removed:
         return skel
     skel = analysed(skel)
-    if not is_hereditary(skel, removed):
+    if hereditary_closure(skel, removed) != removed:
         raise ValueError("removal set is not hereditary")
-    keep = [v for v in range(skel.n) if v not in removed]
-    return skel._induced(keep)
+    return skel._induced([v for v in range(skel.n) if v not in removed])
 
 
 def split_isolated(skel: Skeleton) -> list[Skeleton]:
-    """Split into weakly connected pieces; a connected skeleton maps to itself.
+    """Split into weakly connected pieces: none for an empty skeleton, itself for a connected one.
 
     Each piece of a disconnected skeleton carries the slice of its analysis.
     """
@@ -376,6 +388,4 @@ def split_isolated(skel: Skeleton) -> list[Skeleton]:
         return []
     carried = analysed(skel)
     pieces = _weak_pieces(carried)
-    if len(pieces) == 1:
-        return [skel]
-    return [carried._induced(piece) for piece in pieces]
+    return [skel] if len(pieces) == 1 else [carried._induced(piece) for piece in pieces]

@@ -20,8 +20,8 @@ import numpy as np
 from .components import (
     AssumptionReport,
     ComponentDecomposition,
+    _is_int,
     analysed,
-    analysis_of,
     check_assumptions,
     hereditary_closure,
     restrict,
@@ -199,7 +199,7 @@ def normalize_dynamics(
     """
     if skel.n == 0:
         raise ValueError("cannot normalise a dynamics on the empty skeleton")
-    decomp = analysis_of(skel)
+    decomp = analysed(skel)._analysis
     log_radii = _log_radii(decomp, skel.k)
 
     if isinstance(r, str):
@@ -263,8 +263,8 @@ def _analysed(skel: Skeleton, dyn: Dynamics) -> Skeleton:
     """``skel`` carrying its analysis, the one ``dyn`` holds if ``dyn`` was normalised on ``skel`` itself."""
     if skel.n == 0:
         raise ValueError("the skeleton is empty: it has no vertices, so no states")
-    own = dyn.analysis is not None and dyn.analysis[0] is skel
-    return analysed(skel, dyn.analysis[1] if own else None)
+    own = skel._analysis is None and dyn.analysis is not None and dyn.analysis[0] is skel
+    return skel._twin(dyn.analysis[1]) if own else analysed(skel)
 
 
 def _log_radii(decomp: ComponentDecomposition, k: int) -> list[float]:
@@ -290,7 +290,7 @@ def critical_components(skel: Skeleton, dyn: Dynamics) -> CriticalityReport:
     """
     if skel.n == 0:
         return CriticalityReport((), frozenset(), ())
-    decomp = analysis_of(skel)
+    decomp = analysed(skel)._analysis
     log_radii = _log_radii(decomp, skel.k)
     top = max(lr / r for lr, r in zip(log_radii, dyn.r))
     if not _ties(top, 1.0):
@@ -342,7 +342,7 @@ def _require_assumptions(skel: Skeleton, allow_violations: bool) -> None:
 
 def _minimal_core(skel: Skeleton, crit: CriticalityReport):
     """The minimal critical components' vertex tuples, the union of their vertices and its hereditary closure."""
-    decomp = analysis_of(skel)
+    decomp = analysed(skel)._analysis
     leq = decomp.leq
     crit_idx = crit.critical_indices()
     # Minimal: no other critical component receives a path from them.
@@ -435,10 +435,7 @@ def supercritical_extremes(
     beta = _inverse_temperature(beta)
     if frame is None:
         frame, size = range(skel.n), skel.n
-    elif not (
-        len(frame) == len(set(frame)) == skel.n
-        and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < size for v in frame)
-    ):
+    elif not (len(frame) == len(set(frame)) == skel.n and all(_is_int(v) and 0 <= v < size for v in frame)):
         raise ValueError(f"frame must hold {skel.n} distinct vertex indices in range({size}), got {frame!r}")
     if skel.n == 0:
         return ()
@@ -456,7 +453,7 @@ def _inverse_temperature(beta) -> float:
 
 def _point_masses(skel: Skeleton, dyn: Dynamics, beta: float) -> np.ndarray:
     """The certified point-mass states at ``beta`` on a non-empty skeleton: row v is vertex v's."""
-    decomp = analysis_of(skel)
+    decomp = analysed(skel)._analysis
     arrays = skel.as_arrays()
     for i in range(skel.k):
         margin = beta * dyn.r[i] - math.log(max(decomp.global_radius(i), 1e-300))
@@ -531,7 +528,7 @@ def kms1_extremes(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False)
 
 def _symbolic_beta(skel: Skeleton, r: Sequence[float]) -> str | None:
     """Render a critical value as ln(a)/ln(b) when both sides snap to integers."""
-    decomp = analysis_of(skel)
+    decomp = analysed(skel)._analysis
     ratios = [lr / ri for lr, ri in zip(_log_radii(decomp, skel.k), r)]
     best = max(ratios)
     if abs(best - 1.0) <= 1e-12:
@@ -568,10 +565,15 @@ def phase_diagram(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False)
 
 
 def _removal_pieces(skel: Skeleton, dyn: Dynamics) -> list[PhasePiece]:
-    """Every node of the removal recursion, parents before children."""
-    pieces: list[PhasePiece] = []
+    """Every node of the removal recursion, in preorder: parents before children.
 
-    def process(sub: Skeleton, beta_start: float, depth: int) -> None:
+    A stack, not nested calls, so Python's recursion limit bounds no depth;
+    each quotient's pieces go on in reverse, to come off in order.
+    """
+    pieces: list[PhasePiece] = []
+    stack = [(top, math.inf, 0) for top in reversed(split_isolated(skel))]
+    while stack:
+        sub, beta_start, depth = stack.pop()
         sub_dyn = normalize_dynamics(sub, r=dyn.r, rationally_independent=dyn.rationally_independent)
         beta_c = sub_dyn.normalization_factor
         states, quotient, crit = _kms1_parts(sub, sub_dyn, depth, skel, beta_c)
@@ -588,11 +590,7 @@ def _removal_pieces(skel: Skeleton, dyn: Dynamics) -> list[PhasePiece]:
                 warnings=crit.warnings,
             )
         )
-        for nxt in split_isolated(quotient):
-            process(nxt, beta_c, depth + 1)
-
-    for top in split_isolated(skel):
-        process(top, math.inf, 0)
+        stack += [(nxt, beta_c, depth + 1) for nxt in reversed(split_isolated(quotient))]
     return pieces
 
 

@@ -310,16 +310,12 @@ def _partition_for(skel, component: Iterable[int]):
     components' roots since F is a union of components; and each colour's
     blocks ``(A[F, F], A[F, D])``.
     """
-    from .components import analysed, is_hereditary
+    from .components import _named_component
 
-    d = sorted(set(int(v) for v in component))
-    skel = analysed(skel)
+    skel, d, c = _named_component(skel, component)
     decomp = skel._analysis
-    if tuple(d) not in decomp.components:
-        raise ValueError(f"{d} is not a strongly connected component")
-    if not is_hereditary(skel, d):
+    if decomp.leq[c].sum() > 1:  # another component has a path into it
         raise ValueError(f"component {d} is not hereditary")
-    c = decomp.components.index(tuple(d))
     for i, flag in enumerate(decomp.irreducible[c]):
         if not flag:
             labels = ", ".join(skel.vertex_labels[v] for v in d)
@@ -411,20 +407,16 @@ def check_spectral_ordering(skel, component: Iterable[int], colour: int) -> Orde
     conclusion must hold; the verdict records which side failed otherwise.
     A colour outside ``range(k)`` raises ``ValueError``.
     """
-    from .components import analysed, is_hereditary
+    from .components import _named_component
 
     if not 0 <= colour < skel.k:
         raise ValueError(f"colour {colour} is not one of the {skel.k} colours 0..{skel.k - 1}")
-    skel = analysed(skel)
+    skel, _, d_idx = _named_component(skel, component)
     decomp = skel._analysis
-    d = tuple(sorted(set(int(v) for v in component)))
-    if d not in decomp.components:
-        raise ValueError(f"{sorted(d)} is not a strongly connected component")
-    d_idx = decomp.components.index(d)
     degenerate: list[str] = []
     if not all(decomp.coordinatewise_irreducible):
         degenerate.append("a component is not coordinatewise irreducible")
-    if not is_hereditary(skel, d):
+    if decomp.leq[d_idx].sum() > 1:
         degenerate.append("component under test is not hereditary")
 
     reach = decomp.colour_reach

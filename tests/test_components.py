@@ -14,14 +14,16 @@ from kgraphkms import (
     check_spectral_ordering,
     components,
     decompose,
+    extend_eigenvector,
     extreme_states_at,
     hereditary_closure,
     normalize_dynamics,
     phase_diagram,
+    psi_state,
     restrict,
     split_isolated,
 )
-from kgraphkms.components import analysed, analysis_of, is_hereditary
+from kgraphkms.components import analysed, is_hereditary
 from kgraphkms.dumbbell import make_dumbbell3, sample_commuting3
 from kgraphkms.skeleton import RULE_COMMUTE, validate_skeleton
 from kgraphkms.spectral import spectral_radius
@@ -236,13 +238,46 @@ class TestHereditaryClosure:
     def test_example1_u_pulls_everything(self):
         assert hereditary_closure(EXAMPLE_1, {0}) == frozenset({0, 1, 2})
 
-    @pytest.mark.parametrize("vertices, bad", [([-1], [-1]), ([5], [5]), ([0, 3, -2], [-2, 3])])
-    def test_unknown_vertex_indices_refused(self, vertices, bad):
-        # Unchecked, -1 would wrap around to the last vertex and 5 would
-        # raise a bare IndexError.
-        for check in (hereditary_closure, is_hereditary, restrict):
-            with pytest.raises(ValueError, match=rf"^unknown vertex indices {re.escape(str(bad))}$"):
-                check(EXAMPLE_1, vertices)
+    @pytest.mark.parametrize(
+        "vertices, bad",
+        [
+            ([-1], [-1]),
+            ([5], [5]),
+            ([0, 3, -2], [-2, 3]),
+            ([np.int64(9), 0], [9]),
+            # Neither a bool nor a float is a vertex index, even where
+            # int() of it would be one.
+            ([True], [True]),
+            ([1.7], [1.7]),
+            ([np.float64(2.0)], [np.float64(2.0)]),
+            # Bad integers come first, in order, then the rest as given.
+            ([2, 1.7, 7, True, -1, "u"], [-1, 7, 1.7, True, "u"]),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "check",
+        [
+            hereditary_closure,
+            is_hereditary,
+            restrict,
+            extend_eigenvector,
+            lambda skel, vs: psi_state(skel, normalize_dynamics(skel), vs),
+            lambda skel, vs: check_spectral_ordering(skel, vs, 0),
+        ],
+        ids=[
+            "hereditary_closure",
+            "is_hereditary",
+            "restrict",
+            "extend_eigenvector",
+            "psi_state",
+            "check_spectral_ordering",
+        ],
+    )
+    def test_unknown_vertex_indices_refused(self, check, vertices, bad):
+        # Unchecked, -1 would wrap around to the last vertex, 5 would raise
+        # a bare IndexError, and True and 1.7 would both be read as 1.
+        with pytest.raises(ValueError, match=rf"^unknown vertex indices {re.escape(str(bad))}$"):
+            check(EXAMPLE_1, vertices)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -404,7 +439,7 @@ def assert_inherited(sub):
     assert sub == fresh
     assert all(np.array_equal(a, b) for a, b in zip(sub.as_arrays(), fresh.as_arrays()))
     assert RULE_COMMUTE not in rules(validate_skeleton(sub.vertex_labels, sub.matrices))
-    got = analysis_of(sub)
+    got = analysed(sub)._analysis
     want = decompose(fresh)
     assert got.components == want.components
     assert got.radii == want.radii  # exact float equality
@@ -428,7 +463,7 @@ def assert_restrictions_inherit(skel):
     analysis, so ``assert_inherited`` checks the inherited one.
     """
     skel = analysed(skel)
-    decomp = analysis_of(skel)
+    decomp = analysed(skel)._analysis
     subs = [restrict(skel, hereditary_closure(skel, comp)) for comp in decomp.components]
     subs += [piece for sub in subs for piece in split_isolated(sub)]
     if check_assumptions(skel).a2_irreducible_and_rho_gt_1:

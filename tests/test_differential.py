@@ -27,13 +27,15 @@ from kgraphkms import (
     Dynamics,
     Skeleton,
     _digraph,
+    components,
     critical_components,
     decompose,
     normalize_dynamics,
     phase_diagram,
+    split_isolated,
     verify_states,
 )
-from kgraphkms.components import analysed, analysis_of, check_assumptions, hereditary_closure, restrict
+from kgraphkms.components import analysed, check_assumptions, hereditary_closure, restrict
 from kgraphkms.dumbbell import make_dumbbell3, sample_commuting3
 
 from conftest import (
@@ -158,12 +160,12 @@ def test_restrictions_inherit_reach_and_colour_reach(skel, data):
     # A restriction slices its parent's analysis; it must agree with the
     # references on the restricted skeleton itself.
     skel = analysed(skel)
-    decomp = analysis_of(skel)
+    decomp = analysed(skel)._analysis
     comp = data.draw(st.sampled_from(decomp.components))
     sub = restrict(skel, hereditary_closure(skel, comp))
     if not sub.n:
         return
-    got = analysis_of(sub)
+    got = analysed(sub)._analysis
     assert np.array_equal(vertex_reach(got), dense_reach(sub))
     for i in range(sub.k):
         want = relation_reference(got, _digraph.transitive_closure(colour_support(sub, i)))
@@ -218,7 +220,7 @@ R_OFFSETS = (0.0, 5e-10, -5e-10, 1.2e-9, -1.2e-9, 3e-9, 1e-6, 0.5)
 @settings(max_examples=80, deadline=None)
 def test_criticality_decisions_share_one_rule(skel, offsets):
     skel = analysed(skel)
-    radii = [analysis_of(skel).global_radius(i) for i in range(skel.k)]
+    radii = [analysed(skel)._analysis.global_radius(i) for i in range(skel.k)]
     if min(radii) <= 0 or max(radii) <= 1:
         return  # no dynamics normalises
     r = [math.log(rho) * (1 + e) if rho > 1 else 1.0 for rho, e in zip(radii, offsets)]
@@ -234,7 +236,7 @@ def test_criticality_decisions_share_one_rule(skel, offsets):
         at = {label: v for v, label in enumerate(sub.vertex_labels)}
         for state in piece.critical_states:
             if state.kind == "component":
-                c = analysis_of(sub).components.index(tuple(sorted(at[label] for label in state.anchor)))
+                c = analysed(sub)._analysis.components.index(tuple(sorted(at[label] for label in state.anchor)))
                 assert state.factors_through_ck == (crit.critical_colours_by_component[c] == set(range(skel.k)))
 
 
@@ -280,6 +282,44 @@ def test_assumption_report_lists_match_the_references(skel):
     assert report.isolated_pieces == isolated_reference(skel)
     assert report.a3_colour_uniform_bridges is (not a3)
     assert report.per_colour_reach_consistent is (not reach)
+
+
+def fence_pair(length: int) -> Skeleton:
+    """Two interleaved fences a0 -> a1 <- a2 -> a3 <- ... on the even and the odd vertices.
+
+    Each fence is one weak piece whose components link only to their
+    neighbours, so a label reaches the far end only after several rounds.
+    """
+    n = 2 * length
+    m = np.eye(n, dtype=int)
+    for v in range(n - 2):
+        j = v // 2
+        m[(v, v + 2) if j % 2 == 0 else (v + 2, v)] = 1
+    return Skeleton(tuple(f"x{v}" for v in range(n)), (m.tolist(),))
+
+
+def test_weak_pieces_of_interleaved_fences_match_the_tarjan_reference():
+    skel = analysed(fence_pair(16))
+    decomp = skel._analysis
+    assert decomp.count == 32
+    assert ((decomp.leq | decomp.leq.T).sum(axis=1) <= 3).all()
+    want = [list(p) for p in isolated_reference(skel)]
+    assert want == [list(range(0, 32, 2)), list(range(1, 32, 2))]
+    assert components._weak_pieces(skel) == want
+    assert [sub.vertex_labels for sub in split_isolated(skel)] == [
+        tuple(skel.vertex_labels[v] for v in p) for p in want
+    ]
+
+
+def test_weak_pieces_walk_no_digraph(monkeypatch):
+    skel = analysed(fence_pair(5))
+
+    def refuse(*args):
+        raise AssertionError("weak pieces walked a digraph")
+
+    monkeypatch.setattr(_digraph, "tarjan_sccs", refuse)
+    monkeypatch.setattr(components, "tarjan_sccs", refuse)
+    assert components._weak_pieces(skel) == [list(range(0, 10, 2)), list(range(1, 10, 2))]
 
 
 @given(GRAPHS, st.sets(st.integers(0, 17), max_size=4))

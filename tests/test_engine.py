@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -628,6 +629,23 @@ class TestPhase:
         assert diag.critical_points[0][0].m == (1.0,)
         assert diag.terminal_beta == 1.0
         assert extreme_states_at(SINGLE, dyn, 0.9, diagram=diag) == ()
+
+    def test_nesting_depth_is_not_bounded_by_the_recursion_limit(self):
+        # Chain-64's pieces nest 64 deep. A removal recursion with one call
+        # per level would need more than 60 frames beyond this one.
+        skel = chain(64, 0)
+        dyn = normalize_dynamics(skel)
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            diag = phase_diagram(skel, dyn)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert max(p.depth for p in diag.pieces) == 63
+        assert sum(map(len, diag.critical_points)) == 64 * 65 // 2
 
     def test_betas_strictly_decreasing_and_counts_weakly_decreasing(self, ex1, ex1_dyn, ex2, ex2_dyn):
         for skel, dyn in ((ex1, ex1_dyn), (ex2, ex2_dyn)):

@@ -301,10 +301,10 @@ def common_pf_eigenvector(family: Sequence) -> list[PFResult]:
 def _partition_for(skel, component: Iterable[int]):
     """The extension's preconditions and blocks for one component.
 
-    Checks, in this order, that ``component`` is a strongly connected
-    component of ``skel``, that it is hereditary and that each of its colour
-    blocks is irreducible. Returns the feeders F (the other vertices that
-    receive a path from it), the component D and the rest H; from its
+    Checks, in this order, that ``component`` holds vertex indices of a
+    strongly connected component, that it is hereditary and that each of its
+    colour blocks is irreducible. Returns the feeders F (the other vertices
+    that receive a path from it), the component D and the rest H; from its
     analysis, the component's shared Perron vector and per-colour roots;
     each colour's Perron root over the feeder block, the largest of its
     components' roots since F is a union of components; and each colour's

@@ -101,7 +101,7 @@ class ComponentDecomposition:
         """
         pos = {v: i for i, v in enumerate(keep)}
         kept = [c for c, comp in enumerate(self.components) if comp[0] in pos]
-        cut = np.ix_(kept, kept)
+        cut = np.array(kept, dtype=np.intp)[:, None], kept
         return ComponentDecomposition(
             components=tuple(tuple(pos[v] for v in self.components[c]) for c in kept),
             irreducible=tuple(self.irreducible[c] for c in kept),
@@ -168,8 +168,18 @@ def _is_int(v) -> bool:
 
 
 def _vertex_indices(skel: Skeleton, vertices: Iterable) -> list[int]:
-    """Sorted distinct vertex indices, else ``ValueError`` naming bad ints in order, then other bad entries."""
-    given, n = list(vertices), skel.n
+    """Sorted distinct vertex indices, else ``ValueError`` naming bad ints in order, then other bad entries.
+
+    An integer array is read in two vectorised steps, ``np.unique`` and a
+    range test on its ends; other input, and an array that fails the range
+    test, is read entry by entry.
+    """
+    n = skel.n
+    if isinstance(vertices, np.ndarray) and vertices.ndim == 1 and vertices.dtype.kind in "iu":
+        distinct = np.unique(vertices)
+        if not distinct.size or (distinct[0] >= 0 and distinct[-1] < n):
+            return distinct.tolist()
+    given = list(vertices)
     bad = [v for v in given if not (_is_int(v) and 0 <= v < n)]
     if bad:
         ints = sorted({int(v) for v in bad if _is_int(v)})
@@ -306,6 +316,8 @@ def _weak_pieces(skel: Skeleton) -> list[list[int]]:
     piece, so each piece ends labelled by its least component.
     """
     decomp = analysed(skel)._analysis
+    if decomp.count and (decomp.leq[0] | decomp.leq[:, 0]).all():
+        return [list(range(skel.n))]  # every component is linked to the first
     linked, least, settled = decomp.leq | decomp.leq.T, np.arange(decomp.count), None
     while not np.array_equal(least, settled):
         settled, lower = least, np.where(linked, least, decomp.count).min(axis=1, initial=decomp.count)

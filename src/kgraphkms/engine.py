@@ -28,7 +28,7 @@ from .components import (
     split_isolated,
 )
 from .skeleton import Skeleton
-from .spectral import SOLVE_RESIDUAL_TOL, EigenConsistencyError, _exceeds, _ties, extend_eigenvector
+from .spectral import SOLVE_RESIDUAL_TOL, EigenConsistencyError, _exceeds, _extension, _ties
 
 STATE_TOL = 1e-9
 
@@ -286,12 +286,14 @@ def critical_components(skel: Skeleton, dyn: Dynamics) -> CriticalityReport:
     ``normalize_dynamics``), the component's colour-j log Perron root ties
     ``r_j``, and its colour-j block is irreducible. Near-ties within a
     thousand bands are surfaced as warnings, naming the component by its
-    vertex labels, rather than silently classified.
+    vertex labels, rather than silently classified. A dynamics normalised
+    on ``skel`` itself lends its analysis and log radii.
     """
     if skel.n == 0:
         return CriticalityReport((), frozenset(), ())
-    decomp = analysed(skel)._analysis
-    log_radii = _log_radii(decomp, skel.k)
+    decomp = _analysed(skel, dyn)._analysis
+    own = dyn.analysis is not None and dyn.analysis[0] is skel
+    log_radii = dyn.log_radii if own else _log_radii(decomp, skel.k)
     top = max(lr / r for lr, r in zip(log_radii, dyn.r))
     if not _ties(top, 1.0):
         raise ValueError(f"dynamics is not normalised for this skeleton (max ratio {top:.12g})")
@@ -382,13 +384,15 @@ def _positions(sub: Skeleton, skel: Skeleton, vertices=slice(None)) -> np.ndarra
     return np.searchsorted(skel._at, sub._at[vertices])
 
 
-def _certify(skel: Skeleton, dyn: Dynamics, beta: float, rows: np.ndarray, context) -> None:
+def _certify(arrays, dyn: Dynamics, beta: float, rows: np.ndarray, context) -> None:
     """Raise unless every row passes ``verify_state``; ``context(j)`` names row j.
 
-    Decided on the margin arrays alone: a ``StateCheck`` is built only for
-    the first failing row, to name it.
+    ``arrays`` are the colour blocks of the skeleton the rows are states
+    of, cut once by the caller (``Skeleton.as_arrays``). Decided on the
+    margin arrays alone: a ``StateCheck`` is built only for the first
+    failing row, to name it.
     """
-    columns = _state_margins(skel, dyn, beta, rows, STATE_TOL)
+    columns = _state_margins(arrays, dyn, beta, rows, STATE_TOL)
     failing = np.flatnonzero(~columns[0])
     if failing.size:
         j = int(failing[0])
@@ -396,29 +400,27 @@ def _certify(skel: Skeleton, dyn: Dynamics, beta: float, rows: np.ndarray, conte
         raise EigenConsistencyError(f"{context(j)}: constructed state fails verification: {check}")
 
 
+def _psi(skel: Skeleton, dyn: Dynamics, component, depth: int):
+    """A component state's vertex vector, not yet certified, and its kind, anchor, depth and factoring flag."""
+    _, d, _, radii, _, _, _, _, z = _extension(skel, component)
+    factors = all(_ties(math.log(rho), r) for rho, r in zip(radii, dyn.r))
+    return z / z.sum(), (KIND_COMPONENT, tuple(skel.vertex_labels[v] for v in d), depth, factors)
+
+
 def psi_state(skel: Skeleton, dyn: Dynamics, component: Iterable[int], depth: int = 0) -> ExtremeState:
     """Critical state carried by one hereditary critical component.
 
-    The extension of the component's Perron vector is normalised to total
-    weight 1; the support covers the component and everything that receives
-    a path from it. The state descends to the Cuntz-Krieger quotient exactly
-    when every ``r_i`` matches the log of the component's colour-i root.
+    The extension of the component's Perron vector (``spectral._extension``,
+    the worker behind ``extend_eigenvector`` without its diagnostics) is
+    normalised to total weight 1 and certified; the support covers the
+    component and everything that receives a path from it. The state
+    descends to the Cuntz-Krieger quotient exactly when every ``r_i``
+    matches the log of the component's colour-i root.
     """
-    ext = extend_eigenvector(skel, component)
-    z = np.array(ext.z)
-    m = z / z.sum()
+    m, meta = _psi(skel, dyn, component, depth)
+    _certify(skel.as_arrays(), dyn, 1.0, m[None, :], lambda _: f"component state for {meta[1]}")
     m.flags.writeable = False
-    factors = all(_ties(math.log(rho), r) for rho, r in zip(ext.component_radii, dyn.r))
-    anchor = tuple(skel.vertex_labels[v] for v in ext.d)
-    _certify(skel, dyn, 1.0, m[None, :], lambda _: f"component state for {anchor}")
-    return ExtremeState(
-        beta=1.0,
-        m=m,
-        kind=KIND_COMPONENT,
-        anchor=anchor,
-        depth=depth,
-        factors_through_ck=factors,
-    )
+    return ExtremeState(1.0, m, *meta)
 
 
 def supercritical_extremes(
@@ -435,12 +437,22 @@ def supercritical_extremes(
     beta = _inverse_temperature(beta)
     if frame is None:
         frame, size = range(skel.n), skel.n
-    elif not (len(frame) == len(set(frame)) == skel.n and all(_is_int(v) and 0 <= v < size for v in frame)):
+    elif not _is_frame(frame, skel.n, size):
         raise ValueError(f"frame must hold {skel.n} distinct vertex indices in range({size}), got {frame!r}")
     if skel.n == 0:
         return ()
-    rows = _point_masses(skel, dyn, beta)
+    arrays = skel.as_arrays()
+    rows = _point_masses(skel, arrays, dyn, beta)
+    _certify(arrays, dyn, beta, rows, lambda v: f"point-mass state at {skel.vertex_labels[v]}")
     return tuple(_embedded([(rows, frame)], size, beta, _point_mass_meta(skel, depth)))
+
+
+def _is_frame(frame, n: int, size: int) -> bool:
+    """``frame`` holds ``n`` distinct ints in ``range(size)``: an integer array in two vectorised tests."""
+    if isinstance(frame, np.ndarray) and frame.ndim == 1 and frame.dtype.kind in "iu":
+        in_range = not frame.size or (frame.min() >= 0 and frame.max() < size)
+        return len(frame) == n and bool(in_range) and len(np.unique(frame)) == n
+    return len(frame) == len(set(frame)) == n and all(_is_int(v) and 0 <= v < size for v in frame)
 
 
 def _inverse_temperature(beta) -> float:
@@ -451,10 +463,13 @@ def _inverse_temperature(beta) -> float:
     return value
 
 
-def _point_masses(skel: Skeleton, dyn: Dynamics, beta: float) -> np.ndarray:
-    """The certified point-mass states at ``beta`` on a non-empty skeleton: row v is vertex v's."""
+def _point_masses(skel: Skeleton, arrays, dyn: Dynamics, beta: float) -> np.ndarray:
+    """The point-mass states at ``beta`` on a non-empty skeleton with colour blocks ``arrays``: row v is vertex v's.
+
+    Each solve's backward error is checked here; the caller certifies the
+    rows (``_certify``).
+    """
     decomp = analysed(skel)._analysis
-    arrays = skel.as_arrays()
     for i in range(skel.k):
         margin = beta * dyn.r[i] - math.log(max(decomp.global_radius(i), 1e-300))
         if margin <= 0:
@@ -479,9 +494,7 @@ def _point_masses(skel: Skeleton, dyn: Dynamics, beta: float) -> np.ndarray:
                 f"supercritical solve residual {resid[bad[0]]:.3e} in colour {i}"
             )
         vecs = sols
-    rows = vecs / vecs.sum(axis=1, keepdims=True)
-    _certify(skel, dyn, beta, rows, lambda v: f"point-mass state at {skel.vertex_labels[v]}")
-    return rows
+    return vecs / vecs.sum(axis=1, keepdims=True)
 
 
 def _kms1_parts(skel: Skeleton, dyn: Dynamics, depth: int, top: Skeleton, beta: float):
@@ -498,18 +511,38 @@ def _kms1_parts(skel: Skeleton, dyn: Dynamics, depth: int, top: Skeleton, beta: 
     every dropped vertex feeds one of them, every other critical component
     feeds a minimal one and is dropped, and the active colours and the kept
     components' roots are unchanged.
+
+    The component states (built on ``skel`` minus ``closure - core``) and
+    the quotient's point masses (on ``skel`` minus ``closure``) are placed
+    as the rows of one block in ``skel``'s frame, and that block is
+    certified once, on ``skel``'s colour blocks. This is the same test as
+    certifying each row on its own sub-skeleton. Each row vanishes on a set
+    ``H`` that is hereditary in ``skel``, ``closure - core`` or
+    ``closure``, and lives on its complement ``K``. ``H`` is closed under
+    path sources, so ``A[H, K] = 0`` in every colour; then ``A m`` is ``A[K,
+    K] m[K]`` on ``K`` and 0 on ``H``, and so is each factor ``(1 -
+    e^(-beta r_i) A_i)`` of the product. On ``K`` every margin is the
+    sub-skeleton's; on ``H`` every bounded quantity is 0, which passes, and
+    the total weight is the same sum, up to its order. So the block passes
+    exactly when each row passes on its sub-skeleton, and a failure names
+    the same state.
     """
     crit = critical_components(skel, dyn)
     minimal, core, closure = _minimal_core(skel, crit)
     inner = restrict(skel, closure - core)
-    psi = [psi_state(inner, dyn, _positions(skel, inner, list(comp)), depth=depth) for comp in minimal]
-    parts = [([s.m for s in psi], _positions(inner, top))]
-    meta = [(s.kind, s.anchor, depth, s.factors_through_ck) for s in psi]
     quotient = restrict(skel, closure)
+    block = np.zeros((len(minimal) + quotient.n, skel.n))
+    at, meta = _positions(inner, skel), []
+    for j, comp in enumerate(minimal):
+        row, state_meta = _psi(inner, dyn, _positions(skel, inner, list(comp)), depth)
+        block[j, at] = row
+        meta.append(state_meta)
     if quotient.n:
-        parts.append((_point_masses(quotient, dyn, 1.0), _positions(quotient, top)))
+        block[len(minimal) :, _positions(quotient, skel)] = _point_masses(quotient, quotient.as_arrays(), dyn, 1.0)
         meta += _point_mass_meta(quotient, depth)
-    return tuple(_embedded(parts, top.n, beta, meta)), quotient, crit
+    kinds = {KIND_COMPONENT: "component state for {}", KIND_POINT_MASS: "point-mass state at {[0]}"}
+    _certify(skel.as_arrays(), dyn, 1.0, block, lambda j: kinds[meta[j][0]].format(meta[j][1]))
+    return tuple(_embedded([(block, _positions(skel, top))], top.n, beta, meta)), quotient, crit
 
 
 def kms1_extremes(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False) -> tuple[ExtremeState, ...]:
@@ -727,17 +760,20 @@ def verify_states(skel: Skeleton, dyn: Dynamics, beta: float, rows, tol: float =
         return ()
     if m.ndim != 2 or m.shape[1] != skel.n:
         raise ValueError(f"states have shape {m.shape}, expected (s, {skel.n})")
-    return tuple(map(StateCheck, *(c.tolist() for c in _state_margins(skel, dyn, beta, m, tol))))
+    return tuple(map(StateCheck, *(c.tolist() for c in _state_margins(skel.as_arrays(), dyn, beta, m, tol))))
 
 
-def _state_margins(skel: Skeleton, dyn: Dynamics, beta: float, m: np.ndarray, tol: float):
-    """The ``StateCheck`` fields of every row of the (s x n) float matrix ``m``, as arrays."""
+def _state_margins(arrays, dyn: Dynamics, beta: float, m: np.ndarray, tol: float):
+    """The ``StateCheck`` fields of every row of the (s x n) float matrix ``m``, as arrays.
+
+    ``arrays`` are the n x n float colour blocks the rows are checked against.
+    """
     l1_error = np.abs(m.sum(axis=1) - 1.0)
     min_entry = colour_violation = product_violation = np.zeros(len(m))
-    if skel.n:
+    if m.shape[1]:
         min_entry = m.min(axis=1)
         gap = m
-        for a, r in zip(skel.as_arrays(), dyn.r):
+        for a, r in zip(arrays, dyn.r):
             colour_violation = np.maximum(colour_violation, (m @ a.T - _growth(beta, r) * m).max(axis=1))
             gap = gap - math.exp(-beta * r) * (gap @ a.T)
         product_violation = (-gap).max(axis=1)

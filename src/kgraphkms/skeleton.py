@@ -256,13 +256,16 @@ class Skeleton:
 
         ``rows`` defaults to every vertex and ``cols`` to ``rows``. Integer
         blocks come from the root's integer arrays, float blocks (``floats``)
-        from its one float copy; no other code cuts colour blocks.
+        from its one float copy; no other code cuts colour blocks. One
+        fancy index per colour, a column of row indices against the row of
+        column indices, makes each block; callers cut each block they need
+        once and pass it on.
         """
         root, at = self._frame or (self, np.arange(self.n))
         rows = at if rows is None else at[np.asarray(rows, dtype=np.intp)]
         cols = rows if cols is None else at[np.asarray(cols, dtype=np.intp)]
-        cut = np.ix_(rows, cols)
-        return tuple(_read_only(a[cut]) for a in (root._float_arrays if floats else self._ints))
+        rows = rows[:, None]
+        return tuple(_read_only(a[rows, cols]) for a in (root._float_arrays if floats else self._ints))
 
     @property
     def _arrays(self) -> tuple[np.ndarray, ...]:

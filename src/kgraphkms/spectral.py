@@ -308,7 +308,8 @@ def _partition_for(skel, component: Iterable[int]):
     analysis, the component's shared Perron vector and per-colour roots;
     each colour's Perron root over the feeder block, the largest of its
     components' roots since F is a union of components; and each colour's
-    blocks ``(A[F, F], A[F, D])``.
+    blocks ``(A[F, F], A[F, D])``, the two halves of the one block
+    ``A[F, F + D]`` that ``Skeleton._cut`` cuts per colour.
     """
     from .components import _named_component
 
@@ -326,8 +327,49 @@ def _partition_for(skel, component: Iterable[int]):
     f = np.flatnonzero(fed & (decomp._labels != c)).tolist()
     h = np.flatnonzero(~fed).tolist()
     feeder_radii = [max([0.0] + [decomp.radii[e][i] for e in feeders]) for i in range(skel.k)]
-    blocks = list(zip(skel._cut(f, floats=True), skel._cut(f, d, floats=True)))
+    blocks = [(a[:, : len(f)], a[:, len(f) :]) for a in skel._cut(f, f + d, floats=True)]
     return f, d, h, decomp.vectors[c], decomp.radii[c], feeder_radii, blocks
+
+
+def _extension(skel, component: Iterable[int]):
+    """The extension of a component's Perron vector, with every check that can raise and no diagnostics.
+
+    For each admissible colour ``i`` (one whose root over the component
+    exceeds its root over the feeders) the feeder weights solve ``(rho_i I
+    - E_i) y = B_i x``; each solve's residual is bounded, and the first
+    admissible colour's solution must be nonnegative. ``extend_eigenvector``
+    and the engine's component states both come from here. Returns the
+    feeders F, the component D, the rest H, the component's roots, its
+    Perron vector ``x``, the admissible colours, their solutions (the rows
+    of one array, the first being ``y``), each colour's blocks ``(E_i,
+    B_i)`` and ``z``, the float array equal to ``x`` on D, ``y`` on F and
+    0 on H.
+    """
+    f, d, h, x, radii, rho_e, blocks = _partition_for(skel, component)
+    admissible = [i for i in range(skel.k) if _exceeds(radii[i], rho_e[i])]
+    if not admissible:
+        raise ValueError("no colour dominates the feeder blocks; extension undefined")
+    solutions = np.zeros((len(admissible), len(f)))
+    if f:
+        # One stacked solve; LAPACK solves each system as it would alone.
+        rhos = np.array([radii[i] for i in admissible])[:, None, None]
+        systems = rhos * np.eye(len(f)) - np.array([blocks[i][0] for i in admissible])
+        bx = np.array([blocks[i][1] @ x for i in admissible])
+        solutions = np.linalg.solve(systems, bx[..., None])[..., 0]
+        residuals = np.abs((systems @ solutions[..., None])[..., 0] - bx).max(axis=1)
+        bad = np.flatnonzero(residuals > SOLVE_RESIDUAL_TOL * np.maximum(1.0, np.abs(bx).max(axis=1)))
+        if bad.size:
+            j = bad[0]
+            raise EigenConsistencyError(
+                f"linear solve residual {residuals[j]:.3e} above tolerance in colour {admissible[j]}"
+            )
+    y = solutions[0]
+    if y.size and float(y.min()) < -1e-12:
+        raise EigenConsistencyError("extension weight vector has negative entries")
+    z = np.zeros(skel.n)
+    z[f] = y
+    z[d] = x
+    return f, d, h, radii, x, admissible, solutions, blocks, z
 
 
 def extend_eigenvector(skel, component: Iterable[int]) -> ExtensionResult:
@@ -337,58 +379,33 @@ def extend_eigenvector(skel, component: Iterable[int]) -> ExtensionResult:
     feeders solves ``(rho_i I - E_i) y = B_i x`` where ``E_i`` and ``B_i``
     are the feeder and bridge blocks; dominance makes the system
     nonsingular, and commutation makes the answer colour-independent. The
-    solve is repeated for every admissible colour and the spread recorded;
-    the exchange identity ``(rho_i I - E_i) B_j x = (rho_j I - E_j) B_i x``
-    is checked for all colour pairs as a further consistency probe.
+    solve is repeated for every admissible colour (``_extension``, which
+    raises on a bad residual or a negative weight). The diagnostics are
+    added here only, and never raise: the spread of the solutions, the
+    exchange identity ``(rho_i I - E_i) B_j x = (rho_j I - E_j) B_i x``
+    over all colour pairs, and each colour's eigen residual ``|A_i z -
+    rho_i z|``.
     """
-    f, d, h, x, radii, rho_e, blocks = _partition_for(skel, component)
-    admissible = [i for i in range(skel.k) if _exceeds(radii[i], rho_e[i])]
-    if not admissible:
-        raise ValueError("no colour dominates the feeder blocks; extension undefined")
-
-    y = np.zeros(0)
+    f, d, h, radii, x, admissible, solutions, blocks, z = _extension(skel, component)
+    y = solutions[0]
     cross = exchange = 0.0
     if f:
-        # rho_i I - E_i and B_i x, once per colour, serve the solves and the
-        # exchange identity.
+        cross = float(np.abs(solutions - y).max())
         systems = [rho * np.eye(len(f)) - e for rho, (e, _) in zip(radii, blocks)]
         bx = [b @ x for _, b in blocks]
-        solutions = []
-        for i in admissible:
-            sol = np.linalg.solve(systems[i], bx[i])
-            residual = float(np.max(np.abs(systems[i] @ sol - bx[i])))
-            if residual > SOLVE_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(bx[i])))):
-                raise EigenConsistencyError(
-                    f"linear solve residual {residual:.3e} above tolerance in colour {i}"
-                )
-            solutions.append(sol)
-        y = solutions[0]
-        for other in solutions[1:]:
-            cross = max(cross, float(np.max(np.abs(other - y))))
-        # Exchange identity across all colour pairs, admissible or not; the
-        # discrepancy of (i, j) is that of (j, i), so each pair is taken once.
-        for i in range(skel.k):
-            for j in range(i + 1, skel.k):
-                exchange = max(exchange, float(np.max(np.abs(systems[i] @ bx[j] - systems[j] @ bx[i]))))
-
-    z = np.zeros(skel.n)
-    z[f] = y
-    z[d] = x
-    arrays = skel.as_arrays()
-    residuals = tuple(
-        float(np.max(np.abs(arrays[i] @ z - radii[i] * z))) for i in range(skel.k)
-    )
-    if y.size and float(y.min()) < -1e-12:
-        raise EigenConsistencyError("extension weight vector has negative entries")
-
+        # Every colour pair, admissible or not; the discrepancy of (i, j) is
+        # that of (j, i), so each pair is taken once.
+        for i, j in combinations(range(skel.k), 2):
+            exchange = max(exchange, float(np.max(np.abs(systems[i] @ bx[j] - systems[j] @ bx[i]))))
+    residuals = tuple(float(np.max(np.abs(a @ z - rho * z))) for a, rho in zip(skel.as_arrays(), radii))
     return ExtensionResult(
         d=tuple(d),
         f=tuple(f),
         h=tuple(h),
         component_radii=radii,
-        x=tuple(float(t) for t in x),
-        y=tuple(float(t) for t in y),
-        z=tuple(float(t) for t in z),
+        x=tuple(x.tolist()),
+        y=tuple(y.tolist()),
+        z=tuple(z.tolist()),
         solved_colours=tuple(admissible),
         per_colour_residuals=residuals,
         cross_colour_discrepancy=cross,

@@ -279,6 +279,21 @@ class TestHereditaryClosure:
         with pytest.raises(ValueError, match=rf"^unknown vertex indices {re.escape(str(bad))}$"):
             check(EXAMPLE_1, vertices)
 
+    def test_integer_arrays_are_read_without_a_per_entry_check(self, monkeypatch):
+        # In range they are read in two vectorised steps; out of range they
+        # take the per-entry path and its message.
+        def refuse(v):
+            raise AssertionError("per-entry check on an in-range integer array")
+
+        expected = {(2, 0, 2): [0, 2], (): []}
+        for dtype in (np.intp, np.int32, np.uint8):
+            monkeypatch.setattr(components, "_is_int", refuse)
+            for given_, want in expected.items():
+                assert components._vertex_indices(EXAMPLE_1, np.array(given_, dtype=dtype)) == want
+            monkeypatch.undo()
+            with pytest.raises(ValueError, match=r"^unknown vertex indices \[3, 5\]$"):
+                components._vertex_indices(EXAMPLE_1, np.array([5, 0, 3], dtype=dtype))
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_idempotent_and_monotone(self, data):

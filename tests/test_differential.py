@@ -14,6 +14,10 @@ other under explicit dynamics placed at the edge of the radius band. The
 phase diagram's critical values, state counts and interval counts match
 the removal recursion run over a condensation and dense eigensolves of
 the test's own, and every state verifies against that recursion's dynamics.
+Each piece's component states are ``extend_eigenvector``'s vectors
+normalised, bit for bit, and the one certificate of a piece's critical
+states in its own frame agrees with certifying each state on the
+sub-skeleton it was built on.
 """
 
 import math
@@ -30,13 +34,16 @@ from kgraphkms import (
     components,
     critical_components,
     decompose,
+    extend_eigenvector,
     normalize_dynamics,
     phase_diagram,
+    removal_set,
     split_isolated,
     verify_states,
 )
 from kgraphkms.components import analysed, check_assumptions, hereditary_closure, restrict
 from kgraphkms.dumbbell import make_dumbbell3, sample_commuting3
+from kgraphkms.engine import KIND_COMPONENT
 
 from conftest import (
     EXAMPLE_1,
@@ -44,6 +51,7 @@ from conftest import (
     REDUCIBLE_COLOUR_BLOCKS,
     chain,
     colour_support,
+    data_skeletons,
     skeleton,
     vertex_reach,
 )
@@ -469,3 +477,85 @@ def test_phase_diagram_matches_the_removal_recursion(skel):
     for beta, states in zip(diagram.critical_betas, diagram.critical_points):
         checks = verify_states(skel, ref, beta, [np.asarray(s.m) for s in states])
         assert all(check.passed for check in checks), checks
+
+
+def piece_parts(skel):
+    """Each diagram piece with its own dynamics and the sub-skeletons its critical states are built on.
+
+    The component states live on the piece minus ``removal_set``, the
+    quotient's point masses on the piece minus that set and the minimal
+    critical components (the component states' anchors).
+    """
+    dyn = normalize_dynamics(skel)
+    for p in phase_diagram(skel, dyn).pieces:
+        piece = p.skeleton
+        sub_dyn = normalize_dynamics(piece, r=dyn.r)
+        removal = removal_set(piece, sub_dyn)
+        core = {piece.vertex_labels.index(label) for s in p.critical_states if s.kind == KIND_COMPONENT for label in s.anchor}
+        yield p, sub_dyn, restrict(piece, removal), restrict(piece, removal | core)
+
+
+def assert_component_states_are_the_extension(skel) -> None:
+    at = {label: v for v, label in enumerate(skel.vertex_labels)}
+    for p, _, inner, _ in piece_parts(skel):
+        cols = [at[label] for label in inner.vertex_labels]
+        for state in p.critical_states:
+            if state.kind != KIND_COMPONENT:
+                continue
+            z = np.array(extend_eigenvector(inner, [inner.vertex_labels.index(label) for label in state.anchor]).z)
+            assert state.m[cols].tobytes() == (z / z.sum()).tobytes()
+            assert not np.delete(state.m, cols).any()
+
+
+def spoiled_rows(row: np.ndarray, cols: list[int]):
+    """``row``, and copies of it scaled or with mass moved between two of its ``cols``, some failing verification."""
+    yield row
+    yield row * (1 + 1e-6)
+    hi, lo = cols[int(np.argmax(row[cols]))], cols[int(np.argmin(row[cols]))]
+    for delta in (1e-12, 1e-6, 1e-2):
+        moved = row.copy()
+        moved[hi] -= delta
+        moved[lo] += delta
+        yield moved
+
+
+def assert_piece_certificate_matches_sub_skeletons(skel) -> None:
+    for p, sub_dyn, inner, quotient in piece_parts(skel):
+        piece = p.skeleton
+        pos = {label: v for v, label in enumerate(piece.vertex_labels)}
+        block = np.array([s.m for s in p.critical_states])[:, list(p.vertices)]
+        assert all(check.passed for check in verify_states(piece, sub_dyn, 1.0, block))
+        for row, state in zip(block, p.critical_states):
+            sub = inner if state.kind == KIND_COMPONENT else quotient
+            cols = [pos[label] for label in sub.vertex_labels]
+            for spoiled in spoiled_rows(row, cols):
+                whole = verify_states(piece, sub_dyn, 1.0, [spoiled])[0]
+                alone = verify_states(sub, sub_dyn, 1.0, [spoiled[cols]])[0]
+                assert whole.passed == alone.passed, (state.anchor, whole, alone)
+
+
+DOCUMENTS = data_skeletons()
+
+
+@pytest.mark.parametrize("stem", sorted(DOCUMENTS))
+def test_component_states_of_the_documents_are_the_extension(stem):
+    assert_component_states_are_the_extension(DOCUMENTS[stem])
+
+
+@given(GRAPHS)
+@example(chain(9, 3))
+@example(EXAMPLE_2)
+@settings(max_examples=60, deadline=None)
+def test_component_states_are_the_extension(skel):
+    if check_assumptions(skel).all_pass:
+        assert_component_states_are_the_extension(skel)
+
+
+@given(GRAPHS)
+@example(chain(9, 3))
+@example(EXAMPLE_1)
+@example(EXAMPLE_2)
+@settings(max_examples=60, deadline=None)
+def test_the_piece_certificate_agrees_with_the_sub_skeletons(skel):
+    if check_assumptions(skel).all_pass:
+        assert_piece_certificate_matches_sub_skeletons(skel)

@@ -294,6 +294,20 @@ class TestSupercritical:
         with pytest.raises(ValueError, match=rf"frame must hold 3 distinct vertex indices in range\({size}\)"):
             supercritical_extremes(ex1, ex1_dyn, 1.5, frame=frame, size=size)
 
+    @pytest.mark.parametrize(
+        "frame, passes",
+        [([0, 1, 2], True), ([4, 0, 2], True), ([0, 0, 2], False), ([0, 1], False), ([0, 1, 5], False), ([-1, 0, 1], False)],
+    )
+    def test_an_integer_array_frame_is_checked_like_a_list(self, ex1, ex1_dyn, frame, passes):
+        for given_ in (frame, np.array(frame, dtype=np.intp)):
+            if passes:
+                states = supercritical_extremes(ex1, ex1_dyn, 1.5, frame=given_, size=5)
+                own = supercritical_extremes(ex1, ex1_dyn, 1.5)
+                assert [s.m.tolist() for s in states] == [np.bincount(frame, s.m, 5).tolist() for s in own]
+            else:
+                with pytest.raises(ValueError, match=r"frame must hold 3 distinct vertex indices in range\(5\)"):
+                    supercritical_extremes(ex1, ex1_dyn, 1.5, frame=given_, size=5)
+
     @pytest.mark.parametrize("beta", (1.001, 1.0001))
     def test_solves_just_above_a_critical_value(self, beta):
         # Graph 286 of sample_commuting3(953683294, 400). Just above beta = 1
@@ -406,12 +420,12 @@ class TestBatchVerification:
         for beta, rows, valid, checks in cases:
             built.clear()
             if valid:
-                engine._certify(skel, dyn, beta, rows, str)
+                engine._certify(skel.as_arrays(), dyn, beta, rows, str)
                 assert built == []
                 continue
             first = next(j for j, check in enumerate(checks) if not check.passed)
             with pytest.raises(EigenConsistencyError) as raised:
-                engine._certify(skel, dyn, beta, rows, lambda j: f"row {j}")
+                engine._certify(skel.as_arrays(), dyn, beta, rows, lambda j: f"row {j}")
             assert str(raised.value) == f"row {first}: constructed state fails verification: {checks[first]}"
             assert len(built) == 1
 
@@ -663,6 +677,43 @@ class TestPhase:
             for beta, states in zip(diag.critical_betas, diag.critical_points):
                 for s in states:
                     assert verify_state(skel, dyn, beta, s.m, tol=1e-9).passed
+
+    def test_a_negative_point_mass_is_named(self, ex1, ex1_dyn, monkeypatch):
+        # Spoil only the critical-value rows (beta 1 on each piece's own
+        # dynamics): the sweep's later supercritical evaluations certify
+        # their own rows and would raise on their own.
+        original = engine._point_masses
+
+        def spoiled(skel, arrays, dyn, beta):
+            rows = original(skel, arrays, dyn, beta)
+            if beta == 1.0 and skel.n > 1:
+                rows = rows.copy()
+                rows[0, 0] -= 2.0
+                rows[0, 1] += 2.0
+            return rows
+
+        monkeypatch.setattr(engine, "_point_masses", spoiled)
+        # The first piece's quotient is {u, v}: row 0 is u's point mass.
+        with pytest.raises(EigenConsistencyError, match=r"^point-mass state at u: constructed state fails"):
+            phase_diagram(ex1, ex1_dyn)
+
+    def test_a_negative_component_state_is_named(self, ex1, ex1_dyn, monkeypatch):
+        original = engine._extension
+
+        def spoiled(skel, component):
+            *rest, z = original(skel, component)
+            # Move twice the total weight off the component's first vertex.
+            d = rest[1]
+            others = [v for v in range(skel.n) if v not in d]
+            if others:
+                z = z.copy()
+                z[[d[0], others[0]]] += (-2 * z.sum(), 2 * z.sum())
+            return (*rest, z)
+
+        monkeypatch.setattr(engine, "_extension", spoiled)
+        # The first piece is all of ex1, whose one minimal critical component is {w}.
+        with pytest.raises(EigenConsistencyError, match=r"^component state for \('w',\): constructed state fails"):
+            phase_diagram(ex1, ex1_dyn)
 
     def test_source_creating_quotient_flagged_not_fatal(self):
         # The middle vertex has no loop and is fed only from the critical

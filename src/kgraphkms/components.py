@@ -167,14 +167,13 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def _vertex_indices(skel: Skeleton, vertices: Iterable) -> list[int]:
-    """Sorted distinct vertex indices, else ``ValueError`` naming bad ints in order, then other bad entries.
+def _vertex_indices(n: int, vertices: Iterable) -> list[int]:
+    """Sorted distinct indices in ``range(n)``, else ``ValueError`` naming bad ints in order, then other bad entries.
 
     An integer array is read in two vectorised steps, ``np.unique`` and a
     range test on its ends; other input, and an array that fails the range
     test, is read entry by entry.
     """
-    n = skel.n
     if isinstance(vertices, np.ndarray) and vertices.ndim == 1 and vertices.dtype.kind in "iu":
         distinct = np.unique(vertices)
         if not distinct.size or (distinct[0] >= 0 and distinct[-1] < n):
@@ -189,7 +188,7 @@ def _vertex_indices(skel: Skeleton, vertices: Iterable) -> list[int]:
 
 def _named_component(skel: Skeleton, vertices: Iterable) -> tuple[Skeleton, list[int], int]:
     """``skel`` analysed, ``vertices`` read, and the index of the component with exactly those vertices."""
-    skel, d = analysed(skel), _vertex_indices(skel, vertices)
+    skel, d = analysed(skel), _vertex_indices(skel.n, vertices)
     c = int(skel._analysis._labels[d[0]]) if d else 0
     if not d or skel._analysis.components[c] != tuple(d):
         raise ValueError(f"{d} is not a strongly connected component")
@@ -201,7 +200,7 @@ def hereditary_closure(skel: Skeleton, vertices: Iterable[int]) -> frozenset[int
 
     An entry that is not an int in ``range(skel.n)`` raises ``ValueError``.
     """
-    seeds = _vertex_indices(skel, vertices)
+    seeds = _vertex_indices(skel.n, vertices)
     if not seeds:
         return frozenset()
     decomp = analysed(skel)._analysis
@@ -210,7 +209,7 @@ def hereditary_closure(skel: Skeleton, vertices: Iterable[int]) -> frozenset[int
 
 
 def is_hereditary(skel: Skeleton, vertices: Iterable[int]) -> bool:
-    vs = frozenset(_vertex_indices(skel, vertices))
+    vs = frozenset(_vertex_indices(skel.n, vertices))
     return hereditary_closure(skel, vs) == vs
 
 
@@ -382,7 +381,7 @@ def restrict(skel: Skeleton, hereditary_set: Iterable[int]) -> Skeleton:
     The result carries the slice of ``skel``'s analysis on the kept
     vertices, and its matrices commute without a fresh proof.
     """
-    removed = frozenset(_vertex_indices(skel, hereditary_set))
+    removed = frozenset(_vertex_indices(skel.n, hereditary_set))
     if not removed:
         return skel
     skel = analysed(skel)

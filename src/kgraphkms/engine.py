@@ -20,7 +20,7 @@ import numpy as np
 from .components import (
     AssumptionReport,
     ComponentDecomposition,
-    _is_int,
+    _vertex_indices,
     analysed,
     check_assumptions,
     hereditary_closure,
@@ -402,7 +402,7 @@ def _certify(arrays, dyn: Dynamics, beta: float, rows: np.ndarray, context) -> N
 
 def _psi(skel: Skeleton, dyn: Dynamics, component, depth: int):
     """A component state's vertex vector, not yet certified, and its kind, anchor, depth and factoring flag."""
-    _, d, _, radii, _, _, _, _, z = _extension(skel, component)
+    z, d, radii, *_ = _extension(skel, component)
     factors = all(_ties(math.log(rho), r) for rho, r in zip(radii, dyn.r))
     return z / z.sum(), (KIND_COMPONENT, tuple(skel.vertex_labels[v] for v in d), depth, factors)
 
@@ -448,11 +448,11 @@ def supercritical_extremes(
 
 
 def _is_frame(frame, n: int, size: int) -> bool:
-    """``frame`` holds ``n`` distinct ints in ``range(size)``: an integer array in two vectorised tests."""
-    if isinstance(frame, np.ndarray) and frame.ndim == 1 and frame.dtype.kind in "iu":
-        in_range = not frame.size or (frame.min() >= 0 and frame.max() < size)
-        return len(frame) == n and bool(in_range) and len(np.unique(frame)) == n
-    return len(frame) == len(set(frame)) == n and all(_is_int(v) and 0 <= v < size for v in frame)
+    """``frame`` holds ``n`` distinct ints in ``range(size)``, read as ``_vertex_indices`` reads vertex sets."""
+    try:
+        return len(frame) == n == len(_vertex_indices(size, frame))
+    except ValueError:
+        return False
 
 
 def _inverse_temperature(beta) -> float:

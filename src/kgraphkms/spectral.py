@@ -338,12 +338,12 @@ def _extension(skel, component: Iterable[int]):
     exceeds its root over the feeders) the feeder weights solve ``(rho_i I
     - E_i) y = B_i x``; each solve's residual is bounded, and the first
     admissible colour's solution must be nonnegative. ``extend_eigenvector``
-    and the engine's component states both come from here. Returns the
-    feeders F, the component D, the rest H, the component's roots, its
-    Perron vector ``x``, the admissible colours, their solutions (the rows
-    of one array, the first being ``y``), each colour's blocks ``(E_i,
-    B_i)`` and ``z``, the float array equal to ``x`` on D, ``y`` on F and
-    0 on H.
+    and the engine's component states both come from here. Returns ``z``,
+    the float array equal to ``x`` on D, ``y`` on F and 0 on H; the
+    component D and its roots; the feeders F and the rest H; its Perron
+    vector ``x``; the admissible colours and their solutions, the rows of
+    one array, the first being ``y``; and each colour's blocks ``(E_i,
+    B_i)``.
     """
     f, d, h, x, radii, rho_e, blocks = _partition_for(skel, component)
     admissible = [i for i in range(skel.k) if _exceeds(radii[i], rho_e[i])]
@@ -369,7 +369,7 @@ def _extension(skel, component: Iterable[int]):
     z = np.zeros(skel.n)
     z[f] = y
     z[d] = x
-    return f, d, h, radii, x, admissible, solutions, blocks, z
+    return z, d, radii, f, h, x, admissible, solutions, blocks
 
 
 def extend_eigenvector(skel, component: Iterable[int]) -> ExtensionResult:
@@ -386,7 +386,7 @@ def extend_eigenvector(skel, component: Iterable[int]) -> ExtensionResult:
     over all colour pairs, and each colour's eigen residual ``|A_i z -
     rho_i z|``.
     """
-    f, d, h, radii, x, admissible, solutions, blocks, z = _extension(skel, component)
+    z, d, radii, f, h, x, admissible, solutions, blocks = _extension(skel, component)
     y = solutions[0]
     cross = exchange = 0.0
     if f:

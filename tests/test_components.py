@@ -289,10 +289,10 @@ class TestHereditaryClosure:
         for dtype in (np.intp, np.int32, np.uint8):
             monkeypatch.setattr(components, "_is_int", refuse)
             for given_, want in expected.items():
-                assert components._vertex_indices(EXAMPLE_1, np.array(given_, dtype=dtype)) == want
+                assert components._vertex_indices(EXAMPLE_1.n, np.array(given_, dtype=dtype)) == want
             monkeypatch.undo()
             with pytest.raises(ValueError, match=r"^unknown vertex indices \[3, 5\]$"):
-                components._vertex_indices(EXAMPLE_1, np.array([5, 0, 3], dtype=dtype))
+                components._vertex_indices(EXAMPLE_1.n, np.array([5, 0, 3], dtype=dtype))
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

@@ -701,14 +701,13 @@ class TestPhase:
         original = engine._extension
 
         def spoiled(skel, component):
-            *rest, z = original(skel, component)
+            z, d, *rest = original(skel, component)
             # Move twice the total weight off the component's first vertex.
-            d = rest[1]
             others = [v for v in range(skel.n) if v not in d]
             if others:
                 z = z.copy()
                 z[[d[0], others[0]]] += (-2 * z.sum(), 2 * z.sum())
-            return (*rest, z)
+            return (z, d, *rest)
 
         monkeypatch.setattr(engine, "_extension", spoiled)
         # The first piece is all of ex1, whose one minimal critical component is {w}.

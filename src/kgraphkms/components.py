@@ -170,14 +170,14 @@ def _is_int(v) -> bool:
 def _vertex_indices(n: int, vertices: Iterable) -> list[int]:
     """Sorted distinct indices in ``range(n)``, else ``ValueError`` naming bad ints in order, then other bad entries.
 
-    An integer array is read in two vectorised steps, ``np.unique`` and a
-    range test on its ends; other input, and an array that fails the range
-    test, is read entry by entry.
+    An integer array takes one vectorised range test, then a set of its
+    Python ints (``np.unique`` would load ``numpy.ma`` on its first call);
+    other input, and an array that fails the range test, is read entry by
+    entry.
     """
     if isinstance(vertices, np.ndarray) and vertices.ndim == 1 and vertices.dtype.kind in "iu":
-        distinct = np.unique(vertices)
-        if not distinct.size or (distinct[0] >= 0 and distinct[-1] < n):
-            return distinct.tolist()
+        if not vertices.size or (vertices.min() >= 0 and vertices.max() < n):
+            return sorted(set(vertices.tolist()))
     given = list(vertices)
     bad = [v for v in given if not (_is_int(v) and 0 <= v < n)]
     if bad:

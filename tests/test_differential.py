@@ -15,9 +15,10 @@ phase diagram's critical values, state counts and interval counts match
 the removal recursion run over a condensation and dense eigensolves of
 the test's own, and every state verifies against that recursion's dynamics.
 Each piece's component states are ``extend_eigenvector``'s vectors
-normalised, bit for bit, and the one certificate of a piece's critical
-states in its own frame agrees with certifying each state on the
-sub-skeleton it was built on.
+normalised, bit for bit, whose stacked solves equal each colour's solve
+alone; and the one certificate of a piece's critical states in its own
+frame agrees with certifying each state on the sub-skeleton it was built
+on.
 """
 
 import math
@@ -38,6 +39,7 @@ from kgraphkms import (
     normalize_dynamics,
     phase_diagram,
     removal_set,
+    spectral,
     split_isolated,
     verify_states,
 )
@@ -502,9 +504,21 @@ def assert_component_states_are_the_extension(skel) -> None:
         for state in p.critical_states:
             if state.kind != KIND_COMPONENT:
                 continue
-            z = np.array(extend_eigenvector(inner, [inner.vertex_labels.index(label) for label in state.anchor]).z)
+            comp = [inner.vertex_labels.index(label) for label in state.anchor]
+            ext = extend_eigenvector(inner, comp)
+            z = np.array(ext.z)
             assert state.m[cols].tobytes() == (z / z.sum()).tobytes()
             assert not np.delete(state.m, cols).any()
+            # The stacked solve gives each colour's solve alone, on blocks cut one at a time.
+            f, d, _, x, radii, _, _ = spectral._partition_for(inner, comp)
+            if f:
+                arrays = inner.as_arrays()
+                alone = [
+                    np.linalg.solve(radii[i] * np.eye(len(f)) - arrays[i][np.ix_(f, f)], arrays[i][np.ix_(f, d)] @ x)
+                    for i in ext.solved_colours
+                ]
+                assert np.array(ext.y).tobytes() == alone[0].tobytes()
+                assert ext.cross_colour_discrepancy == max(float(np.abs(y - alone[0]).max()) for y in alone)
 
 
 def spoiled_rows(row: np.ndarray, cols: list[int]):

@@ -355,19 +355,15 @@ def _minimal_core(skel: Skeleton, crit: CriticalityReport):
     return minimal, core, hereditary_closure(skel, core)
 
 
-def _embedded(parts, size: int, beta: float, meta) -> list[ExtremeState]:
-    """States whose vertex vectors are the rows of ``parts`` moved into a ``size``-vertex frame.
+def _embedded(rows: np.ndarray, frame, size: int, beta: float, meta) -> list[ExtremeState]:
+    """States whose vertex vectors are the rows of ``rows`` moved into a ``size``-vertex frame.
 
-    Each part is a pair ``(rows, frame)``: column j of ``rows`` lands on
-    vertex ``frame[j]``, and every other vertex gets 0. The vectors are
-    the rows of one read-only block, in the order of the parts, and
+    Column j of ``rows`` lands on vertex ``frame[j]``, and every other
+    vertex gets 0. The vectors are the rows of one read-only block, and
     ``meta`` gives each row's kind, anchor, depth and factoring flag.
     """
-    out = np.zeros((sum(len(rows) for rows, _ in parts), size))
-    start = 0
-    for rows, frame in parts:
-        out[start : start + len(rows), frame] = rows
-        start += len(rows)
+    out = np.zeros((len(rows), size))
+    out[:, frame] = rows
     out.flags.writeable = False
     return [ExtremeState(beta, m, *rest) for m, rest in zip(out, meta)]
 
@@ -444,7 +440,7 @@ def supercritical_extremes(
     arrays = skel.as_arrays()
     rows = _point_masses(skel, arrays, dyn, beta)
     _certify(arrays, dyn, beta, rows, lambda v: f"point-mass state at {skel.vertex_labels[v]}")
-    return tuple(_embedded([(rows, frame)], size, beta, _point_mass_meta(skel, depth)))
+    return tuple(_embedded(rows, frame, size, beta, _point_mass_meta(skel, depth)))
 
 
 def _is_frame(frame, n: int, size: int) -> bool:
@@ -542,7 +538,7 @@ def _kms1_parts(skel: Skeleton, dyn: Dynamics, depth: int, top: Skeleton, beta: 
         meta += _point_mass_meta(quotient, depth)
     kinds = {KIND_COMPONENT: "component state for {}", KIND_POINT_MASS: "point-mass state at {[0]}"}
     _certify(skel.as_arrays(), dyn, 1.0, block, lambda j: kinds[meta[j][0]].format(meta[j][1]))
-    return tuple(_embedded([(block, _positions(skel, top))], top.n, beta, meta)), quotient, crit
+    return tuple(_embedded(block, _positions(skel, top), top.n, beta, meta)), quotient, crit
 
 
 def kms1_extremes(skel: Skeleton, dyn: Dynamics, allow_violations: bool = False) -> tuple[ExtremeState, ...]:
